@@ -2,7 +2,7 @@
 
 All results go to stdout as key-sorted JSON; diagnostics go to stderr.
 Exit codes are a stable contract: 0 equivalent / verified, 1 not equivalent /
-not verified, 2 input error, 3 word budget exceeded.
+not verified, 2 input error, 3 word budget exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 from . import engines, fileio, instances, words
 from .gadgets import (
@@ -26,6 +27,7 @@ EXIT_EQUIVALENT = 0
 EXIT_NOT_EQUIVALENT = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _emit(doc):
@@ -251,6 +253,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:
+        # anything else is a fault of the program, not a verdict: keep it
+        # off exit code 1, which means NotEquivalent
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -6,6 +6,12 @@ words length by length, lexicographically within each length, optionally
 pruning runs above an exponent cap and collapsing cyclic-rotation and
 star-reversal duplicates (both are trace-preserving, which is what the
 decision engines compare).
+
+``enumerate_words`` filters every capped string and is the reference.  The
+traced walk ``iter_word_traces`` yields the same stream, but when it
+deduplicates it only descends into necklace prefixes, and it reads each
+word's trace off its parent's product in O(n^2) instead of building the
+word's product.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 
-from .numerics import EXACT, Matrix, identity
+import numpy as np
+
+from .numerics import Matrix, identity
 
 DEDUP_NONE = "none"
 DEDUP_CYCLIC = "cyclic"
@@ -139,12 +147,14 @@ def _is_canonical(seq: tuple, dedup: str) -> bool:
     for i in range(1, n):
         if seq[i:] + seq[:i] < seq:
             return False
-    if dedup == DEDUP_CYCLIC_STAR:
-        rev = tuple(x ^ 1 for x in reversed(seq))
-        for i in range(n):
-            if rev[i:] + rev[:i] < seq:
-                return False
-    return True
+    return dedup != DEDUP_CYCLIC_STAR or _star_least(seq)
+
+
+def _star_least(seq: tuple) -> bool:
+    """True when no rotation of seq's star-reversal is less than seq."""
+    n = len(seq)
+    twice = tuple(x ^ 1 for x in reversed(seq)) * 2
+    return all(twice[i:i + n] >= seq for i in range(n))
 
 
 def _letter_strings(alphabet_size: int, length: int, max_exponent):
@@ -178,6 +188,9 @@ def enumerate_words(
     Within one length the order is lexicographic on the letter sequence, so
     the stream is deterministic and certificate tie-breaking is reproducible.
     With deduplication only the least representative of each class appears.
+    This is the unpruned reference: it tests every capped string with
+    ``_is_canonical``, and the pruned walk in ``iter_word_traces`` is
+    checked against it.
     """
     if alphabet_size < 1:
         raise ValueError("alphabet_size must be positive")
@@ -247,8 +260,17 @@ def iter_word_traces(
 
     ``letter_sets`` is a list of letter assignments (each one matrix per
     letter); ``traces`` holds the trace of the word's product under each
-    assignment, in order.  Products are built incrementally along the
-    enumeration tree, so each tree edge costs one multiplication per set.
+    assignment, in order.  The stream is the one ``enumerate_words`` gives,
+    restricted to ``lengths`` when that is given.
+
+    Each length is walked depth first, holding one prefix product per set
+    and depth, so memory is O(length).  When deduplicating, the walk only
+    descends into prenecklaces (Fredricksen-Kessler-Maiorana; every prefix
+    of a necklace is one) and keeps a string at the target length only when
+    it is a necklace; the star-reversal test then runs on those necklaces
+    alone.  A kept word's traces are read off its parent's product as
+    ``tr(P M) = sum(P * M.T)``, in O(n^2) per set, so no leaf product is
+    built.
     """
     if not letter_sets:
         raise ValueError("need at least one letter set")
@@ -259,38 +281,50 @@ def iter_word_traces(
         _check_letters(ls, alphabet_size)
     _check_dedup(dedup, alphabet_size)
 
-    exact = letter_sets[0][0].mode == EXACT
-    mats = [[m.data for m in ls] for ls in letter_sets]
-    eyes = [identity(ls[0].rows, ls[0].mode).data for ls in letter_sets]
     nsets = len(letter_sets)
+    first = letter_sets[0][0]
+    # the sets run along the first axis, so one matmul extends every set
+    stacks = [
+        np.stack([ls[k].data for ls in letter_sets])
+        for k in range(alphabet_size)
+    ]
+    flips = [m.transpose(0, 2, 1).reshape(nsets, -1) for m in stacks]
+    eye = np.stack([identity(first.rows, first.mode).data] * nsets)
+    necklaces = dedup != DEDUP_NONE
+    star = dedup == DEDUP_CYCLIC_STAR
     cap = max_exponent
     path = []
 
-    def _trace(arr):
-        t = arr.trace()
-        return t if exact else complex(t)
+    def walk(prod, target, period, run_len):
+        # prod is the product of path; period is the length of path's
+        # longest Lyndon prefix (the FKM period p)
+        depth = len(path)
+        last = path[-1] if path else -1
+        low = path[depth - period] if necklaces and path else 0
+        for letter in range(low, alphabet_size):
+            if letter == last and cap is not None and run_len >= cap:
+                continue
+            new_period = period if letter == low else depth + 1
+            if depth + 1 < target:
+                path.append(letter)
+                new_run = run_len + 1 if letter == last else 1
+                nxt = prod @ stacks[letter]
+                yield from walk(nxt, target, new_period, new_run)
+                path.pop()
+                continue
+            if necklaces and target % new_period:
+                continue
+            seq = (*path, letter)
+            if star and not _star_least(seq):
+                continue
+            traces = (prod.reshape(nsets, -1) * flips[letter]).sum(axis=1)
+            yield Word.from_letters(seq, alphabet_size), tuple(traces.tolist())
 
-    def walk(depth, target, prods, run_letter, run_len):
-        if depth == target:
-            seq = tuple(path)
-            if _is_canonical(seq, dedup):
-                word = Word.from_letters(seq, alphabet_size)
-                yield word, tuple(_trace(p) for p in prods)
-            return
-        for letter in range(alphabet_size):
-            if letter == run_letter:
-                if cap is not None and run_len >= cap:
-                    continue
-                new_run = run_len + 1
-            else:
-                new_run = 1
-            nxt = [prods[s] @ mats[s][letter] for s in range(nsets)]
-            path.append(letter)
-            yield from walk(depth + 1, target, nxt, letter, new_run)
-            path.pop()
-
-    for length in lengths if lengths is not None else range(1, max_length + 1):
-        yield from walk(0, length, eyes, -1, 0)
+    lengths = range(1, max_length + 1) if lengths is None else tuple(lengths)
+    if any(length < 1 for length in lengths):
+        raise ValueError("word lengths must be positive")
+    for length in lengths:
+        yield from walk(eye, length, 1, 0)
 
 
 def word_trace_spectrum(

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from unieq import ProblemInstance, make_yes_instance
+from unieq import ProblemInstance, engines, make_yes_instance
+from unieq.engines import BudgetExceededError
 from unieq.cli import main
 from unieq.fileio import (
     InstanceFormatError,
@@ -105,6 +106,29 @@ class TestDecide:
              "--budget", "1000"],
         )
         assert code == 3 and "budget" in err
+
+    @pytest.mark.parametrize(
+        "exc,code,message",
+        [
+            (RuntimeError("span exceeded ambient dimension"), 4,
+             "internal error: RuntimeError: span exceeded ambient dimension"),
+            (BudgetExceededError("needs 5 words, budget is 1"), 3,
+             "error: needs 5 words, budget is 1"),
+        ],
+    )
+    def test_engine_exception_exit_code(
+        self, tmp_path, capsys, monkeypatch, exc, code, message
+    ):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(engines, "solve_general", fail)
+        path = tmp_path / "inst.json"
+        write_json(path, scalar_instance(1, 1))
+        got, out, err = run(capsys, ["decide", str(path)])
+        assert got == code
+        assert out == ""
+        assert err.rstrip().splitlines()[-1] == message
 
     def test_exact_instance_no_tolerance(self, tmp_path, capsys):
         doc = {

@@ -20,7 +20,7 @@ from unieq import (
     word_trace_spectrum,
 )
 
-from conftest import rand_matrix
+from conftest import rand_matrix, rat_matrix
 
 
 # -- independent oracles ----------------------------------------------------
@@ -240,6 +240,60 @@ class TestSpectrum:
             assert tb == pytest.approx(
                 string_eval(w.letters(), [b, b.adjoint()]).trace(), abs=1e-12
             )
+
+
+class TestStreamMatchesEnumeration:
+    """``iter_word_traces`` prunes its walk to necklace prefixes when it
+    deduplicates; ``enumerate_words`` filters every string and is the
+    reference for the words and their order."""
+
+    @staticmethod
+    def check(letter_sets, words, rows):
+        assert [w for w, _ in rows] == words
+        for w, traces in rows:
+            for letters, t in zip(letter_sets, traces):
+                want = string_eval(w.letters(), letters).trace()
+                assert abs(t - want) <= 1e-12 * (1 + abs(want))
+
+    @pytest.mark.parametrize(
+        "alphabet,max_length,dedup",
+        [
+            (a, max_length, dedup)
+            for a, max_length in [(2, 10), (3, 6), (4, 6)]
+            for dedup in (DEDUP_NONE, DEDUP_CYCLIC, DEDUP_CYCLIC_STAR)
+            if a % 2 == 0 or dedup != DEDUP_CYCLIC_STAR
+        ],
+    )
+    @pytest.mark.parametrize("cap", [None, 1, 2, 3])
+    def test_float_stream(self, rng, alphabet, max_length, dedup, cap):
+        letter_sets = [
+            [rand_matrix(rng, 3) for _ in range(alphabet)] for _ in range(2)
+        ]
+        rows = list(iter_word_traces(letter_sets, max_length, cap, dedup))
+        words = list(enumerate_words(alphabet, max_length, cap, dedup))
+        self.check(letter_sets, words, rows)
+
+    @pytest.mark.parametrize("dedup", [DEDUP_NONE, DEDUP_CYCLIC_STAR])
+    def test_length_subset(self, rng, dedup):
+        a = rand_matrix(rng, 3)
+        letter_sets = [[a, a.adjoint()]]
+        rows = list(iter_word_traces(letter_sets, 6, 2, dedup, lengths=[3, 5]))
+        words = [
+            w for w in enumerate_words(2, 6, 2, dedup) if w.length in (3, 5)
+        ]
+        self.check(letter_sets, words, rows)
+        with pytest.raises(ValueError):
+            list(iter_word_traces(letter_sets, 6, 2, dedup, lengths=[0, 3]))
+
+    def test_exact_traces_are_equal(self, rng):
+        a, b = rat_matrix(rng, 2), rat_matrix(rng, 2)
+        letter_sets = [[a, a.adjoint()], [b, b.adjoint()]]
+        rows = list(iter_word_traces(letter_sets, 7, None, DEDUP_CYCLIC_STAR))
+        words = list(enumerate_words(2, 7, None, DEDUP_CYCLIC_STAR))
+        assert [w for w, _ in rows] == words
+        for w, traces in rows:
+            for letters, t in zip(letter_sets, traces):
+                assert t == string_eval(w.letters(), letters).trace()
 
 
 class TestWordType:
