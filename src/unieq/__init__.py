@@ -12,15 +12,9 @@ from .numerics import (
     GaussianRational,
     Matrix,
     ModeMismatchError,
-    adjoint,
     block,
     common_scale,
-    conjugate,
     identity,
-    least_squares_coeffs,
-    mat_mul,
-    trace,
-    transpose,
     zeros,
 )
 from .words import (

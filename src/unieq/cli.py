@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import traceback
 
@@ -34,14 +33,6 @@ def _emit(doc):
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _default_threads() -> int:
-    value = os.environ.get("UNIEQ_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unieq",
@@ -63,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="route congruence through the 4n-by-4n gadget instead of the triple",
     )
-    p.add_argument("--threads", type=int, default=_default_threads())
 
     p = sub.add_parser("bound", help="print the word-length bound for size m")
     p.add_argument("m", type=int)
@@ -136,7 +126,6 @@ def _cmd_decide(args) -> int:
         budget=args.budget,
         max_length=args.max_length,
         use_k_gadget=args.use_k_gadget,
-        threads=args.threads,
     )
     _emit(verdict.to_json())
     return EXIT_EQUIVALENT if verdict.equivalent else EXIT_NOT_EQUIVALENT

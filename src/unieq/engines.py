@@ -10,7 +10,11 @@ Two interchangeable engines decide unitary similarity of a pair:
   sides in lockstep; linear dependencies found on one side must hold on the
   other, and at the end all basis-word traces must agree.  It terminates
   after at most size-squared basis extensions, so it stays polynomial where
-  brute enumeration explodes.
+  brute enumeration explodes.  One lockstep loop (``_closure_decide``)
+  drives two span arithmetics, float Gram-Schmidt (``_MappedSpan``) and
+  exact row reduction over Gaussian rationals (``_ExactSpan``), and makes
+  one dependency decision per word: a word dependent on either side is
+  dependent on both, so the two spans always have the same dimension.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, congruence via the derived triple or the K
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +234,6 @@ def specht_brute(
     max_exponent: int | None = None,
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     prescale: bool = True,
 ) -> Verdict:
     """Compare traces of every word in (X, X*) against (Y, Y*).
@@ -254,39 +256,19 @@ def specht_brute(
         )
     letters = [[X, X.adjoint()], [Y, Y.adjoint()]]
 
-    def scan(lengths):
-        for word, (tl, tr) in iter_word_traces(
-            letters,
-            max_length,
-            max_exponent,
-            dedup=DEDUP_CYCLIC_STAR,
-            lengths=lengths,
-        ):
-            if not _close(tl, tr, tol):
-                return word, tl, tr
-        return None
-
     failure = None
-    if threads <= 1 or max_length <= 1:
-        failure = scan(None)
-    else:
-        nwork = min(threads, max_length)
-        chunks = [range(w + 1, max_length + 1, nwork) for w in range(nwork)]
-        with ThreadPoolExecutor(max_workers=nwork) as pool:
-            results = list(pool.map(scan, chunks))
-        hits = [r for r in results if r is not None]
-        if hits:
-            failure = min(hits, key=lambda h: (h[0].length, h[0].letters()))
-    if failure is None:
-        verdict = Verdict(True, ENGINE_BRUTE, tolerance=None if exact else tol)
-    else:
-        word, tl, tr = failure
-        verdict = Verdict(
-            False,
-            ENGINE_BRUTE,
-            certificate=TraceCertificate(word, tl, tr),
-            tolerance=None if exact else tol,
-        )
+    for word, (tl, tr) in iter_word_traces(
+        letters, max_length, max_exponent, dedup=DEDUP_CYCLIC_STAR
+    ):
+        if not _close(tl, tr, tol):
+            failure = TraceCertificate(word, tl, tr)
+            break
+    verdict = Verdict(
+        failure is None,
+        ENGINE_BRUTE,
+        certificate=failure,
+        tolerance=None if exact else tol,
+    )
     return _finish(verdict, t0, scale, "brute")
 
 
@@ -295,8 +277,8 @@ def specht_brute(
 # --------------------------------------------------------------------------
 
 class _MappedSpan:
-    """Orthonormal span of primary-side vectors whose elimination recipe is
-    replayed on mirror vectors from the other side.
+    """Float span: orthonormal primary-side vectors whose elimination recipe
+    is replayed on mirror vectors from the other side.
 
     A dependent primary vector has coordinates y in the orthonormal rows;
     ``predict(y)`` is the combination of mirror rows with the very same
@@ -305,8 +287,9 @@ class _MappedSpan:
     certificate coefficients over the original basis.
     """
 
-    def __init__(self, dim: int, mirror_dim: int):
+    def __init__(self, dim: int, mirror_dim: int, tol: float):
         self.dim = dim
+        self.tol = tol
         self.q = np.zeros((dim, dim), dtype=np.complex128)
         self.qc = np.zeros((dim, dim), dtype=np.complex128)  # conj(q) rows
         self.mirror = np.zeros((dim, mirror_dim), dtype=np.complex128)
@@ -318,128 +301,59 @@ class _MappedSpan:
         return math.sqrt(float(np.vdot(v, v).real))
 
     def reduce(self, v):
+        """``(dependent, coordinates, residual)``; dependent within DEP_TOL."""
         d = self.d
-        if d == 0:
-            return np.zeros(0, dtype=np.complex128), v.copy(), self._norm(v)
+        vn = self._norm(v)
         q, qc = self.q[:d], self.qc[:d]
         y = qc @ v
         r = v - y @ q
         rn = self._norm(r)
-        if rn < 0.5 * self._norm(v):  # cancellation: reorthogonalize once
+        if rn < 0.5 * vn:  # cancellation: reorthogonalize once
             y2 = qc @ r
             y = y + y2
             r = r - y2 @ q
             rn = self._norm(r)
-        return y, r, rn
+        return rn <= DEP_TOL * (1.0 + vn), y, r
 
     def predict(self, y):
         """Mirror-side combination with the same coordinates."""
-        if self.d == 0:
-            return np.zeros(self.mirror.shape[1], dtype=np.complex128)
         return y @ self.mirror[: self.d]
+
+    def mismatch(self, vmirror, y):
+        """Norm of the transfer defect on the mirror side, None within tol."""
+        resid = self._norm(vmirror - self.predict(y))
+        if resid <= self.tol * (1.0 + self._norm(vmirror)):
+            return None
+        return resid
 
     def coeffs(self, y):
         d = self.d
-        if d == 0:
-            return np.zeros(0, dtype=np.complex128)
         return self.rinv[:d, :d] @ y
 
-    def add(self, vmirror, y, rvec, rnorm):
+    def add(self, vmirror, y, rvec):
         d = self.d
         if d >= self.dim:
             raise RuntimeError("span exceeded ambient dimension")
-        if rnorm > 0:
-            self.q[d] = rvec / rnorm
-            self.mirror[d] = (vmirror - self.predict(y)) / rnorm
-            if d:
-                self.rinv[:d, d] = -(self.rinv[:d, :d] @ y) / rnorm
-            self.rinv[d, d] = 1.0 / rnorm
-        else:
-            self.q[d] = rvec
-            self.mirror[d] = vmirror - self.predict(y)
+        rnorm = self._norm(rvec)
+        self.q[d] = rvec / rnorm
         self.qc[d] = np.conj(self.q[d])
+        self.mirror[d] = (vmirror - self.predict(y)) / rnorm
+        self.rinv[:d, d] = -(self.rinv[:d, :d] @ y) / rnorm
+        self.rinv[d, d] = 1.0 / rnorm
         self.d += 1
 
 
-def _closure_float(letters_x, letters_y, tol):
-    a = len(letters_x)
-    lx = [m.data for m in letters_x]
-    ly = [m.data for m in letters_y]
-    nx, ny = letters_x[0].rows, letters_y[0].rows
-    tx = _MappedSpan(nx * nx, ny * ny)
-    ty = _MappedSpan(ny * ny, nx * nx)
-    norm = _MappedSpan._norm
-
-    seed_p = np.eye(nx, dtype=np.complex128)
-    seed_q = np.eye(ny, dtype=np.complex128)
-    nu0 = math.sqrt(nx + ny)
-    basis = [(empty_word(a), seed_p / nu0, seed_q / nu0, nu0)]
-    vx0, vy0 = basis[0][1].ravel(), basis[0][2].ravel()
-    yx, rx, rnx = tx.reduce(vx0)
-    tx.add(vy0, yx, rx, rnx)
-    yy, ry, rny = ty.reduce(vy0)
-    ty.add(vx0, yy, ry, rny)
-
-    def cert(word, coeffs_norm, nu2, residual_norm, side):
-        words = tuple(b[0] for b in basis)
-        nus = [b[3] for b in basis]
-        coeffs = tuple(
-            complex(nu2 * c / nu_j) for c, nu_j in zip(coeffs_norm, nus)
-        )
-        return DependencyCertificate(
-            word, words, coeffs, float(nu2 * residual_norm), side
-        )
-
-    i = 0
-    while i < len(basis):
-        word, pn, qn, nu = basis[i]
-        for letter in range(a):
-            p2 = pn @ lx[letter]
-            q2 = qn @ ly[letter]
-            nraw = math.sqrt(
-                float(np.vdot(p2, p2).real + np.vdot(q2, q2).real)
-            )
-            if nraw <= _ZERO_PAIR_EPS:
-                continue  # the word vanishes on both sides at once
-            pn2, qn2 = p2 / nraw, q2 / nraw
-            nu2 = nu * nraw
-            w2 = word.append_letter(letter)
-            vx, vy = pn2.ravel(), qn2.ravel()
-            yx, rx, rnx = tx.reduce(vx)
-            yy, ry, rny = ty.reduce(vy)
-            depx = rnx <= DEP_TOL * (1.0 + norm(vx))
-            depy = rny <= DEP_TOL * (1.0 + norm(vy))
-            if depx:
-                resid = norm(vy - tx.predict(yx))
-                if resid > tol * (1.0 + norm(vy)):
-                    cx = tx.coeffs(yx)
-                    return False, cert(w2, cx, nu2, resid, "left"), len(basis)
-            if depy:
-                resid = norm(vx - ty.predict(yy))
-                if resid > tol * (1.0 + norm(vx)):
-                    cy = ty.coeffs(yy)
-                    return False, cert(w2, cy, nu2, resid, "right"), len(basis)
-            if not (depx and depy):
-                tx.add(vy, yx, rx, rnx)
-                ty.add(vx, yy, ry, rny)
-                basis.append((w2, pn2, qn2, nu2))
-        i += 1
-
-    for word, pn, qn, nu in basis:
-        tl = nu * complex(pn.trace())
-        tr = nu * complex(qn.trace())
-        if not _close(tl, tr, tol):
-            return False, TraceCertificate(word, tl, tr), len(basis)
-    return True, None, len(basis)
-
-
 class _ExactSpan:
-    """Row-reduced span over Gaussian rationals with coefficient recovery."""
+    """Exact span: row-reduced vectors over Gaussian rationals with
+    coefficient recovery, beside the raw mirror vectors of the other side."""
 
     def __init__(self):
         self.rows = []  # (pivot index, pivot-normalized vector, expansion)
+        self.mirror = []  # raw mirror vector of each basis word
 
     def reduce(self, v):
+        """``(dependent, elimination factors, residual)``; dependent means an
+        exactly zero residual."""
         r = list(v)
         alphas = []
         for pivot, vec, _ in self.rows:
@@ -448,6 +362,16 @@ class _ExactSpan:
             if f:
                 r = [ri - f * vi for ri, vi in zip(r, vec)]
         return all(not e for e in r), alphas, r
+
+    def mismatch(self, vmirror, alphas):
+        """Norm of the transfer defect on the mirror side, None if it is 0."""
+        defect = list(vmirror)
+        for c, raw in zip(self.coeffs(alphas), self.mirror):
+            if c:
+                defect = [o - c * e for o, e in zip(defect, raw)]
+        if not any(defect):
+            return None
+        return math.sqrt(float(sum(e.abs_sq() for e in defect)))
 
     def coeffs(self, alphas):
         d = len(self.rows)
@@ -459,7 +383,7 @@ class _ExactSpan:
                     out[j] = out[j] + f * t
         return out
 
-    def add(self, alphas, reduced):
+    def add(self, vmirror, alphas, reduced):
         pivot = next(k for k, e in enumerate(reduced) if e)
         p = reduced[pivot]
         vec = [e / p for e in reduced]
@@ -473,97 +397,93 @@ class _ExactSpan:
                     expansion[j] = expansion[j] - f * t
         expansion = [t / p for t in expansion]
         self.rows.append((pivot, vec, expansion))
+        self.mirror.append(list(vmirror))
 
 
-def _exact_vec(arr):
-    return list(arr.reshape(-1))
+def _unit_pair(p, q, nu):
+    """Float step: divide a child pair by its joint norm, carried in nu."""
+    nraw = math.sqrt(float(np.vdot(p, p).real + np.vdot(q, q).real))
+    if nraw <= _ZERO_PAIR_EPS:
+        return None  # the word vanishes on both sides at once
+    return p / nraw, q / nraw, nu * nraw
 
 
-def _exact_norm(vec) -> float:
-    return math.sqrt(float(sum(e.abs_sq() for e in vec)))
+def _raw_pair(p, q, nu):
+    """Exact step: keep the raw product."""
+    if not any(p.flat) and not any(q.flat):
+        return None
+    return p, q, nu
 
 
-def _closure_exact(letters_x, letters_y, tol):
+def _closure_decide(letters_x, letters_y, tol):
+    """Span the algebras generated by two letter lists in lockstep.
+
+    One breadth-first loop serves both arithmetic modes: float spans
+    (``_MappedSpan``, pairs scaled to unit joint norm, ``nu`` carrying the
+    dropped factor) and exact spans (``_ExactSpan``, raw products).  Each
+    word gets one dependency decision shared by both sides: if it depends on
+    the basis on either side, the same combination must hold on the other
+    side (else a DependencyCertificate), and the word is not added.  When no
+    word extends the basis, every basis word's traces must agree (else a
+    TraceCertificate).  Returns ``(equivalent, certificate, dimension)``.
+    """
+    mode = letters_x[0].mode
     a = len(letters_x)
     lx = [m.data for m in letters_x]
     ly = [m.data for m in letters_y]
     nx, ny = letters_x[0].rows, letters_y[0].rows
-    tx, ty = _ExactSpan(), _ExactSpan()
-    raw_x, raw_y = [], []
+    if mode == EXACT:
+        tx, ty, step = _ExactSpan(), _ExactSpan(), _raw_pair
+    else:
+        tx = _MappedSpan(nx * nx, ny * ny, tol)
+        ty = _MappedSpan(ny * ny, nx * nx, tol)
+        step = _unit_pair
+    basis = []  # (word, left product, right product, nu)
 
-    seed_p = identity(nx, EXACT).data
-    seed_q = identity(ny, EXACT).data
-    basis = [(empty_word(a), seed_p, seed_q)]
-    for tracker, raws, vec in (
-        (tx, raw_x, _exact_vec(seed_p)),
-        (ty, raw_y, _exact_vec(seed_q)),
-    ):
-        dep, alphas, reduced = tracker.reduce(vec)
-        tracker.add(alphas, reduced)
-        raws.append(vec)
+    def extend(word, p, q, nu):
+        """Reduce one word on both sides; a certificate if a transfer fails."""
+        vx, vy = p.ravel(), q.ravel()
+        depx, yx, rx = tx.reduce(vx)
+        depy, yy, ry = ty.reduce(vy)
+        for dep, span, y, vmirror, side in (
+            (depx, tx, yx, vy, "left"),
+            (depy, ty, yy, vx, "right"),
+        ):
+            if dep:
+                resid = span.mismatch(vmirror, y)
+                if resid is not None:
+                    coeffs = tuple(
+                        nu * c / b[3] for c, b in zip(span.coeffs(y), basis)
+                    )
+                    words = tuple(b[0] for b in basis)
+                    return DependencyCertificate(
+                        word, words, coeffs, float(nu * resid), side
+                    )
+        if not (depx or depy):
+            tx.add(vy, yx, rx)
+            ty.add(vx, yy, ry)
+            basis.append((word, p, q, nu))
+        return None
 
-    def transfer_defect(coeffs, raws, target):
-        out = list(target)
-        for c, rv in zip(coeffs, raws):
-            if c:
-                out = [o - c * e for o, e in zip(out, rv)]
-        return out
-
-    def cert(word, coeffs, defect, side):
-        words = tuple(b[0] for b in basis)
-        return DependencyCertificate(
-            word, words, tuple(coeffs), _exact_norm(defect), side
-        )
-
+    seed = step(identity(nx, mode).data, identity(ny, mode).data, 1)
+    extend(empty_word(a), *seed)
     i = 0
     while i < len(basis):
-        word, p, q = basis[i]
+        word, p, q, nu = basis[i]
         for letter in range(a):
-            p2 = p @ lx[letter]
-            q2 = q @ ly[letter]
-            w2 = word.append_letter(letter)
-            vx, vy = _exact_vec(p2), _exact_vec(q2)
-            if not any(vx) and not any(vy):
+            child = step(p @ lx[letter], q @ ly[letter], nu)
+            if child is None:
                 continue
-            depx, alphx, redx = tx.reduce(vx)
-            depy, alphy, redy = ty.reduce(vy)
-            if depx:
-                cx = tx.coeffs(alphx)
-                defect = transfer_defect(cx, raw_y, vy)
-                if any(defect):
-                    return False, cert(w2, cx, defect, "left"), len(basis)
-            if depy:
-                cy = ty.coeffs(alphy)
-                defect = transfer_defect(cy, raw_x, vx)
-                if any(defect):
-                    return False, cert(w2, cy, defect, "right"), len(basis)
-            if not (depx and depy):
-                tx.add(alphx, redx)
-                ty.add(alphy, redy)
-                raw_x.append(vx)
-                raw_y.append(vy)
-                basis.append((w2, p2, q2))
+            failure = extend(word.append_letter(letter), *child)
+            if failure is not None:
+                return False, failure, len(basis)
         i += 1
 
-    for word, p, q in basis:
-        tl = _object_trace(p)
-        tr = _object_trace(q)
-        if tl != tr:
+    for word, p, q, nu in basis:
+        tl, tr = nu * np.trace(p), nu * np.trace(q)
+        if not _close(tl, tr, tol):
             return False, TraceCertificate(word, tl, tr), len(basis)
     return True, None, len(basis)
-
-
-def _object_trace(arr):
-    t = GaussianRational(0)
-    for i in range(arr.shape[0]):
-        t = t + arr[i, i]
-    return t
-
-
-def _closure_decide(letters_x, letters_y, tol):
-    if letters_x[0].mode == EXACT:
-        return _closure_exact(letters_x, letters_y, tol)
-    return _closure_float(letters_x, letters_y, tol)
 
 
 def algebra_closure(
@@ -643,7 +563,6 @@ def unitarily_similar(
     budget: int = DEFAULT_BUDGET,
     max_length: int | None = None,
     max_exponent: int | None = None,
-    threads: int = 1,
     prescale: bool = True,
 ) -> Verdict:
     """Decide whether A = U B U* for some unitary U.
@@ -669,7 +588,6 @@ def unitarily_similar(
             max_exponent=max_exponent,
             tol=tol,
             budget=budget,
-            threads=threads,
             prescale=False,
         )
         return _finish(inner, t0, scale, "similar")
@@ -745,8 +663,6 @@ def simultaneously_unitarily_similar(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     max_length: int | None = None,
-    screener_length: int = 0,
-    threads: int = 1,
     prescale: bool = True,
 ) -> Verdict:
     """Decide whether one unitary U realizes A_i = U B_i U* for every pair.
@@ -774,13 +690,6 @@ def simultaneously_unitarily_similar(
         pairs = list(zip(scaled[0::2], scaled[1::2]))
     exact = pairs[0][0].mode == EXACT
 
-    if screener_length > 0:
-        hit = multi_word_screener(
-            pairs, screener_length, tol=tol, budget=budget, prescale=False
-        )
-        if hit is not None:
-            return _finish(hit, t0, scale, "pairs")
-
     if len(pairs) == 1 and engine != ENGINE_BRUTE:
         inner = unitarily_similar(
             pairs[0][0],
@@ -789,7 +698,6 @@ def simultaneously_unitarily_similar(
             tol=tol,
             budget=budget,
             max_length=max_length,
-            threads=threads,
             prescale=False,
         )
         return _finish(inner, t0, scale, "pairs")
@@ -807,7 +715,6 @@ def simultaneously_unitarily_similar(
             max_exponent=ga.layout.k - 1,  # the gadgets are nilpotent of index k
             tol=tol,
             budget=budget,
-            threads=threads,
             prescale=False,
         )
         return _finish(inner, t0, scale, "pairs:gadget")
@@ -837,7 +744,6 @@ def unitarily_congruent(
     max_length: int | None = None,
     use_k_gadget: bool = False,
     allow_shortcut: bool = True,
-    threads: int = 1,
     prescale: bool = True,
 ) -> Verdict:
     """Decide whether A = U B U^T for some unitary U.
@@ -861,7 +767,6 @@ def unitarily_congruent(
             budget=budget,
             max_length=max_length,
             max_exponent=3,
-            threads=threads,
             prescale=False,
         )
         return _finish(inner, t0, scale, "congruence:K")
@@ -872,7 +777,6 @@ def unitarily_congruent(
         tol=tol,
         budget=budget,
         max_length=max_length,
-        threads=threads,
         prescale=False,
     )
     return _finish(inner, t0, scale, "congruence:triple")
@@ -889,7 +793,6 @@ def solve_general(
     budget: int = DEFAULT_BUDGET,
     max_length: int | None = None,
     use_k_gadget: bool = False,
-    threads: int = 1,
 ) -> Verdict:
     """Decide the four-family problem: one unitary U giving similarity for
     S1, congruence for S2, and the conjugated relations for S3 and S4.
@@ -910,7 +813,6 @@ def solve_general(
             tol=tol,
             budget=budget,
             max_length=max_length,
-            threads=threads,
             prescale=False,
         )
         return _finish(inner, t0, scale, "general:s1")
@@ -923,7 +825,6 @@ def solve_general(
         budget=budget,
         max_length=max_length,
         use_k_gadget=use_k_gadget,
-        threads=threads,
         prescale=False,
     )
     return _finish(inner, t0, scale, "general:gadget")

@@ -432,108 +432,8 @@ def block(grid) -> Matrix:
 
 
 # --------------------------------------------------------------------------
-# free-function forms of the basic operations
-# --------------------------------------------------------------------------
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def adjoint(a: Matrix) -> Matrix:
-    return a.adjoint()
-
-
-def transpose(a: Matrix) -> Matrix:
-    return a.transpose()
-
-
-def conjugate(a: Matrix) -> Matrix:
-    return a.conj()
-
-
-def trace(a: Matrix):
-    return a.trace()
-
-
-# --------------------------------------------------------------------------
 # linear-algebra kernels
 # --------------------------------------------------------------------------
-
-def least_squares_coeffs(basis, target: Matrix, tol: float = DEP_TOL):
-    """Best coefficients expressing ``target`` as a combination of ``basis``.
-
-    Returns ``(coeffs, residual)`` where residual is the Frobenius norm of
-    the defect.  In exact mode the residual is exactly zero when the target
-    lies in the span, and the true positive residual otherwise.
-    """
-    if not basis:
-        return [], target.norm_fro()
-    for b in basis:
-        target._check_mode(b)
-        if b.shape != target.shape:
-            raise ValueError("basis and target shapes differ")
-    if target.mode == FLOAT:
-        cols = np.stack([b.vec() for b in basis], axis=1)
-        t = target.vec()
-        coeffs, *_ = np.linalg.lstsq(cols, t, rcond=None)
-        residual = float(np.linalg.norm(cols @ coeffs - t))
-        return [complex(c) for c in coeffs], residual
-    return _exact_least_squares(basis, target)
-
-
-def _exact_least_squares(basis, target):
-    """Exact least squares via the (always consistent) normal equations."""
-    vecs = [list(b.vec()) for b in basis]
-    t = list(target.vec())
-    d = len(vecs)
-    gram = [
-        [_dot_exact(vecs[i], vecs[j]) for j in range(d)] for i in range(d)
-    ]
-    rhs = [_dot_exact(vecs[i], t) for i in range(d)]
-    coeffs = _exact_solve_consistent(gram, rhs)
-    resid_sq = Fraction(0)
-    for k in range(len(t)):
-        r = t[k]
-        for i in range(d):
-            r = r - coeffs[i] * vecs[i][k]
-        resid_sq += r.abs_sq()
-    return coeffs, math.sqrt(float(resid_sq))
-
-
-def _dot_exact(u, v):
-    """Hermitian inner product sum(conj(u_k) * v_k) over Gaussian rationals."""
-    total = GaussianRational(0)
-    for a, b in zip(u, v):
-        total = total + a.conjugate() * b
-    return total
-
-
-def _exact_solve_consistent(mat, rhs):
-    """Solve a consistent square exact system, zeroing free variables."""
-    n = len(mat)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        p = aug[row][col]
-        aug[row] = [e / p for e in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    coeffs = [GaussianRational(0)] * n
-    for r, col in enumerate(pivots):
-        coeffs[col] = aug[r][n]
-    return coeffs
-
 
 def nullspace(op: np.ndarray, rtol: float = DEP_TOL):
     """Orthonormal nullspace basis of a float operator via SVD.

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from unieq import (
@@ -12,6 +13,7 @@ from unieq import (
     Verdict,
     algebra_closure,
     build_congruence_K,
+    common_scale,
     decision_letters,
     eval_word,
     floor_length_bound,
@@ -63,15 +65,6 @@ class TestSpechtBrute:
         with pytest.raises(BudgetExceededError):
             specht_brute(rand_matrix(rng, 8), rand_matrix(rng, 8), 36, budget=10**6)
 
-    def test_threads_deterministic(self, rng):
-        for _ in range(5):
-            x, y = rand_matrix(rng, 2), rand_matrix(rng, 2)
-            v1 = specht_brute(x, y, 8, threads=1)
-            v4 = specht_brute(x, y, 8, threads=4)
-            assert v1.equivalent == v4.equivalent
-            if not v1.equivalent:
-                assert str(v1.certificate.word) == str(v4.certificate.word)
-
     def test_size_mismatch(self, rng):
         with pytest.raises(ValueError):
             specht_brute(rand_matrix(rng, 2), rand_matrix(rng, 3), 4)
@@ -122,6 +115,112 @@ class TestAlgebraClosure:
         b = u.adjoint() @ a @ u  # a = u b u*
         v = algebra_closure(a, b)
         assert v.equivalent and v.tolerance is None
+
+
+def _near_normal_pair(n, eps, seed):
+    """X = Q D Q* with D diagonal and Y = D + eps G, complex Gaussian draws."""
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    d, g = np.diag(gauss(n)), gauss(n, n)
+    q, _ = np.linalg.qr(gauss(n, n))
+    return Matrix.from_complex(q @ d @ q.conj().T), Matrix.from_complex(d + eps * g)
+
+
+def _rat_kind(rng, n, kind):
+    """A rational matrix of one structural kind, built from rat_matrix."""
+    m = rat_matrix(rng, n)
+    half = (n + 1) // 2
+    keep = {
+        "generic": lambda i, j: True,
+        "nilpotent": lambda i, j: j > i,
+        "reducible": lambda i, j: (i < half) == (j < half),
+        "diagonal": lambda i, j: i == j,
+    }[kind]
+    rows = [
+        [m.entry(i, j) if keep(i, j) else GR(0) for j in range(n)]
+        for i in range(n)
+    ]
+    if kind == "diagonal":
+        rows[n - 1][n - 1] = rows[0][0]  # a repeated eigenvalue
+    return Matrix.from_rational(rows)
+
+
+def _cyclic_permutation(n):
+    return Matrix.from_rational(
+        [[GR(1) if j == (i + 1) % n else GR(0) for j in range(n)] for i in range(n)]
+    )
+
+
+class TestClosureModes:
+    def test_near_normal_family_never_crashes(self):
+        # one dependency decision per word: a word dependent within tolerance
+        # on one side is never added as a noise basis vector on the other
+        for n in (4, 6, 8):
+            for eps in (3e-10, 1e-9, 3e-9, 1e-8):
+                for seed in range(4000, 4005):
+                    x, y = _near_normal_pair(n, eps, seed)
+                    v = algebra_closure(x, y)
+                    assert v.dimension <= n * n
+
+    def test_near_normal_family_outside_the_band(self):
+        for n in (4, 6, 8):
+            for seed in range(4000, 4005):
+                for eps in (1e-11, 1e-10):
+                    x, y = _near_normal_pair(n, eps, seed)
+                    assert algebra_closure(x, y).equivalent
+                for eps in (1e-7, 1e-6):
+                    x, y = _near_normal_pair(n, eps, seed)
+                    v = algebra_closure(x, y)
+                    assert not v.equivalent
+                    _, (xs, ys) = common_scale([x, y])
+                    assert v.certificate.recheck(
+                        [xs, xs.adjoint()], [ys, ys.adjoint()], 1e-8
+                    )
+
+    def test_exact_and_float_closure_agree(self, rng):
+        pairs = []  # (x, y, made similar by an exact unitary)
+        for n in (2, 3, 4):
+            for kind in ("generic", "nilpotent", "reducible", "diagonal"):
+                for variant in ("other", "similar", "transpose") * 2:
+                    x = _rat_kind(rng, n, kind)
+                    if variant == "other":
+                        y = _rat_kind(rng, n, kind)
+                    elif variant == "similar":
+                        u = exact_unitary(2, len(pairs)) if n == 2 else _cyclic_permutation(n)
+                        y = u.adjoint() @ x @ u
+                    else:
+                        y = x.transpose()
+                    pairs.append((x, y, variant == "similar"))
+            # projections of rank 1 and 2: one dependency structure, and only
+            # the final trace check tells them apart
+            p1, p2 = (
+                Matrix.from_rational([[GR(int(i == j < r)) for j in range(n)] for i in range(n)])
+                for r in (1, 2)
+            )
+            pairs.append((p1, p2, False))
+        kinds = set()
+        for x, y, similar in pairs:
+            ve = algebra_closure(x, y)
+            vf = algebra_closure(x.to_float(), y.to_float())
+            assert ve.tolerance is None and vf.tolerance is not None
+            assert ve.equivalent == vf.equivalent
+            assert ve.dimension == vf.dimension
+            assert type(ve.certificate) is type(vf.certificate)
+            if not ve.equivalent:
+                assert str(ve.certificate.word) == str(vf.certificate.word)
+            if similar:
+                assert ve.equivalent
+            if x.rows <= 3:
+                bound = floor_length_bound(x.rows)
+                assert specht_brute(x, y, bound).equivalent == ve.equivalent
+                vb = specht_brute(x.to_float(), y.to_float(), bound)
+                assert vb.equivalent == ve.equivalent
+            kinds.add(type(ve.certificate))
+        assert len(pairs) == 75
+        assert kinds == {type(None), TraceCertificate, DependencyCertificate}
 
 
 class TestUnitarilySimilar:

@@ -21,7 +21,6 @@ from unieq.instances import (
     has_equal_diagonal_blocks,
     is_block_upper_triangular,
 )
-from unieq.numerics import least_squares_coeffs
 
 from conftest import rand_matrix
 
@@ -125,10 +124,11 @@ class TestIntertwinerSpace:
         _, s, vh = np.linalg.svd(op)
         null_dim = int(np.sum(s <= 1e-12))
         assert len(basis) == null_dim == 2
-        eye = identity(2)
+        # every commutant element lies in span{I, J}
+        cols = np.stack([identity(2).vec(), j.vec()], axis=1)
         for w in basis:
-            _, resid = least_squares_coeffs([eye, j], w, 1e-10)
-            assert resid <= 1e-10
+            coeffs, *_ = np.linalg.lstsq(cols, w.vec(), rcond=None)
+            assert np.linalg.norm(cols @ coeffs - w.vec()) <= 1e-10
 
     def test_residuals_are_small(self, rng):
         a, b = rand_matrix(rng, 3), rand_matrix(rng, 3)

@@ -10,13 +10,8 @@ from unieq import (
     GaussianRational,
     Matrix,
     ModeMismatchError,
-    adjoint,
     common_scale,
     identity,
-    least_squares_coeffs,
-    mat_mul,
-    trace,
-    transpose,
     zeros,
 )
 from unieq.numerics import exact_nullspace, nullspace
@@ -100,7 +95,7 @@ class TestMatMul:
     def test_exact_product_bit_exact(self, rng):
         a = rat_matrix(rng, 2)
         b = rat_matrix(rng, 2)
-        c = mat_mul(a, b)
+        c = a @ b
         expect = GR(0)
         for k in range(2):
             expect = expect + a.entry(0, k) * b.entry(k, 1)
@@ -114,70 +109,34 @@ class TestStarOperations:
 
     def test_transpose_involution(self, rng):
         x = rand_matrix(rng, 4)
-        assert transpose(transpose(x)) == x
+        assert x.transpose().transpose() == x
 
     def test_adjoint_is_conjugate_transpose(self, rng):
         x = rand_matrix(rng, 4)
-        assert adjoint(x) == x.transpose().conj()
+        assert x.adjoint() == x.transpose().conj()
 
     def test_trace_of_adjoint_conjugates(self, rng):
         x = rand_matrix(rng, 4)
-        assert abs(trace(adjoint(x)) - trace(x).conjugate()) < 1e-14
+        assert abs(x.adjoint().trace() - x.trace().conjugate()) < 1e-14
 
 
 class TestTrace:
     def test_identity(self):
-        assert trace(identity(5)) == 5
+        assert identity(5).trace() == 5
 
     def test_jordan_block_product(self):
         j = Matrix.from_complex([[0, 1], [0, 0]])
-        assert trace(j @ j.adjoint()) == 1
+        assert (j @ j.adjoint()).trace() == 1
 
     def test_cyclic_property(self, rng):
         x = rand_matrix(rng, 3)
         y = rand_matrix(rng, 3)
-        assert abs(trace(x @ y) - trace(y @ x)) <= 1e-12
+        assert abs((x @ y).trace() - (y @ x).trace()) <= 1e-12
 
     def test_non_square_rejected(self):
         m = Matrix(np.ones((2, 3), dtype=complex), "float")
         with pytest.raises(ValueError):
             m.trace()
-
-
-class TestLeastSquares:
-    def test_identity_target(self):
-        coeffs, resid = least_squares_coeffs([identity(2)], identity(2).scale(3.0), 1e-10)
-        assert abs(coeffs[0] - 3.0) < 1e-12 and resid < 1e-12
-
-    def test_orthogonal_complement(self):
-        j = Matrix.from_complex([[0, 1], [0, 0]])
-        coeffs, resid = least_squares_coeffs([identity(2)], j, 1e-10)
-        assert abs(resid - 1.0) < 1e-12
-
-    def test_dependent_triple(self, rng):
-        b1, b2 = rand_matrix(rng, 3), rand_matrix(rng, 3)
-        target = b1.scale(2.0) - b2.scale(0.5 + 1j)
-        coeffs, resid = least_squares_coeffs([b1, b2], target, 1e-10)
-        assert resid <= 1e-10
-
-    def test_empty_basis(self, rng):
-        x = rand_matrix(rng, 2)
-        coeffs, resid = least_squares_coeffs([], x, 1e-10)
-        assert coeffs == [] and abs(resid - x.norm_fro()) < 1e-14
-
-    def test_exact_in_span(self, rng):
-        b1, b2 = rat_matrix(rng, 2), rat_matrix(rng, 2)
-        target_in = b1.scale(GR(2)) + b2.scale(GR(Fraction(1, 3), 1))
-        coeffs, resid = least_squares_coeffs([b1, b2], target_in, 0)
-        assert resid == 0.0
-        recon = b1.scale(coeffs[0]) + b2.scale(coeffs[1])
-        assert recon == target_in
-
-    def test_exact_outside_span(self, rng):
-        basis = [Matrix.from_rational([[GR(1), GR(0)], [GR(0), GR(1)]])]
-        target = Matrix.from_rational([[GR(0), GR(1)], [GR(0), GR(0)]])
-        coeffs, resid = least_squares_coeffs(basis, target, 0)
-        assert resid > 0
 
 
 class TestInvariantsAndScaling:
