@@ -51,7 +51,6 @@ from .engines import (
     algebra_closure,
     decision_letters,
     floor_length_bound,
-    multi_word_screener,
     simultaneously_unitarily_similar,
     solve_general,
     specht_brute,

@@ -14,7 +14,12 @@ Two interchangeable engines decide unitary similarity of a pair:
   drives two span arithmetics, float Gram-Schmidt (``_MappedSpan``) and
   exact row reduction over Gaussian rationals (``_ExactSpan``), and makes
   one dependency decision per word: a word dependent on either side is
-  dependent on both, so the two spans always have the same dimension.
+  dependent on both, so the two spans always have the same dimension.  The
+  float span takes the breadth-first frontier in blocks of up to ``_BLOCK``
+  words: one stacked product per block, one GEMM per Gram-Schmidt pass
+  against the basis the block started from, then each word in order
+  against the words its block added before it.  Verdicts, certificate
+  words and dimensions are those of taking words one at a time.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, congruence via the derived triple or the K
@@ -64,6 +69,7 @@ ENGINE_CLOSURE = "closure"
 _ENGINES = (ENGINE_AUTO, ENGINE_BRUTE, ENGINE_CLOSURE)
 
 _ZERO_PAIR_EPS = 1e-14
+_BLOCK = 16  # most child words the float closure extends and projects at once
 
 
 class BudgetExceededError(RuntimeError):
@@ -276,143 +282,251 @@ def specht_brute(
 # closure engine
 # --------------------------------------------------------------------------
 
-class _MappedSpan:
-    """Float span: orthonormal primary-side vectors whose elimination recipe
-    is replayed on mirror vectors from the other side.
+def _norm(v) -> float:
+    return math.sqrt(float(np.vdot(v, v).real))
 
-    A dependent primary vector has coordinates y in the orthonormal rows;
-    ``predict(y)`` is the combination of mirror rows with the very same
-    coefficients, so the transfer check never solves a triangular system and
-    stays at Gram-Schmidt accuracy.  The R-inverse is kept only to express
-    certificate coefficients over the original basis.
+
+def _norms(v):
+    """Euclidean norms along the last axis of a complex array whose last
+    axis is contiguous."""
+    f = v.view(np.float64)
+    return np.sqrt(np.einsum("...i,...i->...", f, f))
+
+
+def _grown(a, rows: int, limit: int):
+    """``a``, or a copy with room for ``rows`` entries along axis 1: first
+    for four blocks, then for ``limit`` entries at once.  Storage is copied
+    at most once, and a small span never allocates the large array."""
+    have = a.shape[1]
+    if rows <= have or have >= limit:
+        return a
+    cap = min(limit, max(rows, 4 * _BLOCK)) if have == 0 else limit
+    new = np.empty((a.shape[0], cap) + a.shape[2:], dtype=a.dtype)
+    new[:, :have] = a
+    return new
+
+
+class _MappedSpan:
+    """Float spans of both sides, stacked on axis 0 (0 left, 1 right).
+
+    Each side keeps orthonormal vectors, and beside each one its mirror: the
+    other side's combination under the same elimination recipe.  A dependent
+    vector has coordinates y in its side's orthonormal vectors; the other
+    side's vector is compared with the combination of mirrors with the very
+    same coefficients, so the transfer check never solves a triangular
+    system and stays at Gram-Schmidt accuracy.  An orthonormal vector is
+    stored joined to its mirror, and a block row joined to its transfer
+    defect, so one product updates both.
+
+    Words arrive in blocks.  ``project`` runs classical Gram-Schmidt for the
+    whole block against the basis as it stood when the block started, one
+    GEMM per pass, with a second pass on the rows whose first pass
+    cancelled (CGS2).  ``reduce`` then takes the rows in word order and
+    projects from each only the vectors added earlier in the same block,
+    once more against the whole basis if that cancels it, so every word
+    meets exactly the basis it would meet if words arrived one at a time.
+    The Gram-Schmidt factor is kept only to express certificate
+    coefficients over the original basis, and is solved only when a
+    certificate is issued.
     """
 
-    def __init__(self, dim: int, mirror_dim: int, tol: float):
+    def __init__(self, dim: int, tol: float):
         self.dim = dim
         self.tol = tol
-        self.q = np.zeros((dim, dim), dtype=np.complex128)
-        self.qc = np.zeros((dim, dim), dtype=np.complex128)  # conj(q) rows
-        self.mirror = np.zeros((dim, mirror_dim), dtype=np.complex128)
-        self.rinv = np.zeros((dim, dim), dtype=np.complex128)
+        self.qm = np.empty((2, 0, 2 * dim), dtype=np.complex128)
+        # the Gram-Schmidt factor's columns, packed: column i is the i + 1
+        # entries from i * (i + 1) // 2 on
+        self.factor = np.empty((2, dim * (dim + 1) // 2), dtype=np.complex128)
         self.d = 0
 
-    @staticmethod
-    def _norm(v) -> float:
-        return math.sqrt(float(np.vdot(v, v).real))
+    def project(self, v):
+        """Start a block of child vectors ``v``, shaped (2, words, ...)."""
+        d, b, n = self.d, v.shape[1], self.dim
+        self.qm = _grown(self.qm, d + b, n)
+        v = v.reshape(2, b, n)
+        qm = self.qm[:, :d]
+        q, qt = qm[:, :, :n], qm[:, :, :n].transpose(0, 2, 1)
+        coords = np.zeros((2, b, d + b), dtype=np.complex128)
+        y = coords[:, :, :d]
+        rd = np.empty((2, b, 2 * n), dtype=np.complex128)  # residual, defect
+        r = rd[:, :, :n]
+        vn = _norms(v)
+        np.conj(np.matmul(np.conj(v), qt, out=y), out=y)
+        np.subtract(v, y @ q, out=r)
+        rn = _norms(r)
+        dep_tol = DEP_TOL * (1.0 + vn)
+        again = rn < 0.5 * vn  # cancellation: reorthogonalize once
+        if again.any():
+            y2 = np.conj(np.conj(r) @ qt) * again[:, :, None]
+            y += y2
+            # a second pass only shrinks a residual, so a row dependent after
+            # the first keeps its residual; its coordinates still get it
+            rows = np.flatnonzero((again & (rn > dep_tol)).any(axis=0))
+            if len(rows):
+                r[:, rows] -= y2[:, rows] @ q
+                rn[:, rows] = _norms(r[:, rows])
+        np.subtract(v[::-1], y @ qm[:, :, n:], out=rd[:, :, n:])
+        self._block = (d, vn, dep_tol.T.tolist(), coords, rd, rn.T.tolist())
 
-    def reduce(self, v):
-        """``(dependent, coordinates, residual)``; dependent within DEP_TOL."""
-        d = self.d
-        vn = self._norm(v)
-        q, qc = self.q[:d], self.qc[:d]
-        y = qc @ v
-        r = v - y @ q
-        rn = self._norm(r)
-        if rn < 0.5 * vn:  # cancellation: reorthogonalize once
-            y2 = qc @ r
-            y = y + y2
-            r = r - y2 @ q
-            rn = self._norm(r)
-        return rn <= DEP_TOL * (1.0 + vn), y, r
+    def reduce(self, j: int):
+        """Both sides' dependency flags for row j, within DEP_TOL."""
+        d0, _, dep_tol, y, rd, rn = self._block
+        d, n = self.d, self.dim
+        rn = rn[j]
+        if d > d0:  # project out the vectors added earlier in this block
+            rj, qm = rd[:, j], self.qm[:, d0:d]
+            yb = np.conj(qm[:, :, :n] @ np.conj(rj[:, :n])[:, :, None])
+            rj -= (yb.transpose(0, 2, 1) @ qm)[:, 0]
+            y[:, j, d0:d] = yb[:, :, 0]
+            rn_block, rn = rn, [_norm(rj[0, :n]), _norm(rj[1, :n])]
+            for s in (0, 1):
+                if rn[s] < 0.5 * rn_block[s]:  # cancelled: once more
+                    qm = self.qm[s, :d]  # against the whole basis
+                    y2 = np.conj(qm[:, :n] @ np.conj(rj[s, :n]))
+                    y[s, j, :d] += y2
+                    rj[s] -= y2 @ qm
+                    rn[s] = _norm(rj[s, :n])
+        self._rn = rn
+        tx, ty = dep_tol[j]
+        return rn[0] <= tx, rn[1] <= ty
 
-    def predict(self, y):
-        """Mirror-side combination with the same coordinates."""
-        return y @ self.mirror[: self.d]
-
-    def mismatch(self, vmirror, y):
-        """Norm of the transfer defect on the mirror side, None within tol."""
-        resid = self._norm(vmirror - self.predict(y))
-        if resid <= self.tol * (1.0 + self._norm(vmirror)):
+    def mismatch(self, j: int, side: int):
+        """Norm of row j's transfer defect on the other side, None within
+        tol."""
+        resid = _norm(self._block[4][side, j, self.dim :])
+        if resid <= self.tol * (1.0 + self._block[1][1 - side, j]):
             return None
         return resid
 
-    def coeffs(self, y):
+    def coeffs(self, j: int, side: int):
         d = self.d
-        return self.rinv[:d, :d] @ y
+        factor = np.zeros((d, d), dtype=np.complex128)
+        factor[np.tril_indices(d)] = self.factor[side, : d * (d + 1) // 2]
+        return np.linalg.solve(factor.T, self._block[3][side, j, :d])
 
-    def add(self, vmirror, y, rvec):
+    def add(self, j: int):
+        """Add row j on both sides."""
+        y, rd = self._block[3], self._block[4]
         d = self.d
         if d >= self.dim:
             raise RuntimeError("span exceeded ambient dimension")
-        rnorm = self._norm(rvec)
-        self.q[d] = rvec / rnorm
-        self.qc[d] = np.conj(self.q[d])
-        self.mirror[d] = (vmirror - self.predict(y)) / rnorm
-        self.rinv[:d, d] = -(self.rinv[:d, :d] @ y) / rnorm
-        self.rinv[d, d] = 1.0 / rnorm
-        self.d += 1
+        rn = np.array(self._rn)
+        np.divide(rd[:, j], rn[:, None], out=self.qm[:, d])
+        y[:, j, d] = rn
+        start = d * (d + 1) // 2
+        self.factor[:, start : start + d + 1] = y[:, j, : d + 1]
+        self.d = d + 1
 
 
 class _ExactSpan:
-    """Exact span: row-reduced vectors over Gaussian rationals with
-    coefficient recovery, beside the raw mirror vectors of the other side."""
+    """Exact spans of both sides: row-reduced vectors over Gaussian rationals
+    with coefficient recovery, beside the raw vectors of the other side.
+    Blocks hold one word, so no product is built for a word after a
+    failure."""
 
     def __init__(self):
-        self.rows = []  # (pivot index, pivot-normalized vector, expansion)
-        self.mirror = []  # raw mirror vector of each basis word
+        self.rows = ([], [])  # (pivot index, pivot-normalized vector, expansion)
+        self.mirror = ([], [])  # raw other-side vector of each basis word
 
-    def reduce(self, v):
-        """``(dependent, elimination factors, residual)``; dependent means an
-        exactly zero residual."""
-        r = list(v)
-        alphas = []
-        for pivot, vec, _ in self.rows:
-            f = r[pivot]
-            alphas.append(f)
-            if f:
-                r = [ri - f * vi for ri, vi in zip(r, vec)]
-        return all(not e for e in r), alphas, r
+    def project(self, v):
+        """Start a block of child vectors ``v``, shaped (2, words, ...)."""
+        self._block = v.reshape(2, v.shape[1], -1)
 
-    def mismatch(self, vmirror, alphas):
-        """Norm of the transfer defect on the mirror side, None if it is 0."""
-        defect = list(vmirror)
-        for c, raw in zip(self.coeffs(alphas), self.mirror):
+    def reduce(self, j: int):
+        """Both sides' dependency flags for row j: an exactly zero
+        residual."""
+        self._state = []
+        for rows, v in zip(self.rows, self._block):
+            r = list(v[j])
+            alphas = []
+            for pivot, vec, _ in rows:
+                f = r[pivot]
+                alphas.append(f)
+                if f:
+                    r = [ri - f * vi for ri, vi in zip(r, vec)]
+            self._state.append((alphas, r))
+        return [all(not e for e in r) for _, r in self._state]
+
+    def mismatch(self, j: int, side: int):
+        """Norm of row j's transfer defect on the other side, None if it is
+        0."""
+        defect = list(self._block[1 - side][j])
+        for c, raw in zip(self.coeffs(j, side), self.mirror[side]):
             if c:
                 defect = [o - c * e for o, e in zip(defect, raw)]
         if not any(defect):
             return None
         return math.sqrt(float(sum(e.abs_sq() for e in defect)))
 
-    def coeffs(self, alphas):
-        d = len(self.rows)
+    def coeffs(self, j: int, side: int):
+        alphas = self._state[side][0]
+        d = len(alphas)
         out = [GaussianRational(0)] * d
-        for i, (_, _, expansion) in enumerate(self.rows):
+        for i, (_, _, expansion) in enumerate(self.rows[side]):
             f = alphas[i]
             if f:
-                for j, t in enumerate(expansion):
-                    out[j] = out[j] + f * t
+                for k, t in enumerate(expansion):
+                    out[k] = out[k] + f * t
         return out
 
-    def add(self, vmirror, alphas, reduced):
-        pivot = next(k for k, e in enumerate(reduced) if e)
-        p = reduced[pivot]
-        vec = [e / p for e in reduced]
-        d = len(self.rows)
-        expansion = [GaussianRational(0)] * (d + 1)
-        expansion[d] = GaussianRational(1)
-        for i, (_, _, older) in enumerate(self.rows):
-            f = alphas[i]
-            if f:
-                for j, t in enumerate(older):
-                    expansion[j] = expansion[j] - f * t
-        expansion = [t / p for t in expansion]
-        self.rows.append((pivot, vec, expansion))
-        self.mirror.append(list(vmirror))
+    def add(self, j: int):
+        for side, (alphas, reduced) in enumerate(self._state):
+            rows = self.rows[side]
+            pivot = next(k for k, e in enumerate(reduced) if e)
+            p = reduced[pivot]
+            vec = [e / p for e in reduced]
+            d = len(rows)
+            expansion = [GaussianRational(0)] * (d + 1)
+            expansion[d] = GaussianRational(1)
+            for i, (_, _, older) in enumerate(rows):
+                f = alphas[i]
+                if f:
+                    for k, t in enumerate(older):
+                        expansion[k] = expansion[k] - f * t
+            expansion = [t / p for t in expansion]
+            rows.append((pivot, vec, expansion))
+            self.mirror[side].append(list(self._block[1 - side][j]))
 
 
-def _unit_pair(p, q, nu):
-    """Float step: divide a child pair by its joint norm, carried in nu."""
-    nraw = math.sqrt(float(np.vdot(p, p).real + np.vdot(q, q).real))
-    if nraw <= _ZERO_PAIR_EPS:
-        return None  # the word vanishes on both sides at once
-    return p / nraw, q / nraw, nu * nraw
+def _unit_rows(origin, prods, nus):
+    """Float step: divide each child pair by its joint norm, carried in nu."""
+    b = prods.shape[1]
+    f = prods.reshape(2, b, -1).view(np.float64)
+    nraw = np.sqrt(np.einsum("sbi,sbi->b", f, f))
+    keep = np.flatnonzero(nraw > _ZERO_PAIR_EPS)  # else the word vanishes
+    if len(keep) < b:  # on both sides at once
+        origin = [origin[k] for k in keep]
+        nus = [nus[k] for k in keep]
+        prods, nraw = prods[:, keep], nraw[keep]
+    nus = [nu * s for nu, s in zip(nus, nraw.tolist())]
+    return origin, prods / nraw[:, None, None], nus
 
 
-def _raw_pair(p, q, nu):
-    """Exact step: keep the raw product."""
-    if not any(p.flat) and not any(q.flat):
-        return None
-    return p, q, nu
+def _products(prods, letters, origin):
+    """Both sides' products of the entries ``(parent, letter)``: one stacked
+    matmul in float mode, one product at a time in exact mode, where a
+    stacked object-array matmul costs more than it saves."""
+    if prods.dtype != object:
+        parents = [parent for parent, _ in origin]
+        return np.matmul(prods[:, parents], letters[:, [k for _, k in origin]])
+    block = np.empty((2, len(origin)) + prods.shape[2:], dtype=object)
+    for j, (parent, k) in enumerate(origin):
+        for s in (0, 1):
+            np.matmul(prods[s, parent], letters[s, k], out=block[s, j])
+    return block
+
+
+def _raw_rows(origin, prods, nus):
+    """Exact step: keep the raw products."""
+    keep = [
+        k for k in range(prods.shape[1])
+        if any(prods[0, k].flat) or any(prods[1, k].flat)
+    ]
+    if len(keep) < prods.shape[1]:
+        origin = [origin[k] for k in keep]
+        nus = [nus[k] for k in keep]
+        prods = prods[:, keep]
+    return origin, prods, nus
 
 
 def _closure_decide(letters_x, letters_y, tol):
@@ -420,70 +534,84 @@ def _closure_decide(letters_x, letters_y, tol):
 
     One breadth-first loop serves both arithmetic modes: float spans
     (``_MappedSpan``, pairs scaled to unit joint norm, ``nu`` carrying the
-    dropped factor) and exact spans (``_ExactSpan``, raw products).  Each
-    word gets one dependency decision shared by both sides: if it depends on
-    the basis on either side, the same combination must hold on the other
-    side (else a DependencyCertificate), and the word is not added.  When no
-    word extends the basis, every basis word's traces must agree (else a
-    TraceCertificate).  Returns ``(equivalent, certificate, dimension)``.
+    dropped factor) and exact spans (``_ExactSpan``, raw products).  Child
+    entry g is basis word g // a times letter g % a.  Entries are taken in
+    blocks of consecutive entries whose parents are already in the basis:
+    in float mode from ``a`` entries up, doubling to ``_BLOCK``, in exact
+    mode one at a time.  Within a block the words are decided one at a time
+    in entry order.  Each word gets one dependency decision shared by both
+    sides: if it depends on the basis on either side, the same combination
+    must hold on the other side (else a DependencyCertificate, and the rest
+    of its block is dropped), and the word is not added.  When no word
+    extends the basis, every basis word's traces must agree (else a
+    TraceCertificate).  Both letter lists hold matrices of one size.
+    Returns ``(equivalent, certificate, dimension)``.
     """
     mode = letters_x[0].mode
-    a = len(letters_x)
-    lx = [m.data for m in letters_x]
-    ly = [m.data for m in letters_y]
-    nx, ny = letters_x[0].rows, letters_y[0].rows
+    a, n = len(letters_x), letters_x[0].rows
+    letters = np.array([[m.data for m in letters_x], [m.data for m in letters_y]])
     if mode == EXACT:
-        tx, ty, step = _ExactSpan(), _ExactSpan(), _raw_pair
+        spans, step, cap = _ExactSpan(), _raw_rows, 1
     else:
-        tx = _MappedSpan(nx * nx, ny * ny, tol)
-        ty = _MappedSpan(ny * ny, nx * nx, tol)
-        step = _unit_pair
-    basis = []  # (word, left product, right product, nu)
+        spans, step, cap = _MappedSpan(n * n, tol), _unit_rows, _BLOCK
+    words, nus = [], []  # the basis, and the factor each product dropped
+    prods = letters[:, :0]  # each basis word's product on both sides
 
-    def extend(word, p, q, nu):
-        """Reduce one word on both sides; a certificate if a transfer fails."""
-        vx, vy = p.ravel(), q.ravel()
-        depx, yx, rx = tx.reduce(vx)
-        depy, yy, ry = ty.reduce(vy)
-        for dep, span, y, vmirror, side in (
-            (depx, tx, yx, vy, "left"),
-            (depy, ty, yy, vx, "right"),
-        ):
-            if dep:
-                resid = span.mismatch(vmirror, y)
-                if resid is not None:
-                    coeffs = tuple(
-                        nu * c / b[3] for c, b in zip(span.coeffs(y), basis)
-                    )
-                    words = tuple(b[0] for b in basis)
-                    return DependencyCertificate(
-                        word, words, coeffs, float(nu * resid), side
-                    )
-        if not (depx or depy):
-            tx.add(vy, yx, rx)
-            ty.add(vx, yy, ry)
-            basis.append((word, p, q, nu))
+    def word_of(source):
+        if source is None:
+            return empty_word(a)
+        parent, letter = source
+        return words[parent].append_letter(letter)
+
+    def extend(origin, block, scales):
+        """Decide a block of child pairs in entry order; a certificate if a
+        transfer fails."""
+        nonlocal prods
+        if not origin:
+            return None
+        prods = _grown(prods, len(words) + len(origin), n * n)
+        spans.project(block)
+        for j, source in enumerate(origin):
+            deps = spans.reduce(j)
+            for side, dep in enumerate(deps):
+                if dep:
+                    resid = spans.mismatch(j, side)
+                    if resid is not None:
+                        nu = scales[j]
+                        coeffs = tuple(
+                            nu * c / b for c, b in zip(spans.coeffs(j, side), nus)
+                        )
+                        return DependencyCertificate(
+                            word_of(source),
+                            tuple(words),
+                            coeffs,
+                            float(nu * resid),
+                            ("left", "right")[side],
+                        )
+            if not (deps[0] or deps[1]):
+                spans.add(j)
+                prods[:, len(words)] = block[:, j]
+                words.append(word_of(source))
+                nus.append(scales[j])
         return None
 
-    seed = step(identity(nx, mode).data, identity(ny, mode).data, 1)
-    extend(empty_word(a), *seed)
-    i = 0
-    while i < len(basis):
-        word, p, q, nu = basis[i]
-        for letter in range(a):
-            child = step(p @ lx[letter], q @ ly[letter], nu)
-            if child is None:
-                continue
-            failure = extend(word.append_letter(letter), *child)
-            if failure is not None:
-                return False, failure, len(basis)
-        i += 1
+    eye = np.broadcast_to(identity(n, mode).data, (2, 1, n, n))
+    extend(*step([None], eye, [1]))
+    g, size = 0, a
+    while g < len(words) * a:
+        stop = min(g + min(size, cap), len(words) * a)
+        origin = [divmod(e, a) for e in range(g, stop)]
+        block = _products(prods, letters, origin)
+        failure = extend(*step(origin, block, [nus[k] for k, _ in origin]))
+        if failure is not None:
+            return False, failure, len(words)
+        g, size = stop, 2 * size
 
-    for word, p, q, nu in basis:
-        tl, tr = nu * np.trace(p), nu * np.trace(q)
+    for i, word in enumerate(words):
+        tl, tr = nus[i] * np.trace(prods[0, i]), nus[i] * np.trace(prods[1, i])
         if not _close(tl, tr, tol):
-            return False, TraceCertificate(word, tl, tr), len(basis)
-    return True, None, len(basis)
+            return False, TraceCertificate(word, tl, tr), len(words)
+    return True, None, len(words)
 
 
 def algebra_closure(
@@ -613,48 +741,6 @@ def _pairs_letters(pairs):
         lx.extend((a, a.adjoint()))
         ly.extend((b, b.adjoint()))
     return lx, ly
-
-
-def multi_word_screener(
-    pairs,
-    max_length: int,
-    max_exponent: int | None = None,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-    prescale: bool = True,
-) -> Verdict | None:
-    """Necessary-condition scan over words in 2m letters (one letter per
-    matrix and per adjoint).  Returns a NotEquivalent verdict on the first
-    trace mismatch and None otherwise; it can never certify equivalence.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one pair")
-    t0 = time.perf_counter()
-    scale = 1.0
-    if prescale:
-        mats = [m for p in pairs for m in p]
-        scale, scaled = common_scale(mats)
-        pairs = list(zip(scaled[0::2], scaled[1::2]))
-    exact = pairs[0][0].mode == EXACT
-    count = word_count(2 * len(pairs), max_length, max_exponent)
-    if count > budget:
-        raise BudgetExceededError(
-            f"screener needs {count} words, budget is {budget}"
-        )
-    lx, ly = _pairs_letters(pairs)
-    for word, (tl, tr) in iter_word_traces(
-        [lx, ly], max_length, max_exponent, dedup=DEDUP_CYCLIC_STAR
-    ):
-        if not _close(tl, tr, tol):
-            verdict = Verdict(
-                False,
-                ENGINE_BRUTE,
-                certificate=TraceCertificate(word, tl, tr),
-                tolerance=None if exact else tol,
-            )
-            return _finish(verdict, t0, scale, "screener")
-    return None
 
 
 def simultaneously_unitarily_similar(

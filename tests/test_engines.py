@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from unieq import engines
 from unieq import (
     BudgetExceededError,
     DependencyCertificate,
@@ -19,7 +20,6 @@ from unieq import (
     floor_length_bound,
     identity,
     make_yes_instance,
-    multi_word_screener,
     perturb_to_no,
     random_unitary,
     simultaneously_unitarily_similar,
@@ -154,6 +154,31 @@ def _cyclic_permutation(n):
     )
 
 
+def _shift_pair(n, seed):
+    """A conjugated weighted nilpotent shift, and the same shift with one row
+    scaled by 1.3 under another unitary: never unitarily similar."""
+    rng = np.random.default_rng(seed)
+    core = np.diag(rng.uniform(0.5, 1.5, n - 1), k=1).astype(np.complex128)
+    other = core.copy()
+    other[int(rng.integers(n - 1))] *= 1.3
+    v, w = random_unitary(n, rng), random_unitary(n, rng)
+    return (
+        v @ Matrix.from_complex(core) @ v.adjoint(),
+        w @ Matrix.from_complex(other) @ w.adjoint(),
+    )
+
+
+def _hermitian_pair(n, seed, stretch):
+    """Conjugates of one real diagonal, the second scaled by ``stretch``."""
+    rng = np.random.default_rng(seed)
+    d = np.diag(rng.uniform(-1.0, 1.0, n)).astype(np.complex128)
+    v, w = random_unitary(n, rng), random_unitary(n, rng)
+    return (
+        v @ Matrix.from_complex(d) @ v.adjoint(),
+        w @ Matrix.from_complex(stretch * d) @ w.adjoint(),
+    )
+
+
 class TestClosureModes:
     def test_near_normal_family_never_crashes(self):
         # one dependency decision per word: a word dependent within tolerance
@@ -221,6 +246,46 @@ class TestClosureModes:
             kinds.add(type(ve.certificate))
         assert len(pairs) == 75
         assert kinds == {type(None), TraceCertificate, DependencyCertificate}
+
+
+class TestBlockInvariance:
+    """The float closure decides every word against the basis it would meet
+    if words arrived one at a time, so the block size changes no result."""
+
+    @staticmethod
+    def _decisions():
+        out = []  # (verdict, left letters, right letters)
+        for seed in (1, 2):
+            g = make_yes_instance(2, 1, 1, 1, 1, seed=seed)
+            for inst in (g.inst, perturb_to_no(g, 0.1, seed=seed).inst):
+                _, left, right = decision_letters(inst)
+                out.append((solve_general(inst), left, right))
+        pairs = [
+            _shift_pair(8, 5),  # fails inside its block: the rest is dropped
+            # X* = X joins the first block right after X and depends on it
+            _hermitian_pair(3, 6, 1.0),
+            _hermitian_pair(3, 6, 1.2),
+        ]
+        for x, y in pairs:
+            _, (xs, ys) = common_scale([x, y])
+            out.append((algebra_closure(x, y), [xs, xs.adjoint()], [ys, ys.adjoint()]))
+        return out
+
+    def test_block_size_one_agrees(self, monkeypatch):
+        blocked = self._decisions()
+        monkeypatch.setattr(engines, "_BLOCK", 1)
+        single = self._decisions()
+        assert [v.equivalent for v, _, _ in blocked] == [
+            True, False, True, False, False, True, False
+        ]
+        for (vb, left, right), (vs, _, _) in zip(blocked, single):
+            assert vb.equivalent == vs.equivalent
+            assert vb.dimension == vs.dimension
+            assert type(vb.certificate) is type(vs.certificate)
+            if not vb.equivalent:
+                assert str(vb.certificate.word) == str(vs.certificate.word)
+                assert vb.certificate.recheck(left, right, 1e-8)
+                assert vs.certificate.recheck(left, right, 1e-8)
 
 
 class TestUnitarilySimilar:
@@ -299,18 +364,6 @@ class TestSimultaneous:
         a, b = similar_pair(3, seed=123)
         v = simultaneously_unitarily_similar([(a, b), (a.adjoint(), b.adjoint())])
         assert v.equivalent
-
-    def test_screener_certificate_names_second_pair(self, rng):
-        x = rand_matrix(rng, 2)
-        y, z = rand_matrix(rng, 2), rand_matrix(rng, 2)
-        hit = multi_word_screener([(x, x), (y, z)], 4)
-        assert hit is not None and not hit.equivalent
-        letters_used = {letter for letter, _ in hit.certificate.word.runs}
-        assert letters_used <= {2, 3}  # only the second pair's letters
-
-    def test_screener_never_equivalent(self):
-        a, b = similar_pair(2, seed=8)
-        assert multi_word_screener([(a, b)], 6) is None
 
     def test_gadget_brute_route_agrees(self, rng):
         for i in range(6):
@@ -403,6 +456,16 @@ class TestSolveGeneral:
         assert not v.equivalent
         scale, lx, ly = decision_letters(p.inst)
         assert v.certificate.recheck(lx, ly, 1e-8)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="false NotEquivalent on an ill-conditioned float span (CHANGES.md)",
+    )
+    @pytest.mark.parametrize("seed", [54, 109])
+    def test_ill_conditioned_yes_instance(self, seed):
+        g = make_yes_instance(3, 0, 0, 0, 1, seed=seed)
+        assert verify_witness(g.inst, g.witness)
+        assert solve_general(g.inst).equivalent
 
     def test_scalar_congruence_family(self):
         a = Matrix.from_complex([[1.0]])
