@@ -1,10 +1,14 @@
 # The general problem: four families of pairs that one unitary U must
 # satisfy at once -- similarity for S1, congruence for S2, and the same
-# relations through conj(U) for S3 and S4.  Placement parities inside one
-# block gadget encode which relation each pair must satisfy.
+# relations through conj(U) for S3 and S4.  The paper encodes which
+# relation each pair must satisfy by placement parities inside one block
+# gadget.  The decision itself runs on real 2n-by-2n letters: each pair sits
+# at one block of a 2n-by-2n matrix on which U (+) conj(U) acts, and a
+# change of basis makes that unitary real orthogonal.
 
 from unieq import (
     build_general_gadget,
+    build_real_letters,
     decision_letters,
     make_yes_instance,
     perturb_to_no,
@@ -28,10 +32,13 @@ gen = make_yes_instance(2, 1, 1, 1, 1, seed=42)
 print("\nwitness verifies:", verify_witness(gen.inst, gen.witness))
 
 ga, gb = build_general_gadget(gen.inst)
-print("gadget size:", ga.M.shape)
+print("paper's gadget size:", ga.M.shape)
+left, _ = build_real_letters(gen.inst)
+print(f"real letters: {len(left)} of size {left[0].shape}")
 
 verdict = solve_general(gen.inst)
 print("decision:", verdict.result, "via", verdict.route)
+print("spanned dimension:", verdict.dimension)
 
 # Perturbing one matrix breaks the equivalence, with a certificate that can
 # be re-verified from scratch against the rebuilt decision letters.

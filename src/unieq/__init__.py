@@ -38,6 +38,7 @@ from .gadgets import (
     build_congruence_K,
     build_congruence_K_prime,
     build_general_gadget,
+    build_real_letters,
     build_similarity_gadget,
     class_slots,
     congruence_triple,

@@ -52,7 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--use-k-gadget",
         action="store_true",
-        help="route congruence through the 4n-by-4n gadget instead of the triple",
+        help=(
+            "decide through the paper's gadget and its 4n-by-4n K gadget "
+            "instead of the real 2n letters"
+        ),
     )
 
     p = sub.add_parser("bound", help="print the word-length bound for size m")

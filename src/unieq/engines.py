@@ -22,8 +22,11 @@ Two interchangeable engines decide unitary similarity of a pair:
   words and dimensions are those of taking words one at a time.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
-or the multi-letter closure, congruence via the derived triple or the K
-gadget, and the general problem via parity-placed gadgets plus congruence.
+or the multi-letter closure, and congruence and the general four-family
+problem via the multi-letter closure on real 2n-by-2n letters
+(``build_real_letters``).  The paper's own reduction, parity-placed gadgets
+plus congruence through the derived triple or the K gadget, stays the route
+of the brute engine and of ``use_k_gadget``.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .gadgets import (
     ProblemInstance,
     build_congruence_K,
     build_general_gadget,
+    build_real_letters,
     build_similarity_gadget,
     congruence_triple,
 )
@@ -226,6 +230,11 @@ def _check_pair(X: Matrix, Y: Matrix):
     X._check_mode(Y)
     if not (X.is_square and Y.is_square) or X.shape != Y.shape:
         raise ValueError("engines compare two square matrices of equal size")
+
+
+def _check_engine(engine: str):
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
 
 
 def floor_length_bound(m: int) -> int:
@@ -614,6 +623,18 @@ def _closure_decide(letters_x, letters_y, tol):
     return True, None, len(words)
 
 
+def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
+    """``_closure_decide`` as a closure-engine verdict."""
+    ok, certificate, dim = _closure_decide(letters_x, letters_y, tol)
+    return Verdict(
+        ok,
+        ENGINE_CLOSURE,
+        certificate=certificate,
+        tolerance=None if letters_x[0].mode == EXACT else tol,
+        dimension=dim,
+    )
+
+
 def algebra_closure(
     X: Matrix,
     Y: Matrix,
@@ -630,17 +651,7 @@ def algebra_closure(
     scale = 1.0
     if prescale:
         scale, (X, Y) = common_scale([X, Y])
-    exact = X.mode == EXACT
-    ok, certificate, dim = _closure_decide(
-        [X, X.adjoint()], [Y, Y.adjoint()], tol
-    )
-    verdict = Verdict(
-        ok,
-        ENGINE_CLOSURE,
-        certificate=certificate,
-        tolerance=None if exact else tol,
-        dimension=dim,
-    )
+    verdict = _closure_verdict([X, X.adjoint()], [Y, Y.adjoint()], tol)
     return _finish(verdict, t0, scale, "closure")
 
 
@@ -701,8 +712,7 @@ def unitarily_similar(
     """
     t0 = time.perf_counter()
     _check_pair(A, B)
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
+    _check_engine(engine)
     scale = 1.0
     if prescale:
         scale, (A, B) = common_scale([A, B])
@@ -761,8 +771,7 @@ def simultaneously_unitarily_similar(
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
+    _check_engine(engine)
     t0 = time.perf_counter()
     n = pairs[0][0].rows
     for a, b in pairs:
@@ -774,7 +783,6 @@ def simultaneously_unitarily_similar(
         mats = [m for p in pairs for m in p]
         scale, scaled = common_scale(mats)
         pairs = list(zip(scaled[0::2], scaled[1::2]))
-    exact = pairs[0][0].mode == EXACT
 
     if len(pairs) == 1 and engine != ENGINE_BRUTE:
         inner = unitarily_similar(
@@ -805,15 +813,7 @@ def simultaneously_unitarily_similar(
         )
         return _finish(inner, t0, scale, "pairs:gadget")
 
-    lx, ly = _pairs_letters(pairs)
-    ok, certificate, dim = _closure_decide(lx, ly, tol)
-    verdict = Verdict(
-        ok,
-        ENGINE_CLOSURE,
-        certificate=certificate,
-        tolerance=None if exact else tol,
-        dimension=dim,
-    )
+    verdict = _closure_verdict(*_pairs_letters(pairs), tol)
     return _finish(verdict, t0, scale, "pairs:closure")
 
 
@@ -834,12 +834,15 @@ def unitarily_congruent(
 ) -> Verdict:
     """Decide whether A = U B U^T for some unitary U.
 
-    The default route tests simultaneous unitary similarity of the derived
-    triple; ``use_k_gadget`` instead builds the 4n-by-4n nilpotent gadgets
-    and tests their unitary similarity with word exponents capped at 3.
+    The default route is the S2-only case of ``solve_general``'s real 2n
+    letters.  The brute engine tests simultaneous unitary similarity of the
+    derived triple; ``use_k_gadget`` instead builds the 4n-by-4n nilpotent
+    gadgets and tests their unitary similarity with word exponents capped
+    at 3.
     """
     t0 = time.perf_counter()
     _check_pair(A, B)
+    _check_engine(engine)
     scale = 1.0
     if prescale:
         scale, (A, B) = common_scale([A, B])
@@ -856,6 +859,10 @@ def unitarily_congruent(
             prescale=False,
         )
         return _finish(inner, t0, scale, "congruence:K")
+    if engine != ENGINE_BRUTE:
+        letters = build_real_letters(ProblemInstance(A.rows, S2=[(A, B)]))
+        inner = _closure_verdict(*letters, tol)
+        return _finish(inner, t0, scale, "congruence:real2n")
     triple = congruence_triple(A, B, allow_shortcut=allow_shortcut)
     inner = simultaneously_unitarily_similar(
         triple,
@@ -883,12 +890,34 @@ def solve_general(
     """Decide the four-family problem: one unitary U giving similarity for
     S1, congruence for S2, and the conjugated relations for S3 and S4.
 
-    A pure-S1 instance is routed through simultaneous similarity directly;
-    anything else goes through the parity-placed gadget pair, whose unitary
-    congruence is equivalent to the whole instance.
+    A pure-S1 instance is routed through simultaneous similarity directly.
+    Anything else goes to the closure on the real 2n-by-2n letters of
+    ``build_real_letters`` (route ``general:real2n``), unless the brute
+    engine or ``use_k_gadget`` asks for the paper's reduction: the
+    parity-placed gadget pair, whose unitary congruence is equivalent to the
+    whole instance (route ``general:gadget``).
+
+    Why the real letters decide the instance.  W = U (+) conj(U) maps a
+    matrix L placed at block (1,1), (1,2), (2,1) or (2,2) by L -> W L W*
+    to U B U*, U B U^T, conj(U) B U* or conj(U) B U^T, and the letters are
+    the parts of T* L T and T* E T (``build_real_letters``).
+
+    * If U realizes every relation, O = T* W T = [[Re U, -Im U], [Im U,
+      Re U]] is real orthogonal and maps every letter.
+    * Conversely, take a unitary V that maps the real letter tuples, which
+      are closed under transpose.  R(t) = Re V + t Im V intertwines them
+      for every real t, and det R(i) = det V != 0, so some real R is
+      invertible; R^T R commutes with the letters, so the polar factor of R
+      is an orthogonal intertwiner O (real matrices that are unitarily
+      similar are orthogonally similar; Horn and Johnson, Matrix Analysis,
+      ch. 2).  W = T O T* commutes with J(x, y) = (conj(y), conj(x)), so
+      W = [[P, Q], [conj(Q), conj(P)]].  W fixes E, since O fixes
+      Re(T* E T) = I / 2 and the letter Im(T* E T); that forces Q = 0, so
+      W = P (+) conj(P) with P unitary, and U = P realizes every relation.
     """
     if inst.total_pairs == 0:
         raise ValueError("instance has no pairs")
+    _check_engine(engine)
     t0 = time.perf_counter()
     scale, sinst = inst.scaled_common()
     m1, m2, m3, m4 = sinst.counts
@@ -902,6 +931,9 @@ def solve_general(
             prescale=False,
         )
         return _finish(inner, t0, scale, "general:s1")
+    if engine != ENGINE_BRUTE and not use_k_gadget:
+        inner = _closure_verdict(*build_real_letters(sinst), tol)
+        return _finish(inner, t0, scale, "general:real2n")
     ga, gb = build_general_gadget(sinst)
     inner = unitarily_congruent(
         ga.M,
@@ -917,7 +949,9 @@ def solve_general(
 
 
 def decision_letters(inst: ProblemInstance, use_k_gadget: bool = False):
-    """Rebuild the two letter lists the default general decision compares.
+    """Rebuild the two letter lists the default general decision compares:
+    the S1 pairs with their adjoints for a pure-S1 instance, the real 2n
+    letters otherwise, and the K gadgets with ``use_k_gadget``.
 
     Deterministic, so certificates can be re-verified from the instance
     alone.  Returns ``(scale, letters_left, letters_right)``.
@@ -929,13 +963,11 @@ def decision_letters(inst: ProblemInstance, use_k_gadget: bool = False):
     if m2 == m3 == m4 == 0:
         lx, ly = _pairs_letters(sinst.S1)
         return scale, lx, ly
-    ga, gb = build_general_gadget(sinst)
     if use_k_gadget:
+        ga, gb = build_general_gadget(sinst)
         ka, kb = build_congruence_K(ga.M), build_congruence_K(gb.M)
         return scale, [ka, ka.adjoint()], [kb, kb.adjoint()]
-    triple = congruence_triple(ga.M, gb.M, allow_shortcut=True)
-    lx, ly = _pairs_letters(triple)
-    return scale, lx, ly
+    return (scale, *build_real_letters(sinst))
 
 
 def verify_witness(inst: ProblemInstance, U: Matrix, tol: float = DEFAULT_TOL) -> bool:

@@ -1,17 +1,28 @@
 """Block "gadget" matrices that carry matrix pairs above a chain of identities.
 
-Every builder here emits a strictly block upper triangular matrix with the
-identity along the first block superdiagonal and the pair data placed in
-blocks with column minus row at least two.  Unitary similarity or congruence
-of two such gadgets is equivalent to the simultaneous unitary equivalences of
-the pairs they carry, which is what the engines exploit.
+Every gadget builder here emits a strictly block upper triangular matrix
+with the identity along the first block superdiagonal and the pair data
+placed in blocks with column minus row at least two.  Unitary similarity or
+congruence of two such gadgets is equivalent to the simultaneous unitary
+equivalences of the pairs they carry.  ``build_real_letters`` instead
+encodes the four-family problem in real 2n-by-2n letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .numerics import EXACT, FLOAT, Matrix, block, common_scale, identity, zeros
+from .numerics import (
+    EXACT,
+    FLOAT,
+    GaussianRational,
+    Matrix,
+    block,
+    common_scale,
+    identity,
+    zeros,
+)
 
 # (i parity, j parity) demanded for each of the four pair families, 1-based:
 # set 1 rides similarity via U, set 2 congruence via U, set 3 the conjugated
@@ -24,6 +35,11 @@ _PARITY = {
 }
 
 _SINGULAR_TOL = 1e-10
+
+# (row, column) block, 0-based, of the 2n-by-2n real-letter construction for
+# each pair family: W = U (+) conj(U) maps a matrix placed there, by
+# L -> W L W*, to U B U*, U B U^T, conj(U) B U* and conj(U) B U^T.
+_REAL_BLOCK = {1: (0, 0), 2: (0, 1), 3: (1, 0), 4: (1, 1)}
 
 
 @dataclass
@@ -250,6 +266,38 @@ def build_general_gadget(inst: ProblemInstance, layout: GadgetLayout | None = No
     ga = Gadget(_assemble(inst.n, layout.k, placed_a, mode), layout)
     gb = Gadget(_assemble(inst.n, layout.k, placed_b, mode), layout)
     return ga, gb
+
+
+def build_real_letters(inst: ProblemInstance):
+    """The real 2n-by-2n letter lists, ``(left, right)``, whose
+    simultaneous unitary similarity is equivalent to the whole instance.
+
+    Each pair matrix sits at its family's block of a 2n-by-2n zero matrix
+    L.  With S = [[I, iI], [I, -iI]] = sqrt(2) T, the real and imaginary
+    parts of T* L T = S* L S / 2, each followed by its transpose, are
+    letters; they stay in the instance's mode.  The last letter, on both
+    sides, is Im(T* E T) = [[0, I], [-I, 0]] / 2 for E = diag(I, 0).
+    ``solve_general`` proves the equivalence.
+    """
+    if inst.total_pairs == 0:
+        raise ValueError("instance has no pairs")
+    n, mode = inst.n, inst.mode
+    eye, zero = identity(n, mode), zeros(n, n, mode)
+    i_eye = eye.scale(GaussianRational(0, 1))
+    s = block([[eye, i_eye], [eye, -i_eye]])
+
+    def parts(m: Matrix, at):
+        grid = [[zero, zero], [zero, zero]]
+        grid[at[0]][at[1]] = m
+        return (s.adjoint() @ block(grid) @ s).scale(Fraction(1, 2)).re_im()
+
+    left, right = [], []
+    for set_id, _, a, b in inst.pairs():
+        for letters, m in ((left, a), (right, b)):
+            for part in parts(m, _REAL_BLOCK[set_id]):
+                letters.extend((part, part.transpose()))
+    _, e = parts(eye, (0, 0))
+    return left + [e], right + [e]
 
 
 def _check_pairs(pairs, n: int):

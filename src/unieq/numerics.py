@@ -283,6 +283,17 @@ class Matrix:
     def adjoint(self) -> "Matrix":
         return Matrix(np.conj(self.data).T.copy(), self.mode)
 
+    def re_im(self):
+        """The real and the imaginary part, each a matrix of the same mode
+        with real entries."""
+        if self.mode == EXACT:
+            re = np.empty(self.shape, dtype=object)
+            im = np.empty(self.shape, dtype=object)
+            for idx, e in np.ndenumerate(self.data):
+                re[idx], im[idx] = GaussianRational(e.re), GaussianRational(e.im)
+            return Matrix(re, EXACT), Matrix(im, EXACT)
+        return Matrix(self.data.real + 0j, FLOAT), Matrix(self.data.imag + 0j, FLOAT)
+
     def trace(self):
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")

@@ -14,7 +14,9 @@ from unieq import (
     Verdict,
     algebra_closure,
     build_congruence_K,
+    build_general_gadget,
     common_scale,
+    congruence_triple,
     decision_letters,
     eval_word,
     floor_length_bound,
@@ -457,13 +459,17 @@ class TestSolveGeneral:
         scale, lx, ly = decision_letters(p.inst)
         assert v.certificate.recheck(lx, ly, 1e-8)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="false NotEquivalent on an ill-conditioned float span (CHANGES.md)",
-    )
     @pytest.mark.parametrize("seed", [54, 109])
     def test_ill_conditioned_yes_instance(self, seed):
+        # the kn-by-kn gadget triple answered NotEquivalent on both
         g = make_yes_instance(3, 0, 0, 0, 1, seed=seed)
+        assert verify_witness(g.inst, g.witness)
+        assert solve_general(g.inst).equivalent
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pure_congruence_n8(self, seed):
+        # the gadget triple answered NotEquivalent on all six seeds
+        g = make_yes_instance(8, 0, 1, 0, 0, seed=seed)
         assert verify_witness(g.inst, g.witness)
         assert solve_general(g.inst).equivalent
 
@@ -484,7 +490,20 @@ class TestSolveGeneral:
     def test_gadget_route_label(self):
         g = make_yes_instance(2, 0, 1, 0, 0, seed=18)
         v = solve_general(g.inst)
-        assert v.route.startswith("general:gadget")
+        assert v.route == "general:real2n"
+        a, b = g.inst.S2[0]
+        assert unitarily_congruent(a, b).route == "congruence:real2n"
+
+    def test_paper_reduction_routes_kept(self):
+        g = make_yes_instance(1, 0, 1, 0, 1, seed=19)
+        # a short brute screener: the full bound on the gadgets is far too long
+        v = solve_general(g.inst, engine="brute", max_length=4)
+        assert v.equivalent and v.route.startswith("general:gadget>congruence:triple")
+        v = solve_general(g.inst, use_k_gadget=True)
+        assert v.equivalent and v.route.startswith("general:gadget>congruence:K")
+        a, b = g.inst.S2[0]
+        v = unitarily_congruent(a, b, engine="brute", max_length=4)
+        assert v.equivalent and v.route.startswith("congruence:triple")
 
     def test_k_route_flag(self):
         g = make_yes_instance(1, 0, 1, 0, 1, seed=19)
@@ -494,6 +513,13 @@ class TestSolveGeneral:
     def test_empty_instance(self):
         with pytest.raises(ValueError):
             solve_general(ProblemInstance(2))
+
+    def test_unknown_engine_rejected(self):
+        g = make_yes_instance(1, 0, 1, 0, 0, seed=20)
+        with pytest.raises(ValueError, match="unknown engine"):
+            solve_general(g.inst, engine="fast")
+        with pytest.raises(ValueError, match="unknown engine"):
+            unitarily_congruent(*g.inst.S2[0], engine="fast")
 
     def test_exact_mode(self, rng):
         u = exact_unitary(2, 1)
@@ -505,6 +531,89 @@ class TestSolveGeneral:
         bad = ProblemInstance(2, S2=[(rat_matrix(rng, 2), b)])
         w = solve_general(bad)
         assert not w.equivalent and w.tolerance is None
+
+
+# the shapes (m1, m2, m3, m4) the real-letter route was sized on
+ROADMAP_SHAPES = [
+    (1, 1, 1, 1), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
+    (1, 1, 0, 0), (2, 1, 0, 1), (0, 2, 0, 0), (1, 0, 1, 0),
+]
+
+
+def _exact_instance(rng, n, shape, which, perturb):
+    """A Gaussian-rational instance with the exact unitary witness
+    ``exact_unitary(n, which)``; ``perturb`` adds 1/2 to one A entry."""
+    u = exact_unitary(n, which)
+    ubar = u.conj()
+    maps = (
+        lambda b: u @ b @ u.adjoint(),
+        lambda b: u @ b @ u.transpose(),
+        lambda b: ubar @ b @ u.adjoint(),
+        lambda b: ubar @ b @ u.transpose(),
+    )
+    families = [[], [], [], []]
+    for family, relation, count in zip(families, maps, shape):
+        for _ in range(count):
+            b = rat_matrix(rng, n)
+            family.append((relation(b), b))
+    inst = ProblemInstance(n, *families)
+    if perturb:
+        a, b = next(f for f in families if f)[0]
+        a.data[0, 0] = a.data[0, 0] + GR(1, 2)
+    return inst
+
+
+def _to_float(inst):
+    families = [
+        [(a.to_float(), b.to_float()) for a, b in inst.family(s)] for s in range(1, 5)
+    ]
+    return ProblemInstance(inst.n, *families)
+
+
+class TestRealLetters:
+    """The real 2n-by-2n route against the paper's reduction and across
+    arithmetic modes; every NotEquivalent certificate must recheck against
+    the rebuilt decision letters."""
+
+    @staticmethod
+    def _rechecks(inst, verdict):
+        _, left, right = decision_letters(inst)
+        return verdict.certificate.recheck(left, right, 1e-8)
+
+    @pytest.mark.parametrize("shape", ROADMAP_SHAPES, ids=lambda s: "%d%d%d%d" % s)
+    def test_agrees_with_gadget_triple(self, shape):
+        for n in (1, 2, 3):
+            g = make_yes_instance(n, *shape, seed=0)
+            p = perturb_to_no(g, 0.1, seed=1)
+            for inst, yes in ((g.inst, True), (p.inst, False)):
+                v = solve_general(inst)
+                assert v.route == "general:real2n"
+                _, sinst = inst.scaled_common()
+                ga, gb = build_general_gadget(sinst)
+                ref = simultaneously_unitarily_similar(congruence_triple(ga.M, gb.M))
+                assert v.equivalent == ref.equivalent == yes, (shape, n, yes)
+                if not yes:
+                    assert self._rechecks(inst, v)
+
+    def test_exact_and_float_agree(self):
+        rng = np.random.default_rng(6060)
+        results = []
+        for i, shape in enumerate(ROADMAP_SHAPES):
+            for n in (1, 2):
+                for perturb in (False, True):
+                    inst = _exact_instance(rng, n, shape, i + n, perturb)
+                    ve = solve_general(inst)
+                    vf = solve_general(_to_float(inst))
+                    assert ve.tolerance is None and vf.tolerance is not None
+                    assert ve.equivalent == vf.equivalent, (shape, n, perturb)
+                    assert ve.dimension == vf.dimension
+                    if perturb:
+                        assert self._rechecks(inst, ve)
+                        assert self._rechecks(_to_float(inst), vf)
+                    else:
+                        assert ve.equivalent
+                    results.append(ve.equivalent)
+        assert results.count(False) == len(ROADMAP_SHAPES) * 2
 
 
 class TestVerifyWitness:

@@ -10,6 +10,8 @@ from unieq import (
     GaussianRational,
     Matrix,
     ModeMismatchError,
+    ProblemInstance,
+    build_real_letters,
     common_scale,
     identity,
     zeros,
@@ -174,6 +176,46 @@ class TestInvariantsAndScaling:
         assert m.det() == GR(-2)
         singular = Matrix.from_rational([[GR(1), GR(2)], [GR(2), GR(4)]])
         assert singular.det() == GR(0)
+
+
+class TestRealImaginarySplit:
+    def test_float_parts(self, rng):
+        m = rand_matrix(rng, 3)
+        re, im = m.re_im()
+        assert re.mode == im.mode == "float"
+        assert not np.any(re.data.imag) and not np.any(im.data.imag)
+        assert np.array_equal(re.data.real, m.data.real)
+        assert np.array_equal(im.data.real, m.data.imag)
+
+    def test_exact_parts(self, rng):
+        m = rat_matrix(rng, 3)
+        re, im = m.re_im()
+        assert re.mode == im.mode == "exact"
+        for e, r, i in zip(m.data.flat, re.data.flat, im.data.flat):
+            assert type(r) is GR and type(i) is GR
+            assert r == GR(e.re) and i == GR(e.im)
+        assert re + im.scale(GR(0, 1)) == m
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_real_letters(self, rng, exact):
+        n = 2
+        draw = rat_matrix if exact else rand_matrix
+        families = [[(draw(rng, n), draw(rng, n))] for _ in range(4)]
+        left, right = build_real_letters(ProblemInstance(n, *families))
+        # real and imaginary part of each pair's letter, each with its
+        # transpose, and Im(T* E T) once
+        assert len(left) == len(right) == 4 * 4 + 1
+        for letters in (left, right):
+            for m in letters:
+                assert m.mode == ("exact" if exact else "float")
+                assert m.shape == (2 * n, 2 * n)
+                assert m.re_im()[1].is_zero()
+            for k in range(0, 16, 2):
+                assert letters[k + 1] == letters[k].transpose()
+        eye, zero = identity(n).scale(0.5), zeros(n, n)
+        e = Matrix(np.block([[zero.data, eye.data], [-eye.data, zero.data]]), "float")
+        assert left[-1] == right[-1]
+        assert left[-1].to_float() == e
 
 
 class TestNullspaceKernels:
