@@ -16,7 +16,6 @@ from fractions import Fraction
 from .numerics import (
     EXACT,
     FLOAT,
-    GaussianRational,
     Matrix,
     block,
     common_scale,
@@ -36,10 +35,12 @@ _PARITY = {
 
 _SINGULAR_TOL = 1e-10
 
-# (row, column) block, 0-based, of the 2n-by-2n real-letter construction for
-# each pair family: W = U (+) conj(U) maps a matrix placed there, by
-# L -> W L W*, to U B U*, U B U^T, conj(U) B U* and conj(U) B U^T.
-_REAL_BLOCK = {1: (0, 0), 2: (0, 1), 3: (1, 0), 4: (1, 1)}
+# Each pair family's block of the 2n-by-2n real-letter construction is
+# (1,1), (1,2), (2,1) or (2,2): W = U (+) conj(U) maps a matrix B placed
+# there, by L -> W L W*, to U B U*, U B U^T, conj(U) B U* or conj(U) B U^T.
+# With S = [[I, iI], [I, -iI]], S* L S = [[B, s12 iB], [s21 iB, s22 B]];
+# these are the signs (s12, s21, s22).
+_REAL_SIGNS = {1: (1, -1, 1), 2: (-1, -1, -1), 3: (1, 1, -1), 4: (-1, 1, 1)}
 
 
 @dataclass
@@ -275,28 +276,33 @@ def build_real_letters(inst: ProblemInstance):
     Each pair matrix sits at its family's block of a 2n-by-2n zero matrix
     L.  With S = [[I, iI], [I, -iI]] = sqrt(2) T, the real and imaginary
     parts of T* L T = S* L S / 2, each followed by its transpose, are
-    letters; they stay in the instance's mode.  The last letter, on both
+    letters; they stay in the instance's mode.  They are assembled from the
+    parts of B / 2 by the closed form of S* L S (``_REAL_SIGNS``), with no
+    matrix product.  The last letter, on both
     sides, is Im(T* E T) = [[0, I], [-I, 0]] / 2 for E = diag(I, 0).
     ``solve_general`` proves the equivalence.
     """
     if inst.total_pairs == 0:
         raise ValueError("instance has no pairs")
-    n, mode = inst.n, inst.mode
-    eye, zero = identity(n, mode), zeros(n, n, mode)
-    i_eye = eye.scale(GaussianRational(0, 1))
-    s = block([[eye, i_eye], [eye, -i_eye]])
 
-    def parts(m: Matrix, at):
-        grid = [[zero, zero], [zero, zero]]
-        grid[at[0]][at[1]] = m
-        return (s.adjoint() @ block(grid) @ s).scale(Fraction(1, 2)).re_im()
+    def parts(m: Matrix, set_id):
+        # B / 2 = P + iQ, so Re(s iB / 2) = -s Q and Im(s iB / 2) = s P
+        p, q = m.scale(Fraction(1, 2)).re_im()
+        s12, s21, s22 = _REAL_SIGNS[set_id]
+
+        def signed(x: Matrix, sign: int) -> Matrix:
+            return x if sign > 0 else -x
+
+        re = block([[p, signed(q, -s12)], [signed(q, -s21), signed(p, s22)]])
+        im = block([[q, signed(p, s12)], [signed(p, s21), signed(q, s22)]])
+        return re, im
 
     left, right = [], []
     for set_id, _, a, b in inst.pairs():
         for letters, m in ((left, a), (right, b)):
-            for part in parts(m, _REAL_BLOCK[set_id]):
+            for part in parts(m, set_id):
                 letters.extend((part, part.transpose()))
-    _, e = parts(eye, (0, 0))
+    _, e = parts(identity(inst.n, inst.mode), 1)
     return left + [e], right + [e]
 
 

@@ -157,7 +157,8 @@ class GaussianRational:
         )
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it hashes like one
+        return hash(self.re) if self._b == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return self._a != 0 or self._b != 0

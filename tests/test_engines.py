@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from unieq import (
     TraceCertificate,
     Verdict,
     algebra_closure,
+    block,
     build_congruence_K,
     build_general_gadget,
+    build_real_letters,
     common_scale,
     congruence_triple,
     decision_letters,
@@ -30,6 +33,7 @@ from unieq import (
     unitarily_congruent,
     unitarily_similar,
     verify_witness,
+    zeros,
 )
 
 from conftest import congruent_pair, exact_unitary, rand_matrix, rat_matrix, similar_pair
@@ -594,6 +598,39 @@ class TestRealLetters:
                 assert v.equivalent == ref.equivalent == yes, (shape, n, yes)
                 if not yes:
                     assert self._rechecks(inst, v)
+
+    @staticmethod
+    def _product_form(inst):
+        """Reference letters: the parts of S* L S / 2, formed by products."""
+        n, mode = inst.n, inst.mode
+        eye, zero = identity(n, mode), zeros(n, n, mode)
+        i_eye = eye.scale(GR(0, 1))
+        s = block([[eye, i_eye], [eye, -i_eye]])
+        at = {1: (0, 0), 2: (0, 1), 3: (1, 0), 4: (1, 1)}
+
+        def parts(m, where):
+            grid = [[zero, zero], [zero, zero]]
+            grid[where[0]][where[1]] = m
+            return (s.adjoint() @ block(grid) @ s).scale(Fraction(1, 2)).re_im()
+
+        left, right = [], []
+        for set_id, _, a, b in inst.pairs():
+            for letters, m in ((left, a), (right, b)):
+                for part in parts(m, at[set_id]):
+                    letters.extend((part, part.transpose()))
+        e = parts(eye, (0, 0))[1]
+        return left + [e], right + [e]
+
+    @pytest.mark.parametrize("shape", ROADMAP_SHAPES, ids=lambda s: "%d%d%d%d" % s)
+    def test_blockwise_letters_equal_product_form(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        insts = [make_yes_instance(n, *shape, seed=3).inst for n in (1, 2, 3)]
+        insts += [_exact_instance(rng, n, shape, n, False) for n in (1, 2)]
+        for inst in insts:
+            built, reference = build_real_letters(inst), self._product_form(inst)
+            for got, want in zip(built, reference):
+                assert len(got) == len(want)
+                assert all(g == w for g, w in zip(got, want)), (shape, inst.n, inst.mode)
 
     def test_exact_and_float_agree(self):
         rng = np.random.default_rng(6060)

@@ -63,6 +63,19 @@ class TestGaussianRational:
         with pytest.raises(ModeMismatchError):
             GR(1) * (1 + 2j)
 
+    @given(gaussians)
+    @settings(max_examples=100, deadline=None)
+    def test_hash_agrees_with_equality(self, x):
+        assert hash(x) == hash(GR(x.re, x.im))
+        if x.im == 0:
+            assert x == x.re and hash(x) == hash(x.re)
+            assert len({x, x.re}) == 1
+
+    def test_real_values_hash_like_int_and_fraction(self):
+        assert len({GR(1), 1}) == 1
+        assert len({GR(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        assert {GR(0, 1): "i"}.get(GR(0, 1)) == "i"
+
     def test_conjugate_and_abs(self):
         x = GR(Fraction(3, 4), Fraction(-1, 2))
         assert x.conjugate() == GR(Fraction(3, 4), Fraction(1, 2))
