@@ -12,13 +12,14 @@ Two interchangeable engines decide unitary similarity of a pair:
   after at most size-squared basis extensions, so it stays polynomial where
   brute enumeration explodes.  One lockstep loop (``_closure_decide``)
   drives two span arithmetics, float Gram-Schmidt (``_MappedSpan``) and
-  exact row reduction over Gaussian rationals (``_ExactSpan``), and makes
-  one dependency decision per word: a word dependent on either side is
-  dependent on both, so the two spans always have the same dimension.  The
-  float span takes the breadth-first frontier in blocks of up to ``_BLOCK``
-  words: one stacked product per block, one GEMM per Gram-Schmidt pass
-  against the basis the block started from, then each word in order
-  against the words its block added before it.  Verdicts, certificate
+  exact fraction-free row reduction over the Gaussian integers, after one
+  denominator clearing (``_IntegerSpan``), and makes one dependency
+  decision per word: a word dependent on either side is dependent on both,
+  so the two spans always have the same dimension.  The float span takes
+  the breadth-first frontier in blocks of up to ``_BLOCK`` words: one
+  stacked product per block, one GEMM per Gram-Schmidt pass against the
+  basis the block started from, then each word in order against the words
+  its block added before it.  Verdicts, certificate
   words and dimensions are those of taking words one at a time.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
@@ -31,9 +32,11 @@ of the brute engine and of ``use_k_gadget``.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .numerics import (
     FLOAT,
     GaussianRational,
     Matrix,
+    clear_denominators,
     common_scale,
     identity,
 )
@@ -427,74 +431,102 @@ class _MappedSpan:
         self.d = d + 1
 
 
-class _ExactSpan:
-    """Exact spans of both sides: row-reduced vectors over Gaussian rationals
-    with coefficient recovery, beside the raw vectors of the other side.
-    Blocks hold one word, so no product is built for a word after a
-    failure."""
+class _IntegerSpan:
+    """Exact spans of both sides over the Gaussian integers.
 
-    def __init__(self):
-        self.rows = ([], [])  # (pivot index, pivot-normalized vector, expansion)
-        self.mirror = ([], [])  # raw other-side vector of each basis word
+    A word's vector is its integer product, the real part followed by the
+    imaginary part if the letters have one.  Each side stores its basis
+    vectors joined to their mirrors, the other side's vectors, as
+    [self | other] rows of Python ints.  A new row is reduced fraction-free,
+    x <- p x - f row against each earlier row with pivot entry p, and then
+    divided by its content, so one elimination updates both halves and no
+    scalar is a fraction.  A word depends on a side's basis iff its self
+    half reduces to zero, and the same combination holds on the other side
+    iff its mirror half is zero too.  Over complex letters each basis word
+    also brings i times its vector, so the integer span of the rows is the
+    complex span of the words.  Coefficients are solved only for a
+    certificate, by Bareiss elimination on the basis rows' pivot columns.
+    """
+
+    def __init__(self, parts: int):
+        self.parts = parts  # 2 if the vectors carry an imaginary part
+        self.rows = ([], [])  # (pivot, reduced [self | other]) per side
+        self.raw = ([], [])  # each row's [self | other] before reduction
 
     def project(self, v):
         """Start a block of child vectors ``v``, shaped (2, words, ...)."""
-        self._block = v.reshape(2, v.shape[1], -1)
+        v = v.reshape(2, v.shape[1], -1)
+        self.half = v.shape[2]
+        self._block = np.concatenate((v, v[::-1]), axis=2)
+
+    def _reduced(self, side: int, x):
+        for pivot, row in self.rows[side]:
+            f = x[pivot]
+            if f:
+                x = row[pivot] * x - f * row
+        g = math.gcd(*x)
+        return x // g if g > 1 else x
 
     def reduce(self, j: int):
-        """Both sides' dependency flags for row j: an exactly zero
-        residual."""
-        self._state = []
-        for rows, v in zip(self.rows, self._block):
-            r = list(v[j])
-            alphas = []
-            for pivot, vec, _ in rows:
-                f = r[pivot]
-                alphas.append(f)
-                if f:
-                    r = [ri - f * vi for ri, vi in zip(r, vec)]
-            self._state.append((alphas, r))
-        return [all(not e for e in r) for _, r in self._state]
+        """Both sides' dependency flags for row j: a zero self half."""
+        self._x = [self._reduced(s, self._block[s, j]) for s in (0, 1)]
+        return [not any(x[: self.half]) for x in self._x]
 
     def mismatch(self, j: int, side: int):
-        """Norm of row j's transfer defect on the other side, None if it is
-        0."""
-        defect = list(self._block[1 - side][j])
-        for c, raw in zip(self.coeffs(j, side), self.mirror[side]):
-            if c:
-                defect = [o - c * e for o, e in zip(defect, raw)]
-        if not any(defect):
+        """Norm of row j's transfer defect on the other side, None if its
+        mirror half is zero."""
+        h = self.half
+        if not any(self._x[side][h:]):
             return None
-        return math.sqrt(float(sum(e.abs_sq() for e in defect)))
+        raw, x = self.raw[side], self._block[side, j]
+        pivots = [pivot for pivot, _ in self.rows[side]]
+        nums, det = _bareiss_solve([[r[p] for r in raw] for p in pivots], x[pivots])
+        defect = det * x[h:] - sum(c * r[h:] for c, r in zip(nums, raw))
+        self._coeffs = [Fraction(c, det) for c in nums]
+        return math.sqrt(Fraction(sum(e * e for e in defect), det * det))
 
     def coeffs(self, j: int, side: int):
-        alphas = self._state[side][0]
-        d = len(alphas)
-        out = [GaussianRational(0)] * d
-        for i, (_, _, expansion) in enumerate(self.rows[side]):
-            f = alphas[i]
-            if f:
-                for k, t in enumerate(expansion):
-                    out[k] = out[k] + f * t
-        return out
+        """The coefficients ``mismatch`` solved for, one per basis word."""
+        c, k = self._coeffs, self.parts  # over complex letters (re, im)
+        return [GaussianRational(*c[i : i + k]) for i in range(0, len(c), k)]
 
     def add(self, j: int):
-        for side, (alphas, reduced) in enumerate(self._state):
-            rows = self.rows[side]
-            pivot = next(k for k, e in enumerate(reduced) if e)
-            p = reduced[pivot]
-            vec = [e / p for e in reduced]
-            d = len(rows)
-            expansion = [GaussianRational(0)] * (d + 1)
-            expansion[d] = GaussianRational(1)
-            for i, (_, _, older) in enumerate(rows):
-                f = alphas[i]
-                if f:
-                    for k, t in enumerate(older):
-                        expansion[k] = expansion[k] - f * t
-            expansion = [t / p for t in expansion]
-            rows.append((pivot, vec, expansion))
-            self.mirror[side].append(list(self._block[1 - side][j]))
+        """Add row j on both sides, and i times it over complex letters."""
+        for side in (0, 1):
+            x = self._block[side, j]
+            self._push(side, self._x[side], x)
+            if self.parts == 2:  # [re | im] -> [-im | re] in both halves
+                y = x.reshape(2, 2, -1)
+                ix = np.concatenate((-y[:, 1:], y[:, :1]), axis=1).reshape(-1)
+                self._push(side, self._reduced(side, ix), ix)
+
+    def _push(self, side: int, reduced, raw):
+        pivot = next(k for k in range(self.half) if reduced[k])
+        self.rows[side].append((pivot, reduced))
+        self.raw[side].append(raw)
+
+
+def _bareiss_solve(a, b):
+    """Solve the nonsingular integer system a c = b by fraction-free
+    elimination (Bareiss 1968): ``(numerators, det)`` with c = numerators /
+    det."""
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    r, prev = len(m), 1
+    for k in range(r):
+        swap = next(i for i in range(k, r) if m[i][k])
+        m[k], m[swap] = m[swap], m[k]
+        pk = m[k][k]
+        for i in range(k + 1, r):
+            mi, f = m[i], m[i][k]
+            for c in range(k + 1, r + 1):
+                mi[c] = (mi[c] * pk - f * m[k][c]) // prev
+        prev = pk
+    det, nums = prev, [0] * r
+    for i in range(r - 1, -1, -1):
+        row = m[i]
+        s = det * row[r] - sum(row[c] * nums[c] for c in range(i + 1, r))
+        nums[i] = s // row[i]
+    return nums, det
 
 
 def _unit_rows(origin, prods, nus):
@@ -521,47 +553,83 @@ def _products(prods, letters, origin):
     block = np.empty((2, len(origin)) + prods.shape[2:], dtype=object)
     for j, (parent, k) in enumerate(origin):
         for s in (0, 1):
-            np.matmul(prods[s, parent], letters[s, k], out=block[s, j])
+            _gaussian_matmul(prods[s, parent], letters[s, k], block[s, j])
     return block
 
 
-def _raw_rows(origin, prods, nus):
-    """Exact step: keep the raw products."""
-    keep = [
-        k for k in range(prods.shape[1])
-        if any(prods[0, k].flat) or any(prods[1, k].flat)
-    ]
-    if len(keep) < prods.shape[1]:
+def _gaussian_matmul(x, y, out):
+    """Product of two Gaussian-integer matrices stored as (real, imaginary)
+    stacks, or as the real part alone."""
+    if len(x) == 1:
+        np.matmul(x, y, out=out)
+    else:
+        out[0] = x[0] @ y[0] - x[1] @ y[1]
+        out[1] = x[0] @ y[1] + x[1] @ y[0]
+
+
+def _content_rows(denom, origin, prods, nus):
+    """Exact step: divide each child pair by its joint content g, carried in
+    nu with the cleared denominator: nu_child = nu_parent g / D."""
+    g = [math.gcd(*prods[:, k].flat) for k in range(prods.shape[1])]
+    keep = [k for k, gk in enumerate(g) if gk]  # else the word vanishes
+    if len(keep) < len(g):  # on both sides at once
         origin = [origin[k] for k in keep]
-        nus = [nus[k] for k in keep]
+        nus, g = [nus[k] for k in keep], [g[k] for k in keep]
         prods = prods[:, keep]
-    return origin, prods, nus
+    nus = [Fraction(nu * gk, denom) for nu, gk in zip(nus, g)]
+    return origin, prods // np.array(g, dtype=object).reshape(1, -1, 1, 1, 1), nus
+
+
+def _trace_mismatch(pair, nu, tol):
+    """Both sides' traces of a stored product pair, times nu, if they differ
+    (beyond tol in float mode); None if they agree.  Exact traces are
+    compared as integers and returned as Gaussian rationals."""
+    if pair.dtype != object:
+        tl, tr = nu * np.trace(pair[0]), nu * np.trace(pair[1])
+        return None if _close(tl, tr, tol) else (tl, tr)
+    t = np.trace(pair, axis1=-2, axis2=-1).tolist()
+    if t[0] == t[1]:
+        return None
+    return tuple(GaussianRational(*(nu * part for part in side)) for side in t)
 
 
 def _closure_decide(letters_x, letters_y, tol):
     """Span the algebras generated by two letter lists in lockstep.
 
     One breadth-first loop serves both arithmetic modes: float spans
-    (``_MappedSpan``, pairs scaled to unit joint norm, ``nu`` carrying the
-    dropped factor) and exact spans (``_ExactSpan``, raw products).  Child
-    entry g is basis word g // a times letter g % a.  Entries are taken in
-    blocks of consecutive entries whose parents are already in the basis:
-    in float mode from ``a`` entries up, doubling to ``_BLOCK``, in exact
-    mode one at a time.  Within a block the words are decided one at a time
-    in entry order.  Each word gets one dependency decision shared by both
-    sides: if it depends on the basis on either side, the same combination
-    must hold on the other side (else a DependencyCertificate, and the rest
-    of its block is dropped), and the word is not added.  When no word
-    extends the basis, every basis word's traces must agree (else a
-    TraceCertificate).  Both letter lists hold matrices of one size.
+    (``_MappedSpan``, pairs scaled to unit joint norm) and exact spans
+    (``_IntegerSpan``).  Exact mode clears denominators once: D is the lcm
+    of every entry's denominator over both sides' letters, so a word of
+    length L is scaled by D^L on both sides alike, which changes no
+    dependency and no trace equality, and the products are Gaussian
+    integers, each pair divided by its joint content.  In both modes ``nu``
+    carries the factor a product dropped, so nu times a stored product is
+    the word's value: certificate coefficients are nu c / nu_basis and
+    traces nu tr.  Child entry g is basis word g // a times letter g % a.
+    Entries are taken in blocks of consecutive entries whose parents are
+    already in the basis: in float mode from ``a`` entries up, doubling to
+    ``_BLOCK``, in exact mode one at a time.  Within a block the words are
+    decided one at a time in entry order.  Each word gets one dependency
+    decision shared by both sides: if it depends on the basis on either
+    side, the same combination must hold on the other side (else a
+    DependencyCertificate, and the rest of its block is dropped), and the
+    word is not added.  When no word extends the basis, every basis word's
+    traces must agree (else a TraceCertificate).  Both letter lists hold
+    matrices of one size.
     Returns ``(equivalent, certificate, dimension)``.
     """
-    mode = letters_x[0].mode
     a, n = len(letters_x), letters_x[0].rows
-    letters = np.array([[m.data for m in letters_x], [m.data for m in letters_y]])
-    if mode == EXACT:
-        spans, step, cap = _ExactSpan(), _raw_rows, 1
+    if letters_x[0].mode == EXACT:
+        # the identity, cleared with the letters, is D I: the empty word's
+        # nu comes out as D / D = 1
+        denom, ints = clear_denominators(letters_x + letters_y + [identity(n, EXACT)])
+        letters = ints[:-1].reshape((2, a) + ints.shape[1:])
+        eye = np.broadcast_to(ints[-1], (2, 1) + ints.shape[1:])
+        spans, cap = _IntegerSpan(ints.shape[1]), 1
+        step = functools.partial(_content_rows, denom)
     else:
+        letters = np.array([[m.data for m in letters_x], [m.data for m in letters_y]])
+        eye = np.broadcast_to(identity(n).data, (2, 1, n, n))
         spans, step, cap = _MappedSpan(n * n, tol), _unit_rows, _BLOCK
     words, nus = [], []  # the basis, and the factor each product dropped
     prods = letters[:, :0]  # each basis word's product on both sides
@@ -604,7 +672,6 @@ def _closure_decide(letters_x, letters_y, tol):
                 nus.append(scales[j])
         return None
 
-    eye = np.broadcast_to(identity(n, mode).data, (2, 1, n, n))
     extend(*step([None], eye, [1]))
     g, size = 0, a
     while g < len(words) * a:
@@ -617,9 +684,9 @@ def _closure_decide(letters_x, letters_y, tol):
         g, size = stop, 2 * size
 
     for i, word in enumerate(words):
-        tl, tr = nus[i] * np.trace(prods[0, i]), nus[i] * np.trace(prods[1, i])
-        if not _close(tl, tr, tol):
-            return False, TraceCertificate(word, tl, tr), len(words)
+        traces = _trace_mismatch(prods[:, i], nus[i], tol)
+        if traces is not None:
+            return False, TraceCertificate(word, *traces), len(words)
     return True, None, len(words)
 
 

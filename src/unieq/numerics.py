@@ -178,6 +178,21 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+def clear_denominators(matrices):
+    """Exact matrices of one shape as Gaussian integers with one common
+    denominator: ``(D, parts)``, where D is the lcm of every entry's
+    denominator and ``parts[k]`` holds D times matrix k as Python ints,
+    shaped (2, rows, cols) for its real and imaginary parts, or (1, rows,
+    cols) for the real part alone when every imaginary part is 0."""
+    flat = [e for m in matrices for e in m.data.flat]
+    denom = math.lcm(*(e._d for e in flat))
+    re = [e._a * (denom // e._d) for e in flat]
+    im = [e._b * (denom // e._d) for e in flat]
+    parts = np.array([re, im] if any(im) else [re], dtype=object)
+    parts = parts.reshape((len(parts), len(matrices)) + matrices[0].shape)
+    return denom, parts.transpose(1, 0, 2, 3)
+
+
 def _as_exact(value) -> GaussianRational:
     """Coerce an entry to a Gaussian rational, rejecting floats."""
     if isinstance(value, GaussianRational):
