@@ -46,8 +46,10 @@ from .numerics import (
     FLOAT,
     GaussianRational,
     Matrix,
+    bareiss_solve,
     clear_denominators,
     common_scale,
+    gaussian_matmul,
     identity,
 )
 from .words import (
@@ -480,7 +482,7 @@ class _IntegerSpan:
             return None
         raw, x = self.raw[side], self._block[side, j]
         pivots = [pivot for pivot, _ in self.rows[side]]
-        nums, det = _bareiss_solve([[r[p] for r in raw] for p in pivots], x[pivots])
+        nums, det = bareiss_solve([[r[p] for r in raw] for p in pivots], x[pivots])
         defect = det * x[h:] - sum(c * r[h:] for c, r in zip(nums, raw))
         self._coeffs = [Fraction(c, det) for c in nums]
         return math.sqrt(Fraction(sum(e * e for e in defect), det * det))
@@ -504,29 +506,6 @@ class _IntegerSpan:
         pivot = next(k for k in range(self.half) if reduced[k])
         self.rows[side].append((pivot, reduced))
         self.raw[side].append(raw)
-
-
-def _bareiss_solve(a, b):
-    """Solve the nonsingular integer system a c = b by fraction-free
-    elimination (Bareiss 1968): ``(numerators, det)`` with c = numerators /
-    det."""
-    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    r, prev = len(m), 1
-    for k in range(r):
-        swap = next(i for i in range(k, r) if m[i][k])
-        m[k], m[swap] = m[swap], m[k]
-        pk = m[k][k]
-        for i in range(k + 1, r):
-            mi, f = m[i], m[i][k]
-            for c in range(k + 1, r + 1):
-                mi[c] = (mi[c] * pk - f * m[k][c]) // prev
-        prev = pk
-    det, nums = prev, [0] * r
-    for i in range(r - 1, -1, -1):
-        row = m[i]
-        s = det * row[r] - sum(row[c] * nums[c] for c in range(i + 1, r))
-        nums[i] = s // row[i]
-    return nums, det
 
 
 def _unit_rows(origin, prods, nus):
@@ -553,18 +532,8 @@ def _products(prods, letters, origin):
     block = np.empty((2, len(origin)) + prods.shape[2:], dtype=object)
     for j, (parent, k) in enumerate(origin):
         for s in (0, 1):
-            _gaussian_matmul(prods[s, parent], letters[s, k], block[s, j])
+            gaussian_matmul(prods[s, parent], letters[s, k], block[s, j])
     return block
-
-
-def _gaussian_matmul(x, y, out):
-    """Product of two Gaussian-integer matrices stored as (real, imaginary)
-    stacks, or as the real part alone."""
-    if len(x) == 1:
-        np.matmul(x, y, out=out)
-    else:
-        out[0] = x[0] @ y[0] - x[1] @ y[1]
-        out[1] = x[0] @ y[1] + x[1] @ y[0]
 
 
 def _content_rows(denom, origin, prods, nus):

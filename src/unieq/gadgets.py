@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .numerics import (
     EXACT,
     FLOAT,
@@ -276,33 +278,34 @@ def build_real_letters(inst: ProblemInstance):
     Each pair matrix sits at its family's block of a 2n-by-2n zero matrix
     L.  With S = [[I, iI], [I, -iI]] = sqrt(2) T, the real and imaginary
     parts of T* L T = S* L S / 2, each followed by its transpose, are
-    letters; they stay in the instance's mode.  They are assembled from the
+    letters; they stay in the instance's mode and are assembled from the
     parts of B / 2 by the closed form of S* L S (``_REAL_SIGNS``), with no
-    matrix product.  The last letter, on both
-    sides, is Im(T* E T) = [[0, I], [-I, 0]] / 2 for E = diag(I, 0).
+    matrix product.  The last letter, on both sides, is Im(T* E T) =
+    [[0, I], [-I, 0]] / 2 for E = diag(I, 0).
     ``solve_general`` proves the equivalence.
     """
     if inst.total_pairs == 0:
         raise ValueError("instance has no pairs")
+    n = inst.n
 
     def parts(m: Matrix, set_id):
         # B / 2 = P + iQ, so Re(s iB / 2) = -s Q and Im(s iB / 2) = s P
-        p, q = m.scale(Fraction(1, 2)).re_im()
+        p, q = (x.data for x in m.scale(Fraction(1, 2)).re_im())
         s12, s21, s22 = _REAL_SIGNS[set_id]
-
-        def signed(x: Matrix, sign: int) -> Matrix:
-            return x if sign > 0 else -x
-
-        re = block([[p, signed(q, -s12)], [signed(q, -s21), signed(p, s22)]])
-        im = block([[q, signed(p, s12)], [signed(p, s21), signed(q, s22)]])
-        return re, im
+        re = np.empty((2 * n, 2 * n), dtype=p.dtype)
+        im = np.empty_like(re)
+        re[:n, :n], im[:n, :n] = p, q
+        re[:n, n:], im[:n, n:] = (q, -p) if s12 < 0 else (-q, p)
+        re[n:, :n], im[n:, :n] = (q, -p) if s21 < 0 else (-q, p)
+        re[n:, n:], im[n:, n:] = (p, q) if s22 > 0 else (-p, -q)
+        return Matrix(re, m.mode), Matrix(im, m.mode)
 
     left, right = [], []
     for set_id, _, a, b in inst.pairs():
         for letters, m in ((left, a), (right, b)):
             for part in parts(m, set_id):
                 letters.extend((part, part.transpose()))
-    _, e = parts(identity(inst.n, inst.mode), 1)
+    _, e = parts(identity(n, inst.mode), 1)
     return left + [e], right + [e]
 
 

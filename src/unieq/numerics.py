@@ -193,6 +193,16 @@ def clear_denominators(matrices):
     return denom, parts.transpose(1, 0, 2, 3)
 
 
+def gaussian_matmul(x, y, out):
+    """Product of two Gaussian-integer matrices in the layout of
+    ``clear_denominators``, written to ``out``."""
+    if len(x) == 1:
+        np.matmul(x, y, out=out)
+    else:
+        out[0] = x[0] @ y[0] - x[1] @ y[1]
+        out[1] = x[0] @ y[1] + x[1] @ y[0]
+
+
 def _as_exact(value) -> GaussianRational:
     """Coerce an entry to a Gaussian rational, rejecting floats."""
     if isinstance(value, GaussianRational):
@@ -520,6 +530,29 @@ def exact_nullspace(rows):
             v[col] = -work[r][free]
         basis.append(v)
     return basis
+
+
+def bareiss_solve(a, b):
+    """Solve the nonsingular integer system a c = b by fraction-free
+    elimination (Bareiss 1968): ``(numerators, det)`` with c = numerators /
+    det."""
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    r, prev = len(m), 1
+    for k in range(r):
+        swap = next(i for i in range(k, r) if m[i][k])
+        m[k], m[swap] = m[swap], m[k]
+        pk = m[k][k]
+        for i in range(k + 1, r):
+            mi, f = m[i], m[i][k]
+            for c in range(k + 1, r + 1):
+                mi[c] = (mi[c] * pk - f * m[k][c]) // prev
+        prev = pk
+    det, nums = prev, [0] * r
+    for i in range(r - 1, -1, -1):
+        row = m[i]
+        s = det * row[r] - sum(row[c] * nums[c] for c in range(i + 1, r))
+        nums[i] = s // row[i]
+    return nums, det
 
 
 # --------------------------------------------------------------------------

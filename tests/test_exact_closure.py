@@ -159,8 +159,8 @@ class TestGoldenVerdicts:
         kinds = {cert["kind"] for cert in certs}
         assert results == {"Equivalent", "NotEquivalent"}
         assert kinds == {"dependency", "trace"}
-        assert all(doc["result"] == ("yes" in name and "Equivalent" or "NotEquivalent")
-                   for name, doc in golden.items())
+        for name, doc in golden.items():
+            assert doc["result"] == ("Equivalent" if "yes" in name else "NotEquivalent")
 
 
 def _exact(rows):
@@ -211,7 +211,7 @@ class TestVanishingChildren:
         right."""
         x = _exact([[0, 1], [0, 0]])
         y = _exact([[0, 2], [1, 0]])
-        scale, (xs, ys) = common_scale([x, y])
+        _, (xs, ys) = common_scale([x, y])
         v = algebra_closure(x, y)
         assert not v.equivalent
         cert = v.certificate
