@@ -16,7 +16,13 @@ from unieq import (
     identity,
     zeros,
 )
-from unieq.numerics import exact_nullspace, nullspace
+from unieq.numerics import (
+    bareiss_solve,
+    clear_denominators,
+    exact_nullspace,
+    gaussian_matmul,
+    nullspace,
+)
 
 from conftest import rand_matrix, rat_matrix
 
@@ -229,6 +235,39 @@ class TestRealImaginarySplit:
         e = Matrix(np.block([[zero.data, eye.data], [-eye.data, zero.data]]), "float")
         assert left[-1] == right[-1]
         assert left[-1].to_float() == e
+
+
+class TestIntegerKernels:
+    def test_clear_denominators_and_gaussian_matmul(self, rng):
+        for real in (True, False):
+            x, y = rat_matrix(rng, 3), rat_matrix(rng, 3)
+            if real:
+                x, y = x.re_im()[0], y.re_im()[0]
+            denom, (xi, yi) = clear_denominators([x, y])
+            assert len(xi) == (1 if real else 2)
+            assert all(e.re.denominator == 1 for e in (x.scale(denom)).data.flat)
+            out = np.empty_like(xi)
+            gaussian_matmul(xi, yi, out)
+            want = (x @ y).scale(denom * denom)
+            im = out[1] if len(out) == 2 else np.zeros_like(out[0])
+            got = Matrix.from_rational(
+                [[GR(r, i) for r, i in zip(rr, ii)] for rr, ii in zip(out[0], im)]
+            )
+            assert got == want
+
+    def test_bareiss_solve_matches_fractions(self, rng):
+        assert bareiss_solve([[3]], [2]) == ([2], 3)
+        for r in (2, 3, 5):
+            while True:
+                a = rng.integers(-4, 5, (r, r)).tolist()
+                a[0][0] = 0  # the first column needs a row swap
+                if Matrix.from_rational(a).det():
+                    break
+            b = rng.integers(-9, 10, r).tolist()
+            nums, det = bareiss_solve(a, b)
+            c = [Fraction(v, det) for v in nums]
+            for row, rhs in zip(a, b):
+                assert sum(x * y for x, y in zip(row, c)) == rhs
 
 
 class TestNullspaceKernels:
