@@ -43,7 +43,6 @@ import numpy as np
 from .numerics import (
     DEP_TOL,
     EXACT,
-    FLOAT,
     GaussianRational,
     Matrix,
     bareiss_solve,
@@ -62,6 +61,7 @@ from .words import (
     word_count,
 )
 from .gadgets import (
+    _RELATIONS,
     ProblemInstance,
     build_congruence_K,
     build_general_gadget,
@@ -79,6 +79,7 @@ ENGINE_CLOSURE = "closure"
 _ENGINES = (ENGINE_AUTO, ENGINE_BRUTE, ENGINE_CLOSURE)
 
 _ZERO_PAIR_EPS = 1e-14
+_SINGULAR_TOL = 1e-10  # |det| above which a pre-scaled float matrix is nonsingular
 _BLOCK = 16  # most child words the float closure extends and projects at once
 
 
@@ -232,6 +233,23 @@ def _finish(verdict: Verdict, t0: float, scale, route: str) -> Verdict:
 # brute engine
 # --------------------------------------------------------------------------
 
+def _trace_verdict(stream, engine: str, exact: bool, tol: float) -> Verdict:
+    """Compare the two traces of each ``(word, (tl, tr))`` of ``stream`` in
+    order: NotEquivalent at the first word whose traces differ, with that
+    word as its certificate, Equivalent if none does."""
+    failure = None
+    for word, (tl, tr) in stream:
+        if not _close(tl, tr, tol):
+            failure = TraceCertificate(word, tl, tr)
+            break
+    return Verdict(
+        failure is None,
+        engine,
+        certificate=failure,
+        tolerance=None if exact else tol,
+    )
+
+
 def _check_pair(X: Matrix, Y: Matrix):
     X._check_mode(Y)
     if not (X.is_square and Y.is_square) or X.shape != Y.shape:
@@ -266,30 +284,19 @@ def specht_brute(
     """
     t0 = time.perf_counter()
     _check_pair(X, Y)
+    if max_length < 1:
+        raise ValueError(f"max_length must be at least 1, got {max_length}")
     scale = 1.0
     if prescale:
         scale, (X, Y) = common_scale([X, Y])
-    exact = X.mode == EXACT
     count = word_count(2, max_length, max_exponent)
     if count > budget:
         raise BudgetExceededError(
             f"brute enumeration needs {count} words, budget is {budget}"
         )
     letters = [[X, X.adjoint()], [Y, Y.adjoint()]]
-
-    failure = None
-    for word, (tl, tr) in iter_word_traces(
-        letters, max_length, max_exponent, dedup=DEDUP_CYCLIC_STAR
-    ):
-        if not _close(tl, tr, tol):
-            failure = TraceCertificate(word, tl, tr)
-            break
-    verdict = Verdict(
-        failure is None,
-        ENGINE_BRUTE,
-        certificate=failure,
-        tolerance=None if exact else tol,
-    )
+    stream = iter_word_traces(letters, max_length, max_exponent, DEDUP_CYCLIC_STAR)
+    verdict = _trace_verdict(stream, ENGINE_BRUTE, X.mode == EXACT, tol)
     return _finish(verdict, t0, scale, "brute")
 
 
@@ -714,20 +721,11 @@ _N3_WORDS = (
 
 
 def _fastpath(X: Matrix, Y: Matrix, words, tag: str, tol: float) -> Verdict:
-    exact = X.mode == EXACT
-    lx = [X, X.adjoint()]
-    ly = [Y, Y.adjoint()]
-    for word in words:
-        tl = eval_word(word, lx).trace()
-        tr = eval_word(word, ly).trace()
-        if not _close(tl, tr, tol):
-            return Verdict(
-                False,
-                tag,
-                certificate=TraceCertificate(word, tl, tr),
-                tolerance=None if exact else tol,
-            )
-    return Verdict(True, tag, tolerance=None if exact else tol)
+    lx, ly = [X, X.adjoint()], [Y, Y.adjoint()]
+    stream = (
+        (w, (eval_word(w, lx).trace(), eval_word(w, ly).trace())) for w in words
+    )
+    return _trace_verdict(stream, tag, X.mode == EXACT, tol)
 
 
 def unitarily_similar(
@@ -765,14 +763,10 @@ def unitarily_similar(
             prescale=False,
         )
         return _finish(inner, t0, scale, "similar")
-    if engine == ENGINE_AUTO and m == 2:
-        return _finish(
-            _fastpath(A, B, _N2_WORDS, "fastpath_n2", tol), t0, scale, "similar"
-        )
-    if engine == ENGINE_AUTO and m == 3:
-        return _finish(
-            _fastpath(A, B, _N3_WORDS, "fastpath_n3", tol), t0, scale, "similar"
-        )
+    if engine == ENGINE_AUTO and m in (2, 3):
+        words = _N2_WORDS if m == 2 else _N3_WORDS
+        inner = _fastpath(A, B, words, f"fastpath_n{m}", tol)
+        return _finish(inner, t0, scale, "similar")
     inner = algebra_closure(A, B, tol=tol, prescale=False)
     return _finish(inner, t0, scale, "similar")
 
@@ -857,6 +851,16 @@ def simultaneously_unitarily_similar(
 # unitary congruence
 # --------------------------------------------------------------------------
 
+def _nonsingular(M: Matrix) -> bool:
+    """Whether M is nonsingular: an exact determinant in exact mode, one above
+    ``_SINGULAR_TOL`` in float mode."""
+    det = M.det()
+    if M.mode == EXACT:
+        return bool(det)
+    # callers pass pre-scaled matrices, so an absolute floor is meaningful
+    return abs(det) > _SINGULAR_TOL
+
+
 def unitarily_congruent(
     A: Matrix,
     B: Matrix,
@@ -865,16 +869,16 @@ def unitarily_congruent(
     budget: int = DEFAULT_BUDGET,
     max_length: int | None = None,
     use_k_gadget: bool = False,
-    allow_shortcut: bool = True,
     prescale: bool = True,
 ) -> Verdict:
     """Decide whether A = U B U^T for some unitary U.
 
     The default route is the S2-only case of ``solve_general``'s real 2n
     letters.  The brute engine tests simultaneous unitary similarity of the
-    derived triple; ``use_k_gadget`` instead builds the 4n-by-4n nilpotent
-    gadgets and tests their unitary similarity with word exponents capped
-    at 3.
+    derived triple (``congruence_triple``), of its first two pairs alone
+    when A or B is nonsingular (``_nonsingular``); ``use_k_gadget`` instead
+    builds the 4n-by-4n nilpotent gadgets and tests their unitary
+    similarity with word exponents capped at 3.
     """
     t0 = time.perf_counter()
     _check_pair(A, B)
@@ -899,7 +903,9 @@ def unitarily_congruent(
         letters = build_real_letters(ProblemInstance(A.rows, S2=[(A, B)]))
         inner = _closure_verdict(*letters, tol)
         return _finish(inner, t0, scale, "congruence:real2n")
-    triple = congruence_triple(A, B, allow_shortcut=allow_shortcut)
+    triple = congruence_triple(A, B)
+    if _nonsingular(A) or _nonsingular(B):
+        triple = triple[:2]  # A or B nonsingular: the first two pairs suffice
     inner = simultaneously_unitarily_similar(
         triple,
         engine=engine,
@@ -1014,15 +1020,8 @@ def verify_witness(inst: ProblemInstance, U: Matrix, tol: float = DEFAULT_TOL) -
     eye = identity(n, U.mode)
     if (U @ U.adjoint() - eye).norm_fro() > tol * (1.0 + math.sqrt(n)):
         return False
-    ubar = U.conj()
-    transforms = {
-        1: lambda b: U @ b @ U.adjoint(),
-        2: lambda b: U @ b @ U.transpose(),
-        3: lambda b: ubar @ b @ U.adjoint(),
-        4: lambda b: ubar @ b @ U.transpose(),
-    }
     for set_id, _, a, b in inst.pairs():
-        expect = transforms[set_id](b)
+        expect = _RELATIONS[set_id](U, b)
         if (a - expect).norm_fro() > tol * (1.0 + a.norm_fro()):
             return False
     return True

@@ -100,6 +100,14 @@ def matrix_json(m: Matrix):
     ]
 
 
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
 # --------------------------------------------------------------------------
 # instance files
 # --------------------------------------------------------------------------
@@ -140,12 +148,7 @@ def instance_doc(inst: ProblemInstance) -> dict:
 
 
 def load_instance(path) -> ProblemInstance:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_instance_doc(doc)
+    return parse_instance_doc(_load_json(path))
 
 
 def save_instance(inst: ProblemInstance, path):
@@ -169,12 +172,7 @@ def matrix_doc(m: Matrix) -> dict:
 
 
 def load_matrix(path) -> Matrix:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_matrix_doc(doc)
+    return parse_matrix_doc(_load_json(path))
 
 
 def save_matrix(m: Matrix, path):
@@ -196,9 +194,4 @@ def pair_doc(a: Matrix, b: Matrix) -> dict:
 
 
 def load_pair(path):
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_pair_doc(doc)
+    return parse_pair_doc(_load_json(path))

@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import (
-    EXACT,
     FLOAT,
     Matrix,
     block,
@@ -35,7 +34,14 @@ _PARITY = {
     4: (0, 1),
 }
 
-_SINGULAR_TOL = 1e-10
+# The relation each pair family asks of the unitary U: the A side it makes
+# of the B side.
+_RELATIONS = {
+    1: lambda u, b: u @ b @ u.adjoint(),
+    2: lambda u, b: u @ b @ u.transpose(),
+    3: lambda u, b: u.conj() @ b @ u.adjoint(),
+    4: lambda u, b: u.conj() @ b @ u.transpose(),
+}
 
 # Each pair family's block of the 2n-by-2n real-letter construction is
 # (1,1), (1,2), (2,1) or (2,2): W = U (+) conj(U) maps a matrix B placed
@@ -320,33 +326,21 @@ def _check_pairs(pairs, n: int):
 # congruence reductions
 # --------------------------------------------------------------------------
 
-def congruence_triple(A: Matrix, B: Matrix, allow_shortcut: bool = False):
+def congruence_triple(A: Matrix, B: Matrix):
     """The three derived pairs whose simultaneous unitary similarity is
-    equivalent to unitary congruence of A and B.
-
-    With ``allow_shortcut`` the third pair is dropped when A or B is
-    (detectably) nonsingular; a missed shortcut is harmless, the triple is
-    always valid.
+    equivalent to unitary congruence of A and B: (A A*, B B*),
+    (A conj(A), B conj(B)) and (A^T conj(A), B^T conj(B)).  When A or B is
+    nonsingular the first two pairs suffice; the brute route of
+    ``unitarily_congruent`` drops the third pair then.
     """
     A._check_mode(B)
     if A.shape != B.shape or not A.is_square:
         raise ValueError("congruence needs two square matrices of equal size")
-    triple = [
+    return [
         (A @ A.adjoint(), B @ B.adjoint()),
         (A @ A.conj(), B @ B.conj()),
         (A.transpose() @ A.conj(), B.transpose() @ B.conj()),
     ]
-    if allow_shortcut and (_nonsingular(A) or _nonsingular(B)):
-        return triple[:2]
-    return triple
-
-
-def _nonsingular(M: Matrix) -> bool:
-    det = M.det()
-    if M.mode == EXACT:
-        return bool(det)
-    # callers pass pre-scaled matrices, so an absolute floor is meaningful
-    return abs(det) > _SINGULAR_TOL
 
 
 def _k_gadget(A: Matrix, with_third: bool) -> Matrix:

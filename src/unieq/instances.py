@@ -14,8 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EXACT, FLOAT, Matrix, exact_nullspace, nullspace
-from .gadgets import ProblemInstance
+from .numerics import (
+    EXACT,
+    FLOAT,
+    GaussianRational,
+    Matrix,
+    exact_nullspace,
+    identity,
+    nullspace,
+)
+from .gadgets import _RELATIONS, ProblemInstance
 
 LABEL_YES = "YES"
 LABEL_NO = "NO-perturbed"
@@ -74,20 +82,12 @@ def make_yes_instance(
         raise ValueError("at least one pair family must be nonempty")
     rng = _rng(seed)
     witness = random_unitary(n, rng)
-    u = witness
-    ubar = u.conj()
-    transforms = {
-        1: lambda b: u @ b @ u.adjoint(),
-        2: lambda b: u @ b @ u.transpose(),
-        3: lambda b: ubar @ b @ u.adjoint(),
-        4: lambda b: ubar @ b @ u.transpose(),
-    }
     families = [[], [], [], []]
     for set_id, count in enumerate((m1, m2, m3, m4), 1):
         for _ in range(count):
             g = _gaussian_complex(rng, n)
             b = Matrix(g / np.linalg.norm(g), FLOAT)
-            families[set_id - 1].append((transforms[set_id](b), b))
+            families[set_id - 1].append((_RELATIONS[set_id](witness, b), b))
     inst = ProblemInstance(n, *families)
     return GeneratedInstance(inst, witness, seed, LABEL_YES)
 
@@ -141,109 +141,43 @@ def intertwiner_space_info(
     rtol: float = 1e-10,
 ):
     """Like :func:`intertwiner_space` but also returns the singular-value
-    gap ratio (below :data:`MARGINAL_GAP` means the basis is suspect)."""
+    gap ratio (below :data:`MARGINAL_GAP` means the basis is suspect).
+
+    One system serves both modes.  W is vectorized column-major, so A W - W B
+    becomes (I (x) A - B^T (x) I) vec W; A conj(W) = W B splits into the
+    real equations for the real and imaginary parts of W = P + iQ.  Float
+    mode takes the SVD nullspace, exact mode the exact nullspace of the same
+    operator (its gap is reported as inf).
+    """
     A._check_mode(B)
     if A.shape != B.shape or not A.is_square:
         raise ValueError("intertwiner spaces need equal-size square matrices")
-    if A.mode == EXACT:
-        return _intertwiner_exact(A, B, conjugate_linear), math.inf
-    m = A.rows
-    eye = np.eye(m)
-    if not conjugate_linear:
-        # vec is column-major below, so A W -> (I (x) A) vec W
-        op = np.kron(eye, A.data) - np.kron(B.data.T, eye)
+    m, exact = A.rows, A.mode == EXACT
+    eye, kron = identity(m, A.mode).data, np.kron
+    if conjugate_linear:
+        (ar, ai), (br, bi) = ([x.data for x in M.re_im()] for M in (A, B))
+        op = np.block(
+            [
+                [kron(eye, ar) - kron(br.T, eye), kron(eye, ai) + kron(bi.T, eye)],
+                [kron(eye, ai) - kron(bi.T, eye), -kron(eye, ar) - kron(br.T, eye)],
+            ]
+        )
+        if not exact:
+            op = op.real  # a real system, so real nullspace vectors
+    else:
+        op = kron(eye, A.data) - kron(B.data.T, eye)
+    if exact:
+        vectors, gap = exact_nullspace(op.tolist()), math.inf
+    else:
         vectors, gap = nullspace(op, rtol)
-        basis = [Matrix(v.reshape((m, m), order="F"), FLOAT) for v in vectors]
-        return basis, gap
-    ar, ai = A.data.real, A.data.imag
-    br, bi = B.data.real, B.data.imag
-    # split A conj(W) = W B into real equations for W = P + iQ
-    top = np.hstack(
-        [np.kron(eye, ar) - np.kron(br.T, eye), np.kron(eye, ai) + np.kron(bi.T, eye)]
-    )
-    bot = np.hstack(
-        [np.kron(eye, ai) - np.kron(bi.T, eye), -np.kron(eye, ar) - np.kron(br.T, eye)]
-    )
-    op = np.vstack([top, bot])
-    vectors, gap = nullspace(op, rtol)
+    unit = GaussianRational(0, 1) if exact else 1j
     basis = []
     for v in vectors:
-        p = v[: m * m].reshape((m, m), order="F")
-        q = v[m * m :].reshape((m, m), order="F")
-        basis.append(Matrix((p + 1j * q).astype(np.complex128), FLOAT))
+        v = np.array(v, dtype=op.dtype)
+        if conjugate_linear:
+            v = v[: m * m] + v[m * m :] * unit
+        basis.append(Matrix(v.reshape((m, m), order="F"), A.mode))
     return basis, gap
-
-
-def _intertwiner_exact(A: Matrix, B: Matrix, conjugate_linear: bool):
-    from .numerics import GaussianRational
-
-    m = A.rows
-    if not conjugate_linear:
-        rows = []
-        for i in range(m):
-            for j in range(m):
-                # coefficient of W[k, l] in (A W - W B)[i, j]
-                row = [GaussianRational(0)] * (m * m)
-                for k in range(m):
-                    row[k * m + j] = row[k * m + j] + A.data[i, k]
-                for l in range(m):
-                    row[i * m + l] = row[i * m + l] - B.data[l, j]
-                rows.append(row)
-        vecs = exact_nullspace(rows)
-        out = []
-        for v in vecs:
-            w = Matrix.from_rational(
-                [[v[i * m + j] for j in range(m)] for i in range(m)]
-            )
-            out.append(w)
-        return out
-    # realified conjugate-linear system over exact rationals
-    from fractions import Fraction
-
-    def parts(mat):
-        re = [[e.re for e in row] for row in mat.data]
-        im = [[e.im for e in row] for row in mat.data]
-        return re, im
-
-    ar, ai = parts(A)
-    br, bi = parts(B)
-    dim = m * m
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            row = [Fraction(0)] * (2 * dim)
-            for k in range(m):
-                row[k * m + j] += ar[i][k]
-                row[dim + k * m + j] += ai[i][k]
-            for l in range(m):
-                row[i * m + l] -= br[l][j]
-                row[dim + i * m + l] += bi[l][j]
-            rows.append(row)
-    for i in range(m):
-        for j in range(m):
-            row = [Fraction(0)] * (2 * dim)
-            for k in range(m):
-                row[k * m + j] += ai[i][k]
-                row[dim + k * m + j] -= ar[i][k]
-            for l in range(m):
-                row[i * m + l] -= bi[l][j]
-                row[dim + i * m + l] -= br[l][j]
-            rows.append(row)
-    from .numerics import GaussianRational as GR
-
-    wrapped = [[GR(e) for e in row] for row in rows]
-    vecs = exact_nullspace(wrapped)
-    out = []
-    for v in vecs:
-        entries = [
-            [
-                GR(v[i * m + j].re, v[dim + i * m + j].re)
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-        out.append(Matrix.from_rational(entries))
-    return out
 
 
 # --------------------------------------------------------------------------

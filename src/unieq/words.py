@@ -254,14 +254,12 @@ def iter_word_traces(
     max_length: int,
     max_exponent: int | None = None,
     dedup: str = DEDUP_NONE,
-    lengths=None,
 ):
     """Stream ``(word, traces)`` over every enumerated word.
 
     ``letter_sets`` is a list of letter assignments (each one matrix per
     letter); ``traces`` holds the trace of the word's product under each
-    assignment, in order.  The stream is the one ``enumerate_words`` gives,
-    restricted to ``lengths`` when that is given.
+    assignment, in order.  The stream is the one ``enumerate_words`` gives.
 
     Each length is walked depth first, holding one prefix product per set
     and depth, so memory is O(length).  When deduplicating, the walk only
@@ -320,10 +318,7 @@ def iter_word_traces(
             traces = (prod.reshape(nsets, -1) * flips[letter]).sum(axis=1)
             yield Word.from_letters(seq, alphabet_size), tuple(traces.tolist())
 
-    lengths = range(1, max_length + 1) if lengths is None else tuple(lengths)
-    if any(length < 1 for length in lengths):
-        raise ValueError("word lengths must be positive")
-    for length in lengths:
+    for length in range(1, max_length + 1):
         yield from walk(eye, length, 1, 0)
 
 

@@ -107,6 +107,16 @@ class TestDecide:
         )
         assert code == 3 and "budget" in err
 
+    def test_brute_length_zero_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "no.json"
+        write_json(path, scalar_instance(1.0, 2.0))
+        code, out, err = run(capsys, ["decide", str(path)])
+        assert code == 1
+        code, out, err = run(
+            capsys, ["decide", str(path), "--engine", "brute", "--max-length", "0"]
+        )
+        assert code == 2 and out == "" and "max_length" in err
+
     @pytest.mark.parametrize(
         "exc,code,message",
         [

@@ -75,6 +75,12 @@ class TestSpechtBrute:
         with pytest.raises(ValueError):
             specht_brute(rand_matrix(rng, 2), rand_matrix(rng, 3), 4)
 
+    @pytest.mark.parametrize("max_length", [0, -1])
+    def test_rejects_length_below_one(self, max_length):
+        # no word to walk is no evidence: refuse rather than answer Equivalent
+        with pytest.raises(ValueError, match="max_length"):
+            specht_brute(J, J2, max_length)
+
     def test_exact_mode_equality(self, rng):
         a = rat_matrix(rng, 2)
         v = specht_brute(a, a, 5)

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from unieq import engines
 from unieq import (
     GaussianRational,
     GadgetLayout,
@@ -17,6 +20,7 @@ from unieq import (
     make_yes_instance,
     plan_layout,
     random_unitary,
+    unitarily_congruent,
 )
 
 from conftest import rand_matrix, rat_matrix
@@ -252,18 +256,37 @@ class TestCongruenceTriple:
         assert triple[0][0].allclose(Matrix.from_complex([[1, 0], [0, 0]]))
         assert triple[0][1].allclose(Matrix.from_complex([[4, 0], [0, 0]]))
 
-    def test_shortcut_on_nonsingular(self, rng):
-        u = random_unitary(3, rng)
-        triple = congruence_triple(u, u, allow_shortcut=True)
-        assert len(triple) == 2
-        j = Matrix.from_complex([[0, 1], [0, 0]])
-        assert len(congruence_triple(j, j, allow_shortcut=True)) == 3
+    @staticmethod
+    def brute_pair_counts(monkeypatch, pairs):
+        """How many derived pairs the brute congruence route decides on."""
+        seen = []
+        inner = engines.simultaneously_unitarily_similar
 
-    def test_exact_shortcut_uses_exact_det(self, rng):
-        a = Matrix.from_rational([[GR(1), GR(1)], [GR(1), GR(1)]])  # singular
-        b = rat_matrix(rng, 2)
-        triple = congruence_triple(a, b, allow_shortcut=True)
-        assert len(triple) in (2, 3)  # depends only on whether b is singular
+        def spy(triple, **kwargs):
+            seen.append(len(triple))
+            return inner(triple, **kwargs)
+
+        monkeypatch.setattr(engines, "simultaneously_unitarily_similar", spy)
+        for a, b in pairs:
+            unitarily_congruent(a, b, engine="brute", max_length=2)
+        return seen
+
+    def test_shortcut_on_nonsingular(self, rng, monkeypatch):
+        # the triple is always whole; the brute route drops the third pair
+        # when A or B is nonsingular
+        u = random_unitary(3, rng)
+        j = Matrix.from_complex([[0, 1], [0, 0]])
+        assert len(congruence_triple(u, u)) == 3
+        assert self.brute_pair_counts(monkeypatch, [(u, u), (j, j)]) == [2, 3]
+
+    def test_exact_shortcut_uses_exact_det(self, monkeypatch):
+        # det 10^-12 is below the float threshold but exactly nonzero
+        a = Matrix.from_rational([[GR(1), GR(0)], [GR(0), GR(Fraction(1, 10**12))]])
+        ones = Matrix.from_rational([[GR(1), GR(1)], [GR(1), GR(1)]])
+        assert engines._nonsingular(a) and not engines._nonsingular(a.to_float())
+        assert not engines._nonsingular(ones)
+        pairs = [(a, ones), (ones, a), (ones, ones)]
+        assert self.brute_pair_counts(monkeypatch, pairs) == [2, 2, 3]
 
     def test_necessary_identities_for_congruent_pairs(self, rng):
         # A = U B U^T forces the three derived pairs to intertwine through U

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from unieq import (
+    GaussianRational,
     Matrix,
     ProblemInstance,
     build_general_gadget,
@@ -22,7 +23,9 @@ from unieq.instances import (
     is_block_upper_triangular,
 )
 
-from conftest import rand_matrix
+from conftest import exact_unitary, rand_matrix, rat_matrix
+
+GR = GaussianRational
 
 
 class TestRandomUnitary:
@@ -153,6 +156,20 @@ class TestIntertwinerSpace:
         j = Matrix.from_rational([[GR(0), GR(1)], [GR(0), GR(0)]])
         basis = intertwiner_space(j, j)
         assert len(basis) == 2
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_exact_conjugate_linear(self, rng, which):
+        # A = U B U^T for an exact unitary U, so U itself solves A conj(W) = W B
+        u = exact_unitary(2, which)
+        rank_one = Matrix.from_rational([[GR(1), GR(0)], [GR(0), GR(0)]])
+        for b in (rat_matrix(rng, 2), rank_one):
+            a = u @ b @ u.transpose()
+            basis = intertwiner_space(a, b, conjugate_linear=True)
+            assert basis
+            for w in basis:
+                assert w.mode == "exact" and a @ w.conj() == w @ b
+            floats = intertwiner_space(a.to_float(), b.to_float(), conjugate_linear=True)
+            assert len(basis) == len(floats)
 
     def test_gadget_linear_structure(self, rng):
         for trial in range(10):

@@ -273,18 +273,6 @@ class TestStreamMatchesEnumeration:
         words = list(enumerate_words(alphabet, max_length, cap, dedup))
         self.check(letter_sets, words, rows)
 
-    @pytest.mark.parametrize("dedup", [DEDUP_NONE, DEDUP_CYCLIC_STAR])
-    def test_length_subset(self, rng, dedup):
-        a = rand_matrix(rng, 3)
-        letter_sets = [[a, a.adjoint()]]
-        rows = list(iter_word_traces(letter_sets, 6, 2, dedup, lengths=[3, 5]))
-        words = [
-            w for w in enumerate_words(2, 6, 2, dedup) if w.length in (3, 5)
-        ]
-        self.check(letter_sets, words, rows)
-        with pytest.raises(ValueError):
-            list(iter_word_traces(letter_sets, 6, 2, dedup, lengths=[0, 3]))
-
     def test_exact_traces_are_equal(self, rng):
         a, b = rat_matrix(rng, 2), rat_matrix(rng, 2)
         letter_sets = [[a, a.adjoint()], [b, b.adjoint()]]
