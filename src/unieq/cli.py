@@ -167,28 +167,23 @@ def _cmd_gadget(args) -> int:
     return 0
 
 
-def _scalar_json(x):
-    return engines._scalar_json(x)
-
-
 def _cmd_words(args) -> int:
     a, b = fileio.load_pair(args.pair)
-    spec_a = words.word_trace_spectrum(
-        a, a.adjoint(), args.max_length, args.max_exponent, dedup=args.dedup
+    stream = words.iter_word_traces(
+        [[a, a.adjoint()], [b, b.adjoint()]],
+        args.max_length,
+        args.max_exponent,
+        args.dedup,
     )
-    spec_b = words.word_trace_spectrum(
-        b, b.adjoint(), args.max_length, args.max_exponent, dedup=args.dedup
-    )
-    rows = []
-    for (word, ta), (_, tb) in zip(spec_a, spec_b):
-        rows.append(
-            {
-                "word": str(word),
-                "trace_a": _scalar_json(ta),
-                "trace_b": _scalar_json(tb),
-                "match": bool(engines._close(ta, tb, args.tol)),
-            }
-        )
+    rows = [
+        {
+            "word": str(word),
+            "trace_a": engines._scalar_json(ta),
+            "trace_b": engines._scalar_json(tb),
+            "match": bool(engines._close(ta, tb, args.tol)),
+        }
+        for word, (ta, tb) in stream
+    ]
     _emit({"max_length": args.max_length, "rows": rows})
     return 0
 

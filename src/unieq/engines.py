@@ -10,17 +10,17 @@ Two interchangeable engines decide unitary similarity of a pair:
   sides in lockstep; linear dependencies found on one side must hold on the
   other, and at the end all basis-word traces must agree.  It terminates
   after at most size-squared basis extensions, so it stays polynomial where
-  brute enumeration explodes.  One lockstep loop (``_closure_decide``)
-  drives two span arithmetics, float Gram-Schmidt (``_MappedSpan``) and
-  exact fraction-free row reduction over the Gaussian integers, after one
-  denominator clearing (``_IntegerSpan``), and makes one dependency
-  decision per word: a word dependent on either side is dependent on both,
-  so the two spans always have the same dimension.  The float span takes
-  the breadth-first frontier in blocks of up to ``_BLOCK`` words: one
-  stacked product per block, one GEMM per Gram-Schmidt pass against the
-  basis the block started from, then each word in order against the words
-  its block added before it.  Verdicts, certificate
-  words and dimensions are those of taking words one at a time.
+  brute enumeration explodes.  One lockstep loop (``_closure_verdict``)
+  picks the arithmetic once from the letters' mode and makes one
+  dependency decision per word: a word dependent on either side is
+  dependent on both, so the two spans always have the same dimension.
+  Each arithmetic is one class that owns its letters, products, scaling,
+  span, trace check and certificate solve: float Gram-Schmidt
+  (``_MappedSpan``), which takes the breadth-first frontier in blocks of
+  up to ``_BLOCK`` words, and exact fraction-free row reduction over the
+  Gaussian integers after one denominator clearing (``_IntegerSpan``), one
+  word at a time.  Verdicts, certificate words and dimensions are those of
+  taking words one at a time.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
@@ -32,7 +32,6 @@ of the brute engine and of ``use_k_gadget``.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -329,7 +328,10 @@ def _grown(a, rows: int, limit: int):
 
 
 class _MappedSpan:
-    """Float spans of both sides, stacked on axis 0 (0 left, 1 right).
+    """Float arithmetic of the closure: both sides' spans, stacked on axis 0
+    (0 left, 1 right).  Letters are complex matrices, the empty word's
+    product is I, each child pair is divided by its joint norm (a pair of
+    norm 0 is dropped), and traces are compared within ``tol``.
 
     Each side keeps orthonormal vectors, and beside each one its mirror: the
     other side's combination under the same elimination recipe.  A dependent
@@ -340,40 +342,60 @@ class _MappedSpan:
     stored joined to its mirror, and a block row joined to its transfer
     defect, so one product updates both.
 
-    Words arrive in blocks.  ``project`` runs classical Gram-Schmidt for the
-    whole block against the basis as it stood when the block started, one
-    GEMM per pass, with a second pass on the rows whose first pass
-    cancelled (CGS2).  ``reduce`` then takes the rows in word order and
-    projects from each only the vectors added earlier in the same block,
-    once more against the whole basis if that cancels it, so every word
-    meets exactly the basis it would meet if words arrived one at a time.
-    The Gram-Schmidt factor is kept only to express certificate
-    coefficients over the original basis, and is solved only when a
-    certificate is issued.
+    Words arrive in blocks of up to ``_BLOCK``, whose products are one
+    stacked matmul.  ``project`` runs classical Gram-Schmidt for the whole
+    block against the basis as it stood when the block started, one GEMM
+    per pass, with a second pass on the rows whose first pass cancelled
+    (CGS2).  ``reduce`` then takes the rows in word order and projects from
+    each only the vectors added earlier in the same block, once more
+    against the whole basis if that cancels it, so every word meets exactly
+    the basis it would meet if words arrived one at a time.  Certificate
+    coefficients solve the triangular factor Q* P of the side's orthonormal
+    vectors Q and basis products P against Q* v, built only then.
     """
 
-    def __init__(self, dim: int, tol: float):
-        self.dim = dim
-        self.tol = tol
-        self.qm = np.empty((2, 0, 2 * dim), dtype=np.complex128)
-        # the Gram-Schmidt factor's columns, packed: column i is the i + 1
-        # entries from i * (i + 1) // 2 on
-        self.factor = np.empty((2, dim * (dim + 1) // 2), dtype=np.complex128)
-        self.d = 0
+    def __init__(self, letters_x, letters_y, tol: float):
+        n = letters_x[0].rows
+        self.dim, self.tol, self.cap, self.d = n * n, tol, _BLOCK, 0
+        self.letters = np.array(
+            [[m.data for m in letters_x], [m.data for m in letters_y]]
+        )
+        self.eye = np.broadcast_to(identity(n).data, (2, 1, n, n))
+        self.prods = self.letters[:, :0]  # each basis word's product
+        self.qm = np.empty((2, 0, 2 * self.dim), dtype=np.complex128)
 
-    def project(self, v):
-        """Start a block of child vectors ``v``, shaped (2, words, ...)."""
-        d, b, n = self.d, v.shape[1], self.dim
+    @staticmethod
+    def scaled(origin, prods, nus):
+        """Divide each child pair by its joint norm, carried in nu."""
+        b = prods.shape[1]
+        f = prods.reshape(2, b, -1).view(np.float64)
+        nraw = np.sqrt(np.einsum("sbi,sbi->b", f, f))
+        keep = np.flatnonzero(nraw > _ZERO_PAIR_EPS)  # else the word vanishes
+        if len(keep) < b:  # on both sides at once
+            origin = [origin[k] for k in keep]
+            nus = [nus[k] for k in keep]
+            prods, nraw = prods[:, keep], nraw[keep]
+        nus = [nu * s for nu, s in zip(nus, nraw.tolist())]
+        return origin, prods / nraw[:, None, None], nus
+
+    def products(self, origin):
+        """Both sides' products of the entries ``(parent, letter)``."""
+        parents, ks = zip(*origin)
+        return np.matmul(self.prods[:, list(parents)], self.letters[:, list(ks)])
+
+    def project(self, block):
+        """Start a block of child products, shaped (2, words, n, n)."""
+        d, b, n = self.d, block.shape[1], self.dim
         self.qm = _grown(self.qm, d + b, n)
-        v = v.reshape(2, b, n)
+        self.prods = _grown(self.prods, d + b, n)
+        v = block.reshape(2, b, n)
         qm = self.qm[:, :d]
         q, qt = qm[:, :, :n], qm[:, :, :n].transpose(0, 2, 1)
-        coords = np.zeros((2, b, d + b), dtype=np.complex128)
-        y = coords[:, :, :d]
         rd = np.empty((2, b, 2 * n), dtype=np.complex128)  # residual, defect
         r = rd[:, :, :n]
         vn = _norms(v)
-        np.conj(np.matmul(np.conj(v), qt, out=y), out=y)
+        y = np.matmul(np.conj(v), qt)
+        np.conj(y, out=y)  # coordinates in the orthonormal vectors
         np.subtract(v, y @ q, out=r)
         rn = _norms(r)
         dep_tol = DEP_TOL * (1.0 + vn)
@@ -388,25 +410,22 @@ class _MappedSpan:
                 r[:, rows] -= y2[:, rows] @ q
                 rn[:, rows] = _norms(r[:, rows])
         np.subtract(v[::-1], y @ qm[:, :, n:], out=rd[:, :, n:])
-        self._block = (d, vn, dep_tol.T.tolist(), coords, rd, rn.T.tolist())
+        self._block = (d, vn, dep_tol.T.tolist(), block, rd, rn.T.tolist())
 
     def reduce(self, j: int):
         """Both sides' dependency flags for row j, within DEP_TOL."""
-        d0, _, dep_tol, y, rd, rn = self._block
+        d0, _, dep_tol, _, rd, rn = self._block
         d, n = self.d, self.dim
         rn = rn[j]
         if d > d0:  # project out the vectors added earlier in this block
             rj, qm = rd[:, j], self.qm[:, d0:d]
             yb = np.conj(qm[:, :, :n] @ np.conj(rj[:, :n])[:, :, None])
             rj -= (yb.transpose(0, 2, 1) @ qm)[:, 0]
-            y[:, j, d0:d] = yb[:, :, 0]
             rn_block, rn = rn, [_norm(rj[0, :n]), _norm(rj[1, :n])]
             for s in (0, 1):
                 if rn[s] < 0.5 * rn_block[s]:  # cancelled: once more
                     qm = self.qm[s, :d]  # against the whole basis
-                    y2 = np.conj(qm[:, :n] @ np.conj(rj[s, :n]))
-                    y[s, j, :d] += y2
-                    rj[s] -= y2 @ qm
+                    rj[s] -= np.conj(qm[:, :n] @ np.conj(rj[s, :n])) @ qm
                     rn[s] = _norm(rj[s, :n])
         self._rn = rn
         tx, ty = dep_tol[j]
@@ -421,27 +440,39 @@ class _MappedSpan:
         return resid
 
     def coeffs(self, j: int, side: int):
-        d = self.d
-        factor = np.zeros((d, d), dtype=np.complex128)
-        factor[np.tril_indices(d)] = self.factor[side, : d * (d + 1) // 2]
-        return np.linalg.solve(factor.T, self._block[3][side, j, :d])
+        """Row j's coefficients over the basis products on ``side``."""
+        q = np.conj(self.qm[side, : self.d, : self.dim])
+        p = self.prods[side, : self.d].reshape(self.d, self.dim)
+        return np.linalg.solve(q @ p.T, q @ self._block[3][side, j].ravel())
 
     def add(self, j: int):
         """Add row j on both sides."""
-        y, rd = self._block[3], self._block[4]
         d = self.d
         if d >= self.dim:
             raise RuntimeError("span exceeded ambient dimension")
-        rn = np.array(self._rn)
-        np.divide(rd[:, j], rn[:, None], out=self.qm[:, d])
-        y[:, j, d] = rn
-        start = d * (d + 1) // 2
-        self.factor[:, start : start + d + 1] = y[:, j, : d + 1]
+        np.divide(self._block[4][:, j], np.array(self._rn)[:, None], out=self.qm[:, d])
+        self.prods[:, d] = self._block[3][:, j]
         self.d = d + 1
+
+    def trace_mismatch(self, i: int, nu):
+        """Both sides' traces of basis product i, times nu, unless they
+        agree within tol."""
+        tl, tr = nu * np.trace(self.prods[0, i]), nu * np.trace(self.prods[1, i])
+        return None if _close(tl, tr, self.tol) else (tl, tr)
 
 
 class _IntegerSpan:
-    """Exact spans of both sides over the Gaussian integers.
+    """Exact arithmetic of the closure: both sides' spans over the Gaussian
+    integers, one word per block.
+
+    The letters and the empty word's I are cleared of denominators once: D
+    is the lcm of every entry's denominator over both sides, so a word of
+    length L is scaled by D^L on both sides alike, which changes no
+    dependency and no trace equality.  Products are Gaussian integer
+    matrices in the layout of ``clear_denominators``, taken one at a time
+    (a stacked object-array matmul costs more than it saves); each child
+    pair is divided by its joint content g, with g / D carried in nu (a
+    pair of content 0 is dropped), and traces are compared as integers.
 
     A word's vector is its integer product, the real part followed by the
     imaginary part if the letters have one.  Each side stores its basis
@@ -457,15 +488,47 @@ class _IntegerSpan:
     certificate, by Bareiss elimination on the basis rows' pivot columns.
     """
 
-    def __init__(self, parts: int):
-        self.parts = parts  # 2 if the vectors carry an imaginary part
+    cap = 1
+
+    def __init__(self, letters_x, letters_y):
+        a, n = len(letters_x), letters_x[0].rows
+        # the identity, cleared with the letters, is D I: the empty word's
+        # nu comes out as D / D = 1
+        eye = identity(n, EXACT)
+        self.denom, ints = clear_denominators(letters_x + letters_y + [eye])
+        self.letters = ints[:-1].reshape((2, a) + ints.shape[1:])
+        self.eye = np.broadcast_to(ints[-1], (2, 1) + ints.shape[1:])
+        self.prods = self.letters[:, :0]  # each basis word's product
+        self.parts = ints.shape[1]  # 2 if the vectors carry an imaginary part
+        self.dim, self.half, self.d = n * n, self.parts * n * n, 0
         self.rows = ([], [])  # (pivot, reduced [self | other]) per side
         self.raw = ([], [])  # each row's [self | other] before reduction
 
-    def project(self, v):
-        """Start a block of child vectors ``v``, shaped (2, words, ...)."""
-        v = v.reshape(2, v.shape[1], -1)
-        self.half = v.shape[2]
+    def scaled(self, origin, prods, nus):
+        """Divide each child pair by its joint content g, carried in nu with
+        the cleared denominator: nu_child = nu_parent g / D."""
+        g = [math.gcd(*prods[:, k].flat) for k in range(prods.shape[1])]
+        keep = [k for k, gk in enumerate(g) if gk]  # else the word vanishes
+        if len(keep) < len(g):  # on both sides at once
+            origin = [origin[k] for k in keep]
+            nus, g = [nus[k] for k in keep], [g[k] for k in keep]
+            prods = prods[:, keep]
+        nus = [Fraction(nu * gk, self.denom) for nu, gk in zip(nus, g)]
+        return origin, prods // np.array(g, dtype=object).reshape(1, -1, 1, 1, 1), nus
+
+    def products(self, origin):
+        """Both sides' products of the entries ``(parent, letter)``."""
+        block = np.empty((2, len(origin)) + self.prods.shape[2:], dtype=object)
+        for j, (parent, k) in enumerate(origin):
+            for s in (0, 1):
+                gaussian_matmul(self.prods[s, parent], self.letters[s, k], block[s, j])
+        return block
+
+    def project(self, block):
+        """Start a block of child products, shaped (2, words, parts, n, n)."""
+        self.prods = _grown(self.prods, self.d + block.shape[1], self.dim)
+        self._children = block
+        v = block.reshape(2, block.shape[1], self.half)
         self._block = np.concatenate((v, v[::-1]), axis=2)
 
     def _reduced(self, side: int, x):
@@ -501,6 +564,8 @@ class _IntegerSpan:
 
     def add(self, j: int):
         """Add row j on both sides, and i times it over complex letters."""
+        self.prods[:, self.d] = self._children[:, j]
+        self.d += 1
         for side in (0, 1):
             x = self._block[side, j]
             self._push(side, self._x[side], x)
@@ -514,101 +579,38 @@ class _IntegerSpan:
         self.rows[side].append((pivot, reduced))
         self.raw[side].append(raw)
 
-
-def _unit_rows(origin, prods, nus):
-    """Float step: divide each child pair by its joint norm, carried in nu."""
-    b = prods.shape[1]
-    f = prods.reshape(2, b, -1).view(np.float64)
-    nraw = np.sqrt(np.einsum("sbi,sbi->b", f, f))
-    keep = np.flatnonzero(nraw > _ZERO_PAIR_EPS)  # else the word vanishes
-    if len(keep) < b:  # on both sides at once
-        origin = [origin[k] for k in keep]
-        nus = [nus[k] for k in keep]
-        prods, nraw = prods[:, keep], nraw[keep]
-    nus = [nu * s for nu, s in zip(nus, nraw.tolist())]
-    return origin, prods / nraw[:, None, None], nus
+    def trace_mismatch(self, i: int, nu):
+        """Both sides' traces of basis product i, times nu, as Gaussian
+        rationals unless they are equal."""
+        t = np.trace(self.prods[:, i], axis1=-2, axis2=-1).tolist()
+        if t[0] == t[1]:
+            return None
+        return tuple(GaussianRational(*(nu * part for part in side)) for side in t)
 
 
-def _products(prods, letters, origin):
-    """Both sides' products of the entries ``(parent, letter)``: one stacked
-    matmul in float mode, one product at a time in exact mode, where a
-    stacked object-array matmul costs more than it saves."""
-    if prods.dtype != object:
-        parents = [parent for parent, _ in origin]
-        return np.matmul(prods[:, parents], letters[:, [k for _, k in origin]])
-    block = np.empty((2, len(origin)) + prods.shape[2:], dtype=object)
-    for j, (parent, k) in enumerate(origin):
-        for s in (0, 1):
-            gaussian_matmul(prods[s, parent], letters[s, k], block[s, j])
-    return block
+def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
+    """Span the algebras generated by two letter lists of one size in
+    lockstep, in the arithmetic of their mode.
 
-
-def _content_rows(denom, origin, prods, nus):
-    """Exact step: divide each child pair by its joint content g, carried in
-    nu with the cleared denominator: nu_child = nu_parent g / D."""
-    g = [math.gcd(*prods[:, k].flat) for k in range(prods.shape[1])]
-    keep = [k for k, gk in enumerate(g) if gk]  # else the word vanishes
-    if len(keep) < len(g):  # on both sides at once
-        origin = [origin[k] for k in keep]
-        nus, g = [nus[k] for k in keep], [g[k] for k in keep]
-        prods = prods[:, keep]
-    nus = [Fraction(nu * gk, denom) for nu, gk in zip(nus, g)]
-    return origin, prods // np.array(g, dtype=object).reshape(1, -1, 1, 1, 1), nus
-
-
-def _trace_mismatch(pair, nu, tol):
-    """Both sides' traces of a stored product pair, times nu, if they differ
-    (beyond tol in float mode); None if they agree.  Exact traces are
-    compared as integers and returned as Gaussian rationals."""
-    if pair.dtype != object:
-        tl, tr = nu * np.trace(pair[0]), nu * np.trace(pair[1])
-        return None if _close(tl, tr, tol) else (tl, tr)
-    t = np.trace(pair, axis1=-2, axis2=-1).tolist()
-    if t[0] == t[1]:
-        return None
-    return tuple(GaussianRational(*(nu * part for part in side)) for side in t)
-
-
-def _closure_decide(letters_x, letters_y, tol):
-    """Span the algebras generated by two letter lists in lockstep.
-
-    One breadth-first loop serves both arithmetic modes: float spans
-    (``_MappedSpan``, pairs scaled to unit joint norm) and exact spans
-    (``_IntegerSpan``).  Exact mode clears denominators once: D is the lcm
-    of every entry's denominator over both sides' letters, so a word of
-    length L is scaled by D^L on both sides alike, which changes no
-    dependency and no trace equality, and the products are Gaussian
-    integers, each pair divided by its joint content.  In both modes ``nu``
-    carries the factor a product dropped, so nu times a stored product is
-    the word's value: certificate coefficients are nu c / nu_basis and
-    traces nu tr.  Child entry g is basis word g // a times letter g % a.
-    Entries are taken in blocks of consecutive entries whose parents are
-    already in the basis: in float mode from ``a`` entries up, doubling to
-    ``_BLOCK``, in exact mode one at a time.  Within a block the words are
-    decided one at a time in entry order.  Each word gets one dependency
-    decision shared by both sides: if it depends on the basis on either
-    side, the same combination must hold on the other side (else a
-    DependencyCertificate, and the rest of its block is dropped), and the
-    word is not added.  When no word extends the basis, every basis word's
-    traces must agree (else a TraceCertificate).  Both letter lists hold
-    matrices of one size.
-    Returns ``(equivalent, certificate, dimension)``.
+    A span stores each word's product divided by a factor carried in
+    ``nu``, so nu times a stored product is the word's value: certificate
+    coefficients are nu c / nu_basis and traces nu tr.  Child entry g is
+    basis word g // a times letter g % a.  Entries are taken in blocks of
+    consecutive entries whose parents are already in the basis, from ``a``
+    entries up, doubling to the span's cap, and decided one at a time in
+    entry order.  A word that depends on the basis on either side is not
+    added, and the same combination must hold on the other side (else a
+    DependencyCertificate, and the rest of its block is dropped).  When no
+    word extends the basis, every basis word's traces must agree (else a
+    TraceCertificate).
     """
-    a, n = len(letters_x), letters_x[0].rows
-    if letters_x[0].mode == EXACT:
-        # the identity, cleared with the letters, is D I: the empty word's
-        # nu comes out as D / D = 1
-        denom, ints = clear_denominators(letters_x + letters_y + [identity(n, EXACT)])
-        letters = ints[:-1].reshape((2, a) + ints.shape[1:])
-        eye = np.broadcast_to(ints[-1], (2, 1) + ints.shape[1:])
-        spans, cap = _IntegerSpan(ints.shape[1]), 1
-        step = functools.partial(_content_rows, denom)
+    exact = letters_x[0].mode == EXACT
+    if exact:
+        spans = _IntegerSpan(letters_x, letters_y)
     else:
-        letters = np.array([[m.data for m in letters_x], [m.data for m in letters_y]])
-        eye = np.broadcast_to(identity(n).data, (2, 1, n, n))
-        spans, step, cap = _MappedSpan(n * n, tol), _unit_rows, _BLOCK
+        spans = _MappedSpan(letters_x, letters_y, tol)
+    a = len(letters_x)
     words, nus = [], []  # the basis, and the factor each product dropped
-    prods = letters[:, :0]  # each basis word's product on both sides
 
     def word_of(source):
         if source is None:
@@ -619,62 +621,46 @@ def _closure_decide(letters_x, letters_y, tol):
     def extend(origin, block, scales):
         """Decide a block of child pairs in entry order; a certificate if a
         transfer fails."""
-        nonlocal prods
-        if not origin:
-            return None
-        prods = _grown(prods, len(words) + len(origin), n * n)
         spans.project(block)
         for j, source in enumerate(origin):
             deps = spans.reduce(j)
-            for side, dep in enumerate(deps):
-                if dep:
-                    resid = spans.mismatch(j, side)
-                    if resid is not None:
-                        nu = scales[j]
-                        coeffs = tuple(
-                            nu * c / b for c, b in zip(spans.coeffs(j, side), nus)
-                        )
-                        return DependencyCertificate(
-                            word_of(source),
-                            tuple(words),
-                            coeffs,
-                            float(nu * resid),
-                            ("left", "right")[side],
-                        )
+            for side in (0, 1):
+                resid = spans.mismatch(j, side) if deps[side] else None
+                if resid is not None:
+                    nu, coeffs = scales[j], spans.coeffs(j, side)
+                    return DependencyCertificate(
+                        word_of(source),
+                        tuple(words),
+                        tuple(nu * c / b for c, b in zip(coeffs, nus)),
+                        float(nu * resid),
+                        ("left", "right")[side],
+                    )
             if not (deps[0] or deps[1]):
                 spans.add(j)
-                prods[:, len(words)] = block[:, j]
                 words.append(word_of(source))
                 nus.append(scales[j])
         return None
 
-    extend(*step([None], eye, [1]))
+    failure = extend(*spans.scaled([None], spans.eye, [1]))
     g, size = 0, a
-    while g < len(words) * a:
-        stop = min(g + min(size, cap), len(words) * a)
+    while failure is None and g < len(words) * a:
+        stop = min(g + min(size, spans.cap), len(words) * a)
         origin = [divmod(e, a) for e in range(g, stop)]
-        block = _products(prods, letters, origin)
-        failure = extend(*step(origin, block, [nus[k] for k, _ in origin]))
-        if failure is not None:
-            return False, failure, len(words)
+        block = spans.products(origin)
+        failure = extend(*spans.scaled(origin, block, [nus[k] for k, _ in origin]))
         g, size = stop, 2 * size
-
-    for i, word in enumerate(words):
-        traces = _trace_mismatch(prods[:, i], nus[i], tol)
-        if traces is not None:
-            return False, TraceCertificate(word, *traces), len(words)
-    return True, None, len(words)
-
-
-def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
-    """``_closure_decide`` as a closure-engine verdict."""
-    ok, certificate, dim = _closure_decide(letters_x, letters_y, tol)
+    if failure is None:
+        for i, word in enumerate(words):
+            traces = spans.trace_mismatch(i, nus[i])
+            if traces is not None:
+                failure = TraceCertificate(word, *traces)
+                break
     return Verdict(
-        ok,
+        failure is None,
         ENGINE_CLOSURE,
-        certificate=certificate,
-        tolerance=None if letters_x[0].mode == EXACT else tol,
-        dimension=dim,
+        certificate=failure,
+        tolerance=None if exact else tol,
+        dimension=len(words),
     )
 
 
@@ -990,10 +976,10 @@ def solve_general(
     return _finish(inner, t0, scale, "general:gadget")
 
 
-def decision_letters(inst: ProblemInstance, use_k_gadget: bool = False):
+def decision_letters(inst: ProblemInstance):
     """Rebuild the two letter lists the default general decision compares:
     the S1 pairs with their adjoints for a pure-S1 instance, the real 2n
-    letters otherwise, and the K gadgets with ``use_k_gadget``.
+    letters otherwise.
 
     Deterministic, so certificates can be re-verified from the instance
     alone.  Returns ``(scale, letters_left, letters_right)``.
@@ -1005,10 +991,6 @@ def decision_letters(inst: ProblemInstance, use_k_gadget: bool = False):
     if m2 == m3 == m4 == 0:
         lx, ly = _pairs_letters(sinst.S1)
         return scale, lx, ly
-    if use_k_gadget:
-        ga, gb = build_general_gadget(sinst)
-        ka, kb = build_congruence_K(ga.M), build_congruence_K(gb.M)
-        return scale, [ka, ka.adjoint()], [kb, kb.adjoint()]
     return (scale, *build_real_letters(sinst))
 
 

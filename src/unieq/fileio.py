@@ -189,9 +189,5 @@ def parse_pair_doc(doc: dict):
     return a, b
 
 
-def pair_doc(a: Matrix, b: Matrix) -> dict:
-    return {"mode": a.mode, "A": matrix_json(a), "B": matrix_json(b)}
-
-
 def load_pair(path):
     return parse_pair_doc(_load_json(path))

@@ -220,34 +220,24 @@ def _assemble(n: int, k: int, placed: dict, mode: str) -> Matrix:
     return block(grid)
 
 
-def build_similarity_gadget(pairs, n: int, layout: GadgetLayout | None = None):
+def build_similarity_gadget(pairs, n: int):
     """Gadget pair whose unitary similarity encodes simultaneous unitary
     similarity of the given pairs.
 
-    The default layout uses k = m + 2 blocks with pair i at block (i, i+2);
-    any layout with enough distinct slots above the identity superdiagonal
-    works, no parity is needed here.
+    The layout uses k = m + 2 blocks with pair i at block (i, i+2); any
+    layout with enough distinct slots above the identity superdiagonal
+    would work, no parity is needed here.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
     _check_pairs(pairs, n)
     m = len(pairs)
-    if layout is None:
-        placements = tuple(
-            Placement(1, idx, idx + 1, idx + 3) for idx in range(m)
-        )
-        layout = GadgetLayout(n, m + 2, placements)
-    if len(layout.placements) < m:
-        raise ValueError("layout does not cover every pair")
+    placements = tuple(Placement(1, idx, idx + 1, idx + 3) for idx in range(m))
+    layout = GadgetLayout(n, m + 2, placements)
     mode = pairs[0][0].mode
-    placed_a = {}
-    placed_b = {}
-    for p in layout.placements:
-        if p.pair_index < m:
-            a, b = pairs[p.pair_index]
-            placed_a[(p.i, p.j)] = a
-            placed_b[(p.i, p.j)] = b
+    placed_a = {(p.i, p.j): pairs[p.pair_index][0] for p in placements}
+    placed_b = {(p.i, p.j): pairs[p.pair_index][1] for p in placements}
     ga = Gadget(_assemble(n, layout.k, placed_a, mode), layout)
     gb = Gadget(_assemble(n, layout.k, placed_b, mode), layout)
     return ga, gb

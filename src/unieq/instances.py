@@ -122,15 +122,14 @@ def intertwiner_space(
     A: Matrix,
     B: Matrix,
     conjugate_linear: bool = False,
-    rtol: float = 1e-10,
 ):
     """Basis of all W with A W = W B (or A conj(W) = W B when requested).
 
     The linear case vectorizes to an ordinary nullspace; the conjugate-linear
     case splits W into real and imaginary parts and solves the doubled real
-    system.  Float mode thresholds singular values at ``rtol`` times scale.
+    system.  Float mode thresholds singular values at ``DEP_TOL`` times scale.
     """
-    basis, _ = intertwiner_space_info(A, B, conjugate_linear, rtol)
+    basis, _ = intertwiner_space_info(A, B, conjugate_linear)
     return basis
 
 
@@ -138,7 +137,6 @@ def intertwiner_space_info(
     A: Matrix,
     B: Matrix,
     conjugate_linear: bool = False,
-    rtol: float = 1e-10,
 ):
     """Like :func:`intertwiner_space` but also returns the singular-value
     gap ratio (below :data:`MARGINAL_GAP` means the basis is suspect).
@@ -169,7 +167,7 @@ def intertwiner_space_info(
     if exact:
         vectors, gap = exact_nullspace(op.tolist()), math.inf
     else:
-        vectors, gap = nullspace(op, rtol)
+        vectors, gap = nullspace(op)
     unit = GaussianRational(0, 1) if exact else 1j
     basis = []
     for v in vectors:

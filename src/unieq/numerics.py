@@ -472,7 +472,7 @@ def block(grid) -> Matrix:
 # linear-algebra kernels
 # --------------------------------------------------------------------------
 
-def nullspace(op: np.ndarray, rtol: float = DEP_TOL):
+def nullspace(op: np.ndarray):
     """Orthonormal nullspace basis of a float operator via SVD.
 
     Returns ``(basis_vectors, gap_ratio)`` where basis vectors are rows and
@@ -483,9 +483,8 @@ def nullspace(op: np.ndarray, rtol: float = DEP_TOL):
         raise ValueError("empty operator")
     u, s, vh = np.linalg.svd(op)
     smax = s[0] if len(s) else 0.0
-    thresh = rtol * max(1.0, smax)
+    thresh = DEP_TOL * max(1.0, smax)
     null_mask = s <= thresh
-    ncols = op.shape[1]
     # svd reports min(m, n) singular values; trailing rows of vh beyond that
     # always belong to the nullspace
     kept = s[~null_mask]

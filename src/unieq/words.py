@@ -157,6 +157,11 @@ def _star_least(seq: tuple) -> bool:
     return all(twice[i:i + n] >= seq for i in range(n))
 
 
+def _check_exponent(max_exponent):
+    if max_exponent is not None and max_exponent < 1:
+        raise ValueError("max_exponent must be positive")
+
+
 def _letter_strings(alphabet_size: int, length: int, max_exponent):
     """All letter tuples of one length, lexicographic, runs capped."""
     cap = max_exponent if max_exponent is not None else length
@@ -194,8 +199,7 @@ def enumerate_words(
     """
     if alphabet_size < 1:
         raise ValueError("alphabet_size must be positive")
-    if max_exponent is not None and max_exponent < 1:
-        raise ValueError("max_exponent must be positive")
+    _check_exponent(max_exponent)
     _check_dedup(dedup, alphabet_size)
     for length in range(1, max_length + 1):
         for seq in _letter_strings(alphabet_size, length, max_exponent):
@@ -205,6 +209,7 @@ def enumerate_words(
 
 def word_count(alphabet_size: int, max_length: int, max_exponent=None) -> int:
     """Number of words of length 1..max_length with runs capped (no dedup)."""
+    _check_exponent(max_exponent)
     if max_length < 1:
         return 0
     cap = max_exponent if max_exponent is not None else max_length
@@ -277,6 +282,7 @@ def iter_word_traces(
         if len(ls) != alphabet_size:
             raise ValueError("letter sets must share one alphabet size")
         _check_letters(ls, alphabet_size)
+    _check_exponent(max_exponent)
     _check_dedup(dedup, alphabet_size)
 
     nsets = len(letter_sets)

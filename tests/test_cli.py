@@ -12,7 +12,6 @@ from unieq.fileio import (
     instance_doc,
     load_instance,
     matrix_doc,
-    pair_doc,
     parse_instance_doc,
     save_instance,
     save_matrix,
@@ -225,6 +224,14 @@ class TestWordsCmd:
         assert st_row["trace_a"] == [1.0, 0.0]
         assert st_row["trace_b"] == [4.0, 0.0]
         assert rows["s"]["match"] is True
+
+    def test_exponent_zero_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        write_json(path, JORDAN_PAIR)
+        argv = ["words", str(path), "--max-length", "3", "--max-exponent", "0"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "max_exponent must be positive" in err
 
 
 class TestGenAndVerify:

@@ -81,6 +81,11 @@ class TestSpechtBrute:
         with pytest.raises(ValueError, match="max_length"):
             specht_brute(J, J2, max_length)
 
+    def test_rejects_exponent_zero(self):
+        # a cap of 0 counts no word, so it would pass any budget
+        with pytest.raises(ValueError, match="max_exponent"):
+            specht_brute(J, J2, 6, max_exponent=0, budget=0)
+
     def test_exact_mode_equality(self, rng):
         a = rat_matrix(rng, 2)
         v = specht_brute(a, a, 5)
@@ -191,7 +196,40 @@ def _hermitian_pair(n, seed, stretch):
     )
 
 
+def _generic_and_reducible(exact):
+    """A generic 3x3 X and a reducible Y, a 2x2 block plus a scalar."""
+    if exact:
+        rng = np.random.default_rng(7)
+        x, y = rat_matrix(rng, 3), rat_matrix(rng, 3)
+        rows = [
+            [y.entry(i, j) if (i < 2) == (j < 2) else GR(0) for j in range(3)]
+            for i in range(3)
+        ]
+        return x, Matrix.from_rational(rows)
+    rng = np.random.default_rng(7)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    x, y = gauss(3, 3), np.zeros((3, 3), dtype=complex)
+    y[:2, :2], y[2, 2] = gauss(2, 2), gauss(1)[0]
+    return Matrix.from_complex(x), Matrix.from_complex(y)
+
+
 class TestClosureModes:
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_certificate_on_either_side(self, exact):
+        # Y's algebra is 5-dimensional, X's is all 3x3 matrices: "t s" is
+        # the first word dependent on Y's side, whichever side Y sits on
+        x, y = _generic_and_reducible(exact)
+        for (p, q), side in (((x, y), "right"), ((y, x), "left")):
+            v = algebra_closure(p, q)
+            cert = v.certificate
+            assert isinstance(cert, DependencyCertificate)
+            assert (cert.side, str(cert.word), v.dimension) == (side, "t s", 5)
+            _, (ps, qs) = common_scale([p, q])
+            assert cert.recheck([ps, ps.adjoint()], [qs, qs.adjoint()], 1e-8)
+
     def test_near_normal_family_never_crashes(self):
         # one dependency decision per word: a word dependent within tolerance
         # on one side is never added as a noise basis vector on the other

@@ -241,6 +241,14 @@ class TestSpectrum:
                 string_eval(w.letters(), [b, b.adjoint()]).trace(), abs=1e-12
             )
 
+    def test_rejects_exponent_zero(self, rng):
+        # as enumerate_words does: a cap of 0 admits no run of any letter
+        a = rand_matrix(rng, 2)
+        with pytest.raises(ValueError, match="max_exponent"):
+            next(iter_word_traces([[a, a.adjoint()]], 3, max_exponent=0))
+        with pytest.raises(ValueError, match="max_exponent"):
+            word_count(2, 3, 0)
+
 
 class TestStreamMatchesEnumeration:
     """``iter_word_traces`` prunes its walk to necklace prefixes when it
