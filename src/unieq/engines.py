@@ -17,10 +17,11 @@ Two interchangeable engines decide unitary similarity of a pair:
   Each arithmetic is one class that owns its letters, products, scaling,
   span, trace check and certificate solve: float Gram-Schmidt
   (``_MappedSpan``), which takes the breadth-first frontier in blocks of
-  up to ``_BLOCK`` words, and exact fraction-free row reduction over the
-  Gaussian integers after one denominator clearing (``_IntegerSpan``), one
-  word at a time.  Verdicts, certificate words and dimensions are those of
-  taking words one at a time.
+  up to ``_BLOCK`` words and, once its span is full, checks every later
+  word against one precomputed transfer map, and exact fraction-free row
+  reduction over the Gaussian integers after one denominator clearing
+  (``_IntegerSpan``), one word at a time.  Verdicts, certificate words and
+  dimensions are those of taking words one at a time.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
@@ -349,9 +350,19 @@ class _MappedSpan:
     (CGS2).  ``reduce`` then takes the rows in word order and projects from
     each only the vectors added earlier in the same block, once more
     against the whole basis if that cancels it, so every word meets exactly
-    the basis it would meet if words arrived one at a time.  Certificate
-    coefficients solve the triangular factor Q* P of the side's orthonormal
-    vectors Q and basis products P against Q* v, built only then.
+    the basis it would meet if words arrived one at a time.
+
+    Once the span is ``full`` (as many words as the ambient dimension),
+    every later word is dependent by dimension alone, and only its transfer
+    defect is left.  The side's orthonormal vectors Q are then square and
+    unitary to working precision, so its coordinates are y = v Q* and the
+    other side must equal y M = v G with the transfer map G = Q* M over its
+    mirrors M, built once per side when the span fills.  ``transfer``
+    checks a whole block of children with one GEMM per side.
+
+    Certificate coefficients solve the triangular factor Q* P of the side's
+    orthonormal vectors Q and basis products P against Q* v, built only
+    then.
     """
 
     def __init__(self, letters_x, letters_y, tol: float):
@@ -363,6 +374,11 @@ class _MappedSpan:
         self.eye = np.broadcast_to(identity(n).data, (2, 1, n, n))
         self.prods = self.letters[:, :0]  # each basis word's product
         self.qm = np.empty((2, 0, 2 * self.dim), dtype=np.complex128)
+        self.map = None  # each side's transfer map, once the span is full
+
+    @property
+    def full(self) -> bool:
+        return self.d == self.dim
 
     @staticmethod
     def scaled(origin, prods, nus):
@@ -410,11 +426,12 @@ class _MappedSpan:
                 r[:, rows] -= y2[:, rows] @ q
                 rn[:, rows] = _norms(r[:, rows])
         np.subtract(v[::-1], y @ qm[:, :, n:], out=rd[:, :, n:])
-        self._block = (d, vn, dep_tol.T.tolist(), block, rd, rn.T.tolist())
+        self._children = block
+        self._block = (d, vn, dep_tol.T.tolist(), rd, rn.T.tolist())
 
     def reduce(self, j: int):
         """Both sides' dependency flags for row j, within DEP_TOL."""
-        d0, _, dep_tol, _, rd, rn = self._block
+        d0, _, dep_tol, rd, rn = self._block
         d, n = self.d, self.dim
         rn = rn[j]
         if d > d0:  # project out the vectors added earlier in this block
@@ -434,7 +451,7 @@ class _MappedSpan:
     def mismatch(self, j: int, side: int):
         """Norm of row j's transfer defect on the other side, None within
         tol."""
-        resid = _norm(self._block[4][side, j, self.dim :])
+        resid = _norm(self._block[3][side, j, self.dim :])
         if resid <= self.tol * (1.0 + self._block[1][1 - side, j]):
             return None
         return resid
@@ -443,16 +460,33 @@ class _MappedSpan:
         """Row j's coefficients over the basis products on ``side``."""
         q = np.conj(self.qm[side, : self.d, : self.dim])
         p = self.prods[side, : self.d].reshape(self.d, self.dim)
-        return np.linalg.solve(q @ p.T, q @ self._block[3][side, j].ravel())
+        return np.linalg.solve(q @ p.T, q @ self._children[side, j].ravel())
 
     def add(self, j: int):
-        """Add row j on both sides."""
-        d = self.d
-        if d >= self.dim:
-            raise RuntimeError("span exceeded ambient dimension")
-        np.divide(self._block[4][:, j], np.array(self._rn)[:, None], out=self.qm[:, d])
-        self.prods[:, d] = self._block[3][:, j]
+        """Add row j on both sides; build the transfer maps if that fills
+        the span."""
+        d, n = self.d, self.dim
+        np.divide(self._block[3][:, j], np.array(self._rn)[:, None], out=self.qm[:, d])
+        self.prods[:, d] = self._children[:, j]
         self.d = d + 1
+        if self.full:
+            q, m = self.qm[:, :, :n], self.qm[:, :, n:]
+            self.map = np.conj(q).transpose(0, 2, 1) @ m
+
+    def transfer(self, block):
+        """Check a block of child products, shaped (2, words, n, n), against
+        the full span: the first failing ``(row, side, defect norm)`` in
+        entry order, left before right, or None.  Each side's defect is
+        checked within tol as in ``mismatch``."""
+        self._children = block
+        v = block.reshape(2, block.shape[1], self.dim)
+        resid = _norms(v[::-1] - v @ self.map)
+        ok = resid <= self.tol * (1.0 + _norms(v)[::-1])
+        bad = np.flatnonzero(~ok.T)  # row-major: row by row, left first
+        if not len(bad):
+            return None
+        j, side = divmod(int(bad[0]), 2)
+        return j, side, float(resid[side, j])
 
     def trace_mismatch(self, i: int, nu):
         """Both sides' traces of basis product i, times nu, unless they
@@ -488,7 +522,7 @@ class _IntegerSpan:
     certificate, by Bareiss elimination on the basis rows' pivot columns.
     """
 
-    cap = 1
+    cap, full = 1, False  # exact mode decides every word on its own
 
     def __init__(self, letters_x, letters_y):
         a, n = len(letters_x), letters_x[0].rows
@@ -600,7 +634,11 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
     entries up, doubling to the span's cap, and decided one at a time in
     entry order.  A word that depends on the basis on either side is not
     added, and the same combination must hold on the other side (else a
-    DependencyCertificate, and the rest of its block is dropped).  When no
+    DependencyCertificate, and the rest of its block is dropped).  Once a
+    span is full, every later word is dependent by dimension alone: the
+    rest of the filling block, then every remaining entry in batches of the
+    span's dimension, goes through its ``transfer`` check at once, and the
+    first failing entry (left before right) is the certificate.  When no
     word extends the basis, every basis word's traces must agree (else a
     TraceCertificate).
     """
@@ -618,33 +656,50 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
         parent, letter = source
         return words[parent].append_letter(letter)
 
+    def certify(source, nu, j, side, resid):
+        """The certificate of row j's transfer failing on ``side``."""
+        coeffs = spans.coeffs(j, side)
+        return DependencyCertificate(
+            word_of(source),
+            tuple(words),
+            tuple(nu * c / b for c, b in zip(coeffs, nus)),
+            float(nu * resid),
+            ("left", "right")[side],
+        )
+
+    def settle(origin, block, scales):
+        """Check child pairs against the full span all at once."""
+        failed = spans.transfer(block)
+        if failed is None:
+            return None
+        j = failed[0]
+        return certify(origin[j], scales[j], *failed)
+
     def extend(origin, block, scales):
         """Decide a block of child pairs in entry order; a certificate if a
         transfer fails."""
+        if spans.full:  # every child is dependent
+            return settle(origin, block, scales)
         spans.project(block)
         for j, source in enumerate(origin):
             deps = spans.reduce(j)
             for side in (0, 1):
                 resid = spans.mismatch(j, side) if deps[side] else None
                 if resid is not None:
-                    nu, coeffs = scales[j], spans.coeffs(j, side)
-                    return DependencyCertificate(
-                        word_of(source),
-                        tuple(words),
-                        tuple(nu * c / b for c, b in zip(coeffs, nus)),
-                        float(nu * resid),
-                        ("left", "right")[side],
-                    )
+                    return certify(source, scales[j], j, side, resid)
             if not (deps[0] or deps[1]):
                 spans.add(j)
                 words.append(word_of(source))
                 nus.append(scales[j])
+                if spans.full:  # so is the rest of the block
+                    return settle(origin[j + 1 :], block[:, j + 1 :], scales[j + 1 :])
         return None
 
     failure = extend(*spans.scaled([None], spans.eye, [1]))
     g, size = 0, a
     while failure is None and g < len(words) * a:
-        stop = min(g + min(size, spans.cap), len(words) * a)
+        step = spans.dim if spans.full else min(size, spans.cap)
+        stop = min(g + step, len(words) * a)
         origin = [divmod(e, a) for e in range(g, stop)]
         block = spans.products(origin)
         failure = extend(*spans.scaled(origin, block, [nus[k] for k, _ in origin]))

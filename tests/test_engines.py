@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -255,6 +256,46 @@ class TestClosureModes:
                         [xs, xs.adjoint()], [ys, ys.adjoint()], 1e-8
                     )
 
+    @pytest.mark.parametrize("n, word", [(3, "s t^2"), (4, "s^2 t s")])
+    def test_transpose_pair_fails_after_the_span_fills(self, n, word):
+        # (B, B^T) spans all n x n matrices on both sides, and its first
+        # failing transfer comes after that, against the full span
+        b = rat_matrix(np.random.default_rng(n), n)
+        for x in (b, b.to_float()):
+            v = algebra_closure(x, x.transpose())
+            cert = v.certificate
+            assert isinstance(cert, DependencyCertificate)
+            assert (cert.side, str(cert.word), v.dimension) == ("left", word, n * n)
+            assert len(cert.basis_words) == n * n
+            _, (xs, ys) = common_scale([x, x.transpose()])
+            assert cert.recheck([xs, xs.adjoint()], [ys, ys.adjoint()], 1e-8)
+
+    def test_similar_generic_pair_fills_the_span(self):
+        x = rat_matrix(np.random.default_rng(4), 4)
+        u = _cyclic_permutation(4)
+        for p, q in ((x, u.adjoint() @ x @ u), similar_pair(4, 4)):
+            v = algebra_closure(p, q)
+            assert v.equivalent and v.dimension == 16
+
+    def test_leaves_no_reference_cycle(self):
+        # a cycle through the loop's closures would keep every span's arrays
+        # alive until the cyclic collector runs
+        b = rat_matrix(np.random.default_rng(3), 3)
+        inst = make_yes_instance(3, 1, 1, 1, 1, seed=1).inst
+        calls = (
+            lambda: algebra_closure(b, b.transpose()),
+            lambda: algebra_closure(b.to_float(), b.transpose().to_float()),
+            lambda: solve_general(inst),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            for call in calls:
+                call()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_exact_and_float_closure_agree(self, rng):
         pairs = []  # (x, y, made similar by an exact unitary)
         for n in (2, 3, 4):
@@ -310,8 +351,10 @@ class TestBlockInvariance:
             for inst in (g.inst, perturb_to_no(g, 0.1, seed=seed).inst):
                 _, left, right = decision_letters(inst)
                 out.append((solve_general(inst), left, right))
+        b = rat_matrix(np.random.default_rng(3), 3).to_float()
         pairs = [
             _shift_pair(8, 5),  # fails inside its block: the rest is dropped
+            (b, b.transpose()),  # fails after the span fills
             # X* = X joins the first block right after X and depends on it
             _hermitian_pair(3, 6, 1.0),
             _hermitian_pair(3, 6, 1.2),
@@ -326,7 +369,7 @@ class TestBlockInvariance:
         monkeypatch.setattr(engines, "_BLOCK", 1)
         single = self._decisions()
         assert [v.equivalent for v, _, _ in blocked] == [
-            True, False, True, False, False, True, False
+            True, False, True, False, False, False, True, False
         ]
         for (vb, left, right), (vs, _, _) in zip(blocked, single):
             assert vb.equivalent == vs.equivalent
@@ -337,6 +380,81 @@ class TestBlockInvariance:
                 assert vb.certificate.recheck(left, right, 1e-8)
                 assert vs.certificate.recheck(left, right, 1e-8)
 
+
+class TestTransferMap:
+    """Once a float span is full, a block of children is checked at once
+    against each side's transfer map."""
+
+    @staticmethod
+    def _full_span(s):
+        # basis: the matrix units E on the left, S E S^-1 on the right, so
+        # the left map is A -> S A S^-1 and the right one its inverse
+        n = s.shape[0]
+        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+        spans = engines._MappedSpan([identity(n)], [identity(n)], 1e-8)
+        spans.project(np.stack([units, s @ units @ np.linalg.inv(s)]))
+        for j in range(n * n):
+            assert spans.reduce(j) == (False, False)
+            spans.add(j)
+        assert spans.full
+        return spans
+
+    def test_first_failing_row_then_left(self):
+        s = np.diag([1.0, 100.0])
+        spans = self._full_span(s)
+        a = np.array([[0.3, -0.2j], [0.5, 0.1 + 0.4j]])
+        good = s @ a @ np.linalg.inv(s)
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        # each side's defect is held to tol (1 + the other side's norm):
+        # the left one, 1e-9, is within tol (1 + |good|) = 5.1e-7; the right
+        # one, S^-1 (1e-9 E12) S = 1e-7 E12, is not within tol (1 + |a|)
+        right_only = good + 1e-9 * e12
+        both = good + 0.1
+        rows = {"good": good, "right": right_only, "both": both}
+
+        def check(order):
+            block = np.stack([[a] * len(order), [rows[k] for k in order]])
+            return spans.transfer(block)
+
+        j, side, resid = check(["good", "right", "both"])
+        assert (j, side) == (1, 1)  # the earlier row, though only on the right
+        assert resid == pytest.approx(1e-7, rel=1e-6)
+        j, side, _ = check(["good", "both", "right"])
+        assert (j, side) == (1, 0)  # both sides fail: left
+        # the certificate solve reads the checked block
+        c = spans.coeffs(1, 0)
+        assert np.allclose(np.tensordot(c, spans.prods[0], 1), a)
+        assert check(["good", "good"]) is None
+        assert spans.transfer(np.empty((2, 0, 2, 2), dtype=complex)) is None
+
+    def test_agrees_with_the_one_word_check(self):
+        # the per-word path (project, reduce, mismatch) on the same full
+        # span is the reference: the same dependencies and failing rows
+        rng = np.random.default_rng(11)
+        s = np.diag([1.0, 3.0]) + np.triu(rng.standard_normal((2, 2)), 1)
+        spans = self._full_span(s)
+        a = rng.standard_normal((12, 2, 2)) + 1j * rng.standard_normal((12, 2, 2))
+        bump = np.logspace(-4, -12, 12)[:, None, None] * rng.standard_normal((12, 2, 2))
+        block = np.stack([a, s @ a @ np.linalg.inv(s) + bump])
+        batch = [spans.transfer(block[:, k:]) for k in range(12)]
+        spans.project(block)
+        for k in range(12):
+            assert spans.reduce(k) == (True, True)
+        one_word = [
+            next(
+                ((j, side, resid) for j in range(k, 12) for side in (0, 1)
+                 if (resid := spans.mismatch(j, side)) is not None),
+                None,
+            )
+            for k in range(12)
+        ]
+        assert any(f is None for f in one_word) and any(f is not None for f in one_word)
+        for k, (got, want) in enumerate(zip(batch, one_word)):
+            if want is None:
+                assert got is None
+            else:
+                assert (got[0] + k, got[1]) == want[:2]
+                assert got[2] == pytest.approx(want[2], rel=1e-6)
 
 class TestUnitarilySimilar:
     def test_1x1(self):
