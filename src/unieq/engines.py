@@ -16,12 +16,14 @@ Two interchangeable engines decide unitary similarity of a pair:
   dependent on both, so the two spans always have the same dimension.
   Each arithmetic is one class that owns its letters, products, scaling,
   span, trace check and certificate solve: float Gram-Schmidt
-  (``_MappedSpan``), which takes the breadth-first frontier in blocks of
-  up to ``_BLOCK`` words and, once its span is full, checks every later
-  word against one precomputed transfer map, and exact fraction-free row
-  reduction over the Gaussian integers after one denominator clearing
-  (``_IntegerSpan``), one word at a time.  Verdicts, certificate words and
-  dimensions are those of taking words one at a time.
+  (``_MappedSpan``), real when the letters are, which takes the
+  breadth-first frontier in blocks of up to ``_BLOCK`` words and, once its
+  span is full, stops at a unitary intertwiner of the letters read off
+  the span or else checks every later word against one precomputed
+  transfer map, and exact fraction-free row reduction over the Gaussian
+  integers after one denominator clearing (``_IntegerSpan``), one word at
+  a time.  Verdicts, certificate words and dimensions are those of taking
+  words one at a time.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
@@ -309,8 +311,8 @@ def _norm(v) -> float:
 
 
 def _norms(v):
-    """Euclidean norms along the last axis of a complex array whose last
-    axis is contiguous."""
+    """Euclidean norms along the last axis of a real or complex array whose
+    last axis is contiguous."""
     f = v.view(np.float64)
     return np.sqrt(np.einsum("...i,...i->...", f, f))
 
@@ -330,9 +332,11 @@ def _grown(a, rows: int, limit: int):
 
 class _MappedSpan:
     """Float arithmetic of the closure: both sides' spans, stacked on axis 0
-    (0 left, 1 right).  Letters are complex matrices, the empty word's
-    product is I, each child pair is divided by its joint norm (a pair of
-    norm 0 is dropped), and traces are compared within ``tol``.
+    (0 left, 1 right).  The letters, the empty word's product I and every
+    stored vector share one dtype: ``float64`` when no letter has an
+    imaginary part (the real 2n letters), else ``complex128``.  Each child
+    pair is divided by its joint norm (a pair of norm 0 is dropped), and
+    traces are compared within ``tol``.
 
     Each side keeps orthonormal vectors, and beside each one its mirror: the
     other side's combination under the same elimination recipe.  A dependent
@@ -357,7 +361,22 @@ class _MappedSpan:
     defect is left.  The side's orthonormal vectors Q are then square and
     unitary to working precision, so its coordinates are y = v Q* and the
     other side must equal y M = v G with the transfer map G = Q* M over its
-    mirrors M, built once per side when the span fills.  ``transfer``
+    mirrors M.
+
+    The span is first tried for an intertwiner.  A full span means both
+    letter algebras are all of M_N (N the letter size), so the left map
+    phi (each left word to its right word) is an algebra map iff phi(X) =
+    S X S^-1 for one invertible S.  Then phi(E_j1) = s_j r_1^T, with s_j
+    column j of S and r_1^T row 1 of S^-1: row j N of G, reshaped to N x N,
+    times the fixed x = (cos 0, ..., cos(N - 1)) is s_j (r_1^T x), so N
+    rows of G give S up to a scalar in N^5 flops, not G's N^6.  S, scaled
+    to largest singular value 1, is accepted if it is unitary by
+    ``verify_witness``'s rule, |S S* - I| <= tol (1 + sqrt N), and
+    |S L_k - L'_k S| <= tol (1 + |L_k|) on every letter.  Every word is a
+    product of letters, so every word then maps by X -> S X S^-1: every
+    dependency transfers and every trace agrees, and the span is
+    ``settled`` with no later word to check.  The final trace check still
+    runs.  If S is refused, G is built on each side, and ``transfer``
     checks a whole block of children with one GEMM per side.
 
     Certificate coefficients solve the triangular factor Q* P of the side's
@@ -368,13 +387,15 @@ class _MappedSpan:
     def __init__(self, letters_x, letters_y, tol: float):
         n = letters_x[0].rows
         self.dim, self.tol, self.cap, self.d = n * n, tol, _BLOCK, 0
-        self.letters = np.array(
-            [[m.data for m in letters_x], [m.data for m in letters_y]]
-        )
-        self.eye = np.broadcast_to(identity(n).data, (2, 1, n, n))
-        self.prods = self.letters[:, :0]  # each basis word's product
-        self.qm = np.empty((2, 0, 2 * self.dim), dtype=np.complex128)
+        letters = np.array([[m.data for m in letters_x], [m.data for m in letters_y]])
+        if not letters.imag.any():  # real letters span a real algebra
+            letters = np.ascontiguousarray(letters.real)
+        self.letters = letters
+        self.eye = np.broadcast_to(np.eye(n, dtype=letters.dtype), (2, 1, n, n))
+        self.prods = letters[:, :0]  # each basis word's product
+        self.qm = np.empty((2, 0, 2 * self.dim), dtype=letters.dtype)
         self.map = None  # each side's transfer map, once the span is full
+        self.settled = False  # every later word transfers, once the span is full
 
     @property
     def full(self) -> bool:
@@ -407,7 +428,7 @@ class _MappedSpan:
         v = block.reshape(2, b, n)
         qm = self.qm[:, :d]
         q, qt = qm[:, :, :n], qm[:, :, :n].transpose(0, 2, 1)
-        rd = np.empty((2, b, 2 * n), dtype=np.complex128)  # residual, defect
+        rd = np.empty((2, b, 2 * n), dtype=self.qm.dtype)  # residual, defect
         r = rd[:, :, :n]
         vn = _norms(v)
         y = np.matmul(np.conj(v), qt)
@@ -463,15 +484,38 @@ class _MappedSpan:
         return np.linalg.solve(q @ p.T, q @ self._children[side, j].ravel())
 
     def add(self, j: int):
-        """Add row j on both sides; build the transfer maps if that fills
-        the span."""
+        """Add row j on both sides.  If that fills the span, it is settled
+        when the left transfer map is an intertwiner's, else each side's
+        transfer map is built."""
         d, n = self.d, self.dim
         np.divide(self._block[3][:, j], np.array(self._rn)[:, None], out=self.qm[:, d])
         self.prods[:, d] = self._children[:, j]
         self.d = d + 1
         if self.full:
-            q, m = self.qm[:, :, :n], self.qm[:, :, n:]
-            self.map = np.conj(q).transpose(0, 2, 1) @ m
+            self.settled = self._intertwined()
+            if not self.settled:
+                q, m = self.qm[:, :, :n], self.qm[:, :, n:]
+                self.map = np.conj(q).transpose(0, 2, 1) @ m
+
+    def _intertwined(self) -> bool:
+        """Whether the full span's left transfer map is X -> S X S^-1 for a
+        unitary S with S L_k = L'_k S on every letter, each within tol."""
+        size, n = self.letters.shape[-1], self.dim
+        q, m = self.qm[0, :, :n], self.qm[0, :, n:]
+        # row j*size of G = Q* M is phi(E_j1) = s_j r_1^T, and phi(E_j1) x
+        # is column j of S times the scalar r_1^T x; cos 0, cos 1, ... are
+        # linearly independent over the algebraic numbers, so that scalar
+        # is not 0 for any S with algebraic entries
+        units = np.conj(q[:, ::size]).T @ m
+        s = (units.reshape(size, size, size) @ np.cos(np.arange(size))).T
+        s /= np.linalg.norm(s, 2)
+        unitary_defect = np.linalg.norm(s @ np.conj(s).T - np.eye(size))
+        if unitary_defect > self.tol * (1.0 + math.sqrt(size)):
+            return False
+        left, right = self.letters
+        a = len(left)
+        defect = _norms((s @ left - right @ s).reshape(a, -1))
+        return bool((defect <= self.tol * (1.0 + _norms(left.reshape(a, -1)))).all())
 
     def transfer(self, block):
         """Check a block of child products, shaped (2, words, n, n), against
@@ -522,7 +566,7 @@ class _IntegerSpan:
     certificate, by Bareiss elimination on the basis rows' pivot columns.
     """
 
-    cap, full = 1, False  # exact mode decides every word on its own
+    cap, full, settled = 1, False, False  # exact mode decides every word on its own
 
     def __init__(self, letters_x, letters_y):
         a, n = len(letters_x), letters_x[0].rows
@@ -638,9 +682,10 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
     span is full, every later word is dependent by dimension alone: the
     rest of the filling block, then every remaining entry in batches of the
     span's dimension, goes through its ``transfer`` check at once, and the
-    first failing entry (left before right) is the certificate.  When no
-    word extends the basis, every basis word's traces must agree (else a
-    TraceCertificate).
+    first failing entry (left before right) is the certificate; a float
+    span ``settled`` by an intertwiner of the letters skips all of them.
+    When no word extends the basis, every basis word's traces must agree
+    (else a TraceCertificate).
     """
     exact = letters_x[0].mode == EXACT
     if exact:
@@ -691,13 +736,15 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
                 spans.add(j)
                 words.append(word_of(source))
                 nus.append(scales[j])
+                if spans.settled:  # so is every later word
+                    return None
                 if spans.full:  # so is the rest of the block
                     return settle(origin[j + 1 :], block[:, j + 1 :], scales[j + 1 :])
         return None
 
     failure = extend(*spans.scaled([None], spans.eye, [1]))
     g, size = 0, a
-    while failure is None and g < len(words) * a:
+    while failure is None and not spans.settled and g < len(words) * a:
         step = spans.dim if spans.full else min(size, spans.cap)
         stop = min(g + step, len(words) * a)
         origin = [divmod(e, a) for e in range(g, stop)]

@@ -37,7 +37,14 @@ from unieq import (
     zeros,
 )
 
-from conftest import congruent_pair, exact_unitary, rand_matrix, rat_matrix, similar_pair
+from conftest import (
+    complex_gaussian,
+    congruent_pair,
+    exact_unitary,
+    rand_matrix,
+    rat_matrix,
+    similar_pair,
+)
 
 GR = GaussianRational
 J = Matrix.from_complex([[0, 1], [0, 0]])
@@ -388,15 +395,17 @@ class TestTransferMap:
     @staticmethod
     def _full_span(s):
         # basis: the matrix units E on the left, S E S^-1 on the right, so
-        # the left map is A -> S A S^-1 and the right one its inverse
+        # the left map is A -> S A S^-1 and the right one its inverse; the
+        # letters i I and 2i I are complex and no S maps one to the other,
+        # so the span does not settle and builds both transfer maps
         n = s.shape[0]
         units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-        spans = engines._MappedSpan([identity(n)], [identity(n)], 1e-8)
+        spans = engines._MappedSpan([identity(n).scale(1j)], [identity(n).scale(2j)], 1e-8)
         spans.project(np.stack([units, s @ units @ np.linalg.inv(s)]))
         for j in range(n * n):
             assert spans.reduce(j) == (False, False)
             spans.add(j)
-        assert spans.full
+        assert spans.full and not spans.settled and spans.map is not None
         return spans
 
     def test_first_failing_row_then_left(self):
@@ -455,6 +464,116 @@ class TestTransferMap:
             else:
                 assert (got[0] + k, got[1]) == want[:2]
                 assert got[2] == pytest.approx(want[2], rel=1e-6)
+
+
+@pytest.fixture
+def float_spans(monkeypatch):
+    """Every float span the closure builds, in order."""
+    made = []
+
+    class Recorded(engines._MappedSpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(engines, "_MappedSpan", Recorded)
+    return made
+
+
+class TestIntertwinerStop:
+    """A float span takes its letters' dtype, and once it is full it is
+    settled by the intertwiner read off the left transfer map, when that is
+    unitary and maps every letter; else the batch transfer check runs."""
+
+    def test_real_letters_give_a_real_span(self):
+        _, left, right = decision_letters(make_yes_instance(2, 1, 1, 1, 1, seed=1).inst)
+        real = engines._MappedSpan(left, right, 1e-8)
+        a, b = similar_pair(3, 5)
+        cplx = engines._MappedSpan([a, a.adjoint()], [b, b.adjoint()], 1e-8)
+        for spans, dtype in ((real, np.float64), (cplx, np.complex128)):
+            assert spans.letters.dtype == spans.eye.dtype == spans.qm.dtype == dtype
+
+    @pytest.mark.parametrize("route", ["real2n", "s1"])
+    def test_yes_span_settles_without_a_transfer_map(self, float_spans, route):
+        if route == "real2n":
+            inst, size = make_yes_instance(3, 1, 1, 1, 1, seed=1).inst, 6
+        else:
+            inst, size = make_yes_instance(4, 1, 0, 0, 0, seed=1).inst, 4
+        v = solve_general(inst)
+        assert v.equivalent and v.dimension == size * size
+        assert v.route.startswith(f"general:{route}")
+        spans = float_spans[-1]
+        assert spans.settled and spans.map is None
+
+    def test_non_unitary_intertwiner_takes_the_batch_path(self, float_spans, monkeypatch):
+        # [X1, X2] and [S X1 S^-1, S X2 S^-1] span all 3x3 matrices and every
+        # dependency transfers, but S is not unitary: the span is refused by
+        # the unitarity check alone and the transfer batches decide
+        rng = np.random.default_rng(8)
+        s = np.diag([1.0, 2.0, 3.0]) + np.triu(rng.standard_normal((3, 3)), 1)
+        xs = [rand_matrix(rng, 3) for _ in range(2)]
+        ys = [Matrix(s @ x.data @ np.linalg.inv(s), "float") for x in xs]
+        batches = []
+        transfer = engines._MappedSpan.transfer
+        monkeypatch.setattr(
+            engines._MappedSpan, "transfer",
+            lambda self, block: batches.append(block.shape[1]) or transfer(self, block),
+        )
+        v = engines._closure_verdict(xs, ys, 1e-8)
+        assert v.equivalent and v.dimension == 9
+        spans = float_spans[-1]
+        assert not spans.settled and spans.map is not None
+        assert sum(batches) > 0
+
+    @pytest.mark.parametrize("maps", [True, False])
+    def test_letter_check(self, maps):
+        # a hand-built full span whose left map is A -> U A U* for a unitary
+        # U: it settles only if U also maps the letter
+        rng = np.random.default_rng(12)
+        u = random_unitary(3, rng).data
+        x = complex_gaussian(rng, 3)
+        y = u @ x @ u.conj().T if maps else complex_gaussian(rng, 3)
+        units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+        spans = engines._MappedSpan([Matrix(x, "float")], [Matrix(y, "float")], 1e-8)
+        spans.project(np.stack([units, u @ units @ u.conj().T]))
+        for j in range(9):
+            assert spans.reduce(j) == (False, False)
+            spans.add(j)
+        assert spans.full
+        assert spans.settled == maps
+        assert (spans.map is None) == maps
+
+    def test_span_filling_mid_block_skips_the_rest(self, float_spans, monkeypatch):
+        # the real letters of this instance fill their 36-dimensional span
+        # inside a block: the filling add is the last call, so no later row
+        # is reduced, transferred or even multiplied out
+        calls = []
+        for name in ("products", "reduce", "transfer", "add"):
+            method = getattr(engines._MappedSpan, name)
+            monkeypatch.setattr(
+                engines._MappedSpan, name,
+                lambda self, *args, _m=method, _n=name: calls.append((_n, args)) or _m(self, *args),
+            )
+        v = solve_general(make_yes_instance(3, 1, 1, 1, 1, seed=1).inst)
+        assert v.equivalent and v.dimension == 36
+        (name, (row,)), spans = calls[-1], float_spans[-1]
+        assert name == "add" and spans.settled
+        assert row < spans._children.shape[1] - 1
+
+    @pytest.mark.parametrize("seed", [312, 675, 1093])
+    def test_conjugated_nilpotent_shift(self, seed):
+        # a 12x12 nilpotent weighted shift, conjugated twice: these draws
+        # were once answered NotEquivalent at dimension 144, with
+        # certificates that failed their own recheck
+        rng = np.random.default_rng([99, seed])
+        core = Matrix(np.diag(rng.uniform(0.5, 1.5, 11), k=1).astype(complex), "float")
+        v = random_unitary(12, int(rng.integers(2**31)))
+        u = random_unitary(12, int(rng.integers(2**31)))
+        b = v @ core @ v.adjoint()
+        inst = ProblemInstance(12, S1=[(u @ b @ u.adjoint(), b)])
+        verdict = solve_general(inst)
+        assert verdict.equivalent and verdict.dimension == 144
+        assert verify_witness(inst, u)
 
 class TestUnitarilySimilar:
     def test_1x1(self):
