@@ -168,6 +168,7 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_words(args) -> int:
+    engines._check_tol(args.tol)
     a, b = fileio.load_pair(args.pair)
     stream = words.iter_word_traces(
         [[a, a.adjoint()], [b, b.adjoint()]],

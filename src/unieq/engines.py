@@ -19,11 +19,10 @@ Two interchangeable engines decide unitary similarity of a pair:
   (``_MappedSpan``), real when the letters are, which takes the
   breadth-first frontier in blocks of up to ``_BLOCK`` words and, once its
   span is full, stops at a unitary intertwiner of the letters read off
-  the span or else checks every later word against one precomputed
-  transfer map, and exact fraction-free row reduction over the Gaussian
-  integers after one denominator clearing (``_IntegerSpan``), one word at
-  a time.  Verdicts, certificate words and dimensions are those of taking
-  words one at a time.
+  the span if there is one, and exact fraction-free row reduction over the
+  Gaussian integers after one denominator clearing (``_IntegerSpan``), one
+  word at a time.  Verdicts, certificate words and dimensions are those of
+  taking words one at a time.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
@@ -263,6 +262,11 @@ def _check_engine(engine: str):
         raise ValueError(f"unknown engine {engine!r}")
 
 
+def _check_tol(tol: float):
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
+
+
 def floor_length_bound(m: int) -> int:
     """Integer word-length cutoff for m-by-m matrices."""
     return math.floor(pappacena_bound(m))
@@ -286,6 +290,7 @@ def specht_brute(
     """
     t0 = time.perf_counter()
     _check_pair(X, Y)
+    _check_tol(tol)
     if max_length < 1:
         raise ValueError(f"max_length must be at least 1, got {max_length}")
     scale = 1.0
@@ -356,16 +361,11 @@ class _MappedSpan:
     against the whole basis if that cancels it, so every word meets exactly
     the basis it would meet if words arrived one at a time.
 
-    Once the span is ``full`` (as many words as the ambient dimension),
-    every later word is dependent by dimension alone, and only its transfer
-    defect is left.  The side's orthonormal vectors Q are then square and
-    unitary to working precision, so its coordinates are y = v Q* and the
-    other side must equal y M = v G with the transfer map G = Q* M over its
-    mirrors M.
-
-    The span is first tried for an intertwiner.  A full span means both
-    letter algebras are all of M_N (N the letter size), so the left map
-    phi (each left word to its right word) is an algebra map iff phi(X) =
+    Once the span is ``full`` (as many words as the ambient dimension), its
+    orthonormal vectors Q are square and unitary to working precision, and
+    the left map phi (each left word to its right word) takes a vector v
+    to v G with G = Q* M over the mirrors M.  Both letter algebras are then
+    all of M_N (N the letter size), so phi is an algebra map iff phi(X) =
     S X S^-1 for one invertible S.  Then phi(E_j1) = s_j r_1^T, with s_j
     column j of S and r_1^T row 1 of S^-1: row j N of G, reshaped to N x N,
     times the fixed x = (cos 0, ..., cos(N - 1)) is s_j (r_1^T x), so N
@@ -376,8 +376,8 @@ class _MappedSpan:
     product of letters, so every word then maps by X -> S X S^-1: every
     dependency transfers and every trace agrees, and the span is
     ``settled`` with no later word to check.  The final trace check still
-    runs.  If S is refused, G is built on each side, and ``transfer``
-    checks a whole block of children with one GEMM per side.
+    runs.  If S is refused, every later word is decided like the earlier
+    ones.
 
     Certificate coefficients solve the triangular factor Q* P of the side's
     orthonormal vectors Q and basis products P against Q* v, built only
@@ -394,7 +394,6 @@ class _MappedSpan:
         self.eye = np.broadcast_to(np.eye(n, dtype=letters.dtype), (2, 1, n, n))
         self.prods = letters[:, :0]  # each basis word's product
         self.qm = np.empty((2, 0, 2 * self.dim), dtype=letters.dtype)
-        self.map = None  # each side's transfer map, once the span is full
         self.settled = False  # every later word transfers, once the span is full
 
     @property
@@ -485,20 +484,16 @@ class _MappedSpan:
 
     def add(self, j: int):
         """Add row j on both sides.  If that fills the span, it is settled
-        when the left transfer map is an intertwiner's, else each side's
-        transfer map is built."""
-        d, n = self.d, self.dim
+        when the left map is an intertwiner's."""
+        d = self.d
         np.divide(self._block[3][:, j], np.array(self._rn)[:, None], out=self.qm[:, d])
         self.prods[:, d] = self._children[:, j]
         self.d = d + 1
         if self.full:
             self.settled = self._intertwined()
-            if not self.settled:
-                q, m = self.qm[:, :, :n], self.qm[:, :, n:]
-                self.map = np.conj(q).transpose(0, 2, 1) @ m
 
     def _intertwined(self) -> bool:
-        """Whether the full span's left transfer map is X -> S X S^-1 for a
+        """Whether the full span's left map is X -> S X S^-1 for a
         unitary S with S L_k = L'_k S on every letter, each within tol."""
         size, n = self.letters.shape[-1], self.dim
         q, m = self.qm[0, :, :n], self.qm[0, :, n:]
@@ -516,21 +511,6 @@ class _MappedSpan:
         a = len(left)
         defect = _norms((s @ left - right @ s).reshape(a, -1))
         return bool((defect <= self.tol * (1.0 + _norms(left.reshape(a, -1)))).all())
-
-    def transfer(self, block):
-        """Check a block of child products, shaped (2, words, n, n), against
-        the full span: the first failing ``(row, side, defect norm)`` in
-        entry order, left before right, or None.  Each side's defect is
-        checked within tol as in ``mismatch``."""
-        self._children = block
-        v = block.reshape(2, block.shape[1], self.dim)
-        resid = _norms(v[::-1] - v @ self.map)
-        ok = resid <= self.tol * (1.0 + _norms(v)[::-1])
-        bad = np.flatnonzero(~ok.T)  # row-major: row by row, left first
-        if not len(bad):
-            return None
-        j, side = divmod(int(bad[0]), 2)
-        return j, side, float(resid[side, j])
 
     def trace_mismatch(self, i: int, nu):
         """Both sides' traces of basis product i, times nu, unless they
@@ -566,7 +546,7 @@ class _IntegerSpan:
     certificate, by Bareiss elimination on the basis rows' pivot columns.
     """
 
-    cap, full, settled = 1, False, False  # exact mode decides every word on its own
+    cap, settled = 1, False  # exact mode decides every word on its own
 
     def __init__(self, letters_x, letters_y):
         a, n = len(letters_x), letters_x[0].rows
@@ -678,15 +658,12 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
     entries up, doubling to the span's cap, and decided one at a time in
     entry order.  A word that depends on the basis on either side is not
     added, and the same combination must hold on the other side (else a
-    DependencyCertificate, and the rest of its block is dropped).  Once a
-    span is full, every later word is dependent by dimension alone: the
-    rest of the filling block, then every remaining entry in batches of the
-    span's dimension, goes through its ``transfer`` check at once, and the
-    first failing entry (left before right) is the certificate; a float
-    span ``settled`` by an intertwiner of the letters skips all of them.
+    DependencyCertificate, and the rest of its block is dropped).  A float
+    span ``settled`` by an intertwiner of the letters checks no later word.
     When no word extends the basis, every basis word's traces must agree
     (else a TraceCertificate).
     """
+    _check_tol(tol)
     exact = letters_x[0].mode == EXACT
     if exact:
         spans = _IntegerSpan(letters_x, letters_y)
@@ -712,19 +689,9 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
             ("left", "right")[side],
         )
 
-    def settle(origin, block, scales):
-        """Check child pairs against the full span all at once."""
-        failed = spans.transfer(block)
-        if failed is None:
-            return None
-        j = failed[0]
-        return certify(origin[j], scales[j], *failed)
-
     def extend(origin, block, scales):
         """Decide a block of child pairs in entry order; a certificate if a
         transfer fails."""
-        if spans.full:  # every child is dependent
-            return settle(origin, block, scales)
         spans.project(block)
         for j, source in enumerate(origin):
             deps = spans.reduce(j)
@@ -738,15 +705,12 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
                 nus.append(scales[j])
                 if spans.settled:  # so is every later word
                     return None
-                if spans.full:  # so is the rest of the block
-                    return settle(origin[j + 1 :], block[:, j + 1 :], scales[j + 1 :])
         return None
 
     failure = extend(*spans.scaled([None], spans.eye, [1]))
     g, size = 0, a
     while failure is None and not spans.settled and g < len(words) * a:
-        step = spans.dim if spans.full else min(size, spans.cap)
-        stop = min(g + step, len(words) * a)
+        stop = min(g + min(size, spans.cap), len(words) * a)
         origin = [divmod(e, a) for e in range(g, stop)]
         block = spans.products(origin)
         failure = extend(*spans.scaled(origin, block, [nus[k] for k, _ in origin]))
@@ -809,6 +773,7 @@ _N3_WORDS = (
 
 
 def _fastpath(X: Matrix, Y: Matrix, words, tag: str, tol: float) -> Verdict:
+    _check_tol(tol)
     lx, ly = [X, X.adjoint()], [Y, Y.adjoint()]
     stream = (
         (w, (eval_word(w, lx).trace(), eval_word(w, ly).trace())) for w in words
@@ -1100,6 +1065,7 @@ def verify_witness(inst: ProblemInstance, U: Matrix, tol: float = DEFAULT_TOL) -
     """Check that one concrete unitary U realizes all four relation families."""
     if U.shape != (inst.n, inst.n):
         raise ValueError(f"witness must be {inst.n}x{inst.n}")
+    _check_tol(tol)
     n = inst.n
     eye = identity(n, U.mode)
     if (U @ U.adjoint() - eye).norm_fro() > tol * (1.0 + math.sqrt(n)):

@@ -293,6 +293,23 @@ class TestGenAndVerify:
         assert code == 1
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tolerance_not_finite_positive_exit_2(tmp_path, capsys, tol):
+    gen = make_yes_instance(3, 1, 1, 1, 1, seed=3)
+    inst, wit, pair = tmp_path / "inst.json", tmp_path / "wit.json", tmp_path / "pair.json"
+    save_instance(gen.inst, inst)
+    save_matrix(gen.witness, wit)
+    write_json(pair, JORDAN_PAIR)
+    for argv in (
+        ["decide", str(inst)],
+        ["verify", str(inst), str(wit)],
+        ["words", str(pair), "--max-length", "2"],
+    ):
+        code, out, err = run(capsys, argv + ["--tol", tol])
+        assert code == 2 and out == ""
+        assert "tol must be a finite positive number" in err
+
+
 class TestFileFormat:
     def test_roundtrip_identity(self, tmp_path):
         gen = make_yes_instance(2, 1, 0, 1, 0, seed=13)

@@ -388,84 +388,6 @@ class TestBlockInvariance:
                 assert vs.certificate.recheck(left, right, 1e-8)
 
 
-class TestTransferMap:
-    """Once a float span is full, a block of children is checked at once
-    against each side's transfer map."""
-
-    @staticmethod
-    def _full_span(s):
-        # basis: the matrix units E on the left, S E S^-1 on the right, so
-        # the left map is A -> S A S^-1 and the right one its inverse; the
-        # letters i I and 2i I are complex and no S maps one to the other,
-        # so the span does not settle and builds both transfer maps
-        n = s.shape[0]
-        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-        spans = engines._MappedSpan([identity(n).scale(1j)], [identity(n).scale(2j)], 1e-8)
-        spans.project(np.stack([units, s @ units @ np.linalg.inv(s)]))
-        for j in range(n * n):
-            assert spans.reduce(j) == (False, False)
-            spans.add(j)
-        assert spans.full and not spans.settled and spans.map is not None
-        return spans
-
-    def test_first_failing_row_then_left(self):
-        s = np.diag([1.0, 100.0])
-        spans = self._full_span(s)
-        a = np.array([[0.3, -0.2j], [0.5, 0.1 + 0.4j]])
-        good = s @ a @ np.linalg.inv(s)
-        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        # each side's defect is held to tol (1 + the other side's norm):
-        # the left one, 1e-9, is within tol (1 + |good|) = 5.1e-7; the right
-        # one, S^-1 (1e-9 E12) S = 1e-7 E12, is not within tol (1 + |a|)
-        right_only = good + 1e-9 * e12
-        both = good + 0.1
-        rows = {"good": good, "right": right_only, "both": both}
-
-        def check(order):
-            block = np.stack([[a] * len(order), [rows[k] for k in order]])
-            return spans.transfer(block)
-
-        j, side, resid = check(["good", "right", "both"])
-        assert (j, side) == (1, 1)  # the earlier row, though only on the right
-        assert resid == pytest.approx(1e-7, rel=1e-6)
-        j, side, _ = check(["good", "both", "right"])
-        assert (j, side) == (1, 0)  # both sides fail: left
-        # the certificate solve reads the checked block
-        c = spans.coeffs(1, 0)
-        assert np.allclose(np.tensordot(c, spans.prods[0], 1), a)
-        assert check(["good", "good"]) is None
-        assert spans.transfer(np.empty((2, 0, 2, 2), dtype=complex)) is None
-
-    def test_agrees_with_the_one_word_check(self):
-        # the per-word path (project, reduce, mismatch) on the same full
-        # span is the reference: the same dependencies and failing rows
-        rng = np.random.default_rng(11)
-        s = np.diag([1.0, 3.0]) + np.triu(rng.standard_normal((2, 2)), 1)
-        spans = self._full_span(s)
-        a = rng.standard_normal((12, 2, 2)) + 1j * rng.standard_normal((12, 2, 2))
-        bump = np.logspace(-4, -12, 12)[:, None, None] * rng.standard_normal((12, 2, 2))
-        block = np.stack([a, s @ a @ np.linalg.inv(s) + bump])
-        batch = [spans.transfer(block[:, k:]) for k in range(12)]
-        spans.project(block)
-        for k in range(12):
-            assert spans.reduce(k) == (True, True)
-        one_word = [
-            next(
-                ((j, side, resid) for j in range(k, 12) for side in (0, 1)
-                 if (resid := spans.mismatch(j, side)) is not None),
-                None,
-            )
-            for k in range(12)
-        ]
-        assert any(f is None for f in one_word) and any(f is not None for f in one_word)
-        for k, (got, want) in enumerate(zip(batch, one_word)):
-            if want is None:
-                assert got is None
-            else:
-                assert (got[0] + k, got[1]) == want[:2]
-                assert got[2] == pytest.approx(want[2], rel=1e-6)
-
-
 @pytest.fixture
 def float_spans(monkeypatch):
     """Every float span the closure builds, in order."""
@@ -482,8 +404,9 @@ def float_spans(monkeypatch):
 
 class TestIntertwinerStop:
     """A float span takes its letters' dtype, and once it is full it is
-    settled by the intertwiner read off the left transfer map, when that is
-    unitary and maps every letter; else the batch transfer check runs."""
+    settled by the intertwiner read off its left map, when that is unitary
+    and maps every letter; else every later word is decided one by one,
+    like the words before the span filled."""
 
     def test_real_letters_give_a_real_span(self):
         _, left, right = decision_letters(make_yes_instance(2, 1, 1, 1, 1, seed=1).inst)
@@ -502,28 +425,27 @@ class TestIntertwinerStop:
         v = solve_general(inst)
         assert v.equivalent and v.dimension == size * size
         assert v.route.startswith(f"general:{route}")
-        spans = float_spans[-1]
-        assert spans.settled and spans.map is None
+        assert float_spans[-1].settled
 
-    def test_non_unitary_intertwiner_takes_the_batch_path(self, float_spans, monkeypatch):
+    def test_refused_span_decides_word_by_word(self, float_spans, monkeypatch):
         # [X1, X2] and [S X1 S^-1, S X2 S^-1] span all 3x3 matrices and every
         # dependency transfers, but S is not unitary: the span is refused by
-        # the unitarity check alone and the transfer batches decide
+        # the unitarity check alone, and every later word is still reduced
+        full_at_reduce = []
+        reduce = engines._MappedSpan.reduce
+        monkeypatch.setattr(
+            engines._MappedSpan, "reduce",
+            lambda self, j: full_at_reduce.append(self.full) or reduce(self, j),
+        )
         rng = np.random.default_rng(8)
         s = np.diag([1.0, 2.0, 3.0]) + np.triu(rng.standard_normal((3, 3)), 1)
         xs = [rand_matrix(rng, 3) for _ in range(2)]
         ys = [Matrix(s @ x.data @ np.linalg.inv(s), "float") for x in xs]
-        batches = []
-        transfer = engines._MappedSpan.transfer
-        monkeypatch.setattr(
-            engines._MappedSpan, "transfer",
-            lambda self, block: batches.append(block.shape[1]) or transfer(self, block),
-        )
         v = engines._closure_verdict(xs, ys, 1e-8)
         assert v.equivalent and v.dimension == 9
         spans = float_spans[-1]
-        assert not spans.settled and spans.map is not None
-        assert sum(batches) > 0
+        assert spans.full and not spans.settled
+        assert any(full_at_reduce)
 
     @pytest.mark.parametrize("maps", [True, False])
     def test_letter_check(self, maps):
@@ -541,14 +463,13 @@ class TestIntertwinerStop:
             spans.add(j)
         assert spans.full
         assert spans.settled == maps
-        assert (spans.map is None) == maps
 
     def test_span_filling_mid_block_skips_the_rest(self, float_spans, monkeypatch):
         # the real letters of this instance fill their 36-dimensional span
         # inside a block: the filling add is the last call, so no later row
-        # is reduced, transferred or even multiplied out
+        # is reduced or even multiplied out
         calls = []
-        for name in ("products", "reduce", "transfer", "add"):
+        for name in ("products", "reduce", "add"):
             method = getattr(engines._MappedSpan, name)
             monkeypatch.setattr(
                 engines._MappedSpan, name,
@@ -956,6 +877,30 @@ class TestVerifyWitness:
         g = make_yes_instance(2, 1, 0, 0, 0, seed=4)
         with pytest.raises(ValueError):
             verify_witness(g.inst, identity(3))
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_positive(self, tol):
+        g = make_yes_instance(2, 1, 1, 0, 0, seed=3)
+        a, b = similar_pair(4, 1)
+        x = rat_matrix(np.random.default_rng(2), 2)
+        calls = [
+            lambda: specht_brute(J, J2, 6, tol=tol),
+            lambda: algebra_closure(a, b, tol=tol),
+            lambda: algebra_closure(x, x, tol=tol),  # exact mode too
+            lambda: unitarily_similar(J, J2, tol=tol),
+            lambda: unitarily_similar(a, b, tol=tol),
+            lambda: simultaneously_unitarily_similar([(a, b), (b, a)], tol=tol),
+            lambda: unitarily_congruent(a, b, tol=tol),
+            lambda: unitarily_congruent(J, J2, engine="brute", tol=tol),
+            lambda: solve_general(g.inst, tol=tol),
+            lambda: solve_general(g.inst, engine="brute", max_length=2, tol=tol),
+            lambda: verify_witness(g.inst, g.witness, tol=tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite positive"):
+                call()
 
 
 class TestVerdictContract:
