@@ -38,7 +38,10 @@ print(f"real letters: {len(left)} of size {left[0].shape}")
 
 verdict = solve_general(gen.inst)
 print("decision:", verdict.result, "via", verdict.route)
-print("spanned dimension:", verdict.dimension)
+if verdict.dimension is None:  # the eigenbasis check found the intertwiner
+    print("no span built: an eigenbasis alignment found the intertwiner")
+else:
+    print("spanned dimension:", verdict.dimension)
 
 # Perturbing one matrix breaks the equivalence, with a certificate that can
 # be re-verified from scratch against the rebuilt decision letters.

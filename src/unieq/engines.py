@@ -22,7 +22,10 @@ Two interchangeable engines decide unitary similarity of a pair:
   the span if there is one, and exact fraction-free row reduction over the
   Gaussian integers after one denominator clearing (``_IntegerSpan``), one
   word at a time.  Verdicts, certificate words and dimensions are those of
-  taking words one at a time.
+  taking words one at a time.  Before a float span is built, one
+  eigenbasis alignment of the letters looks for a unitary intertwiner
+  (``_aligned_intertwiner``); when it finds one, the answer is Equivalent
+  with no span.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
@@ -335,13 +338,113 @@ def _grown(a, rows: int, limit: int):
     return new
 
 
+def _float_letters(letters_x, letters_y):
+    """Both sides' float letters stacked on axis 0 (0 left, 1 right):
+    ``float64`` when no letter has an imaginary part (the real 2n letters),
+    else ``complex128``."""
+    letters = np.array([[m.data for m in letters_x], [m.data for m in letters_y]])
+    if not letters.imag.any():  # real letters span a real algebra
+        letters = np.ascontiguousarray(letters.real)
+    return letters
+
+
+def _accepted(s, letters, tol: float):
+    """S, of largest singular value 1, if it is unitary by
+    ``verify_witness``'s rule, |S S* - I| <= tol (1 + sqrt N), and maps
+    every letter, |S L_k - L'_k S| <= tol (1 + |L_k|); else None.  Every
+    word is a product of letters, so an accepted S maps every word by
+    X -> S X S^-1: every dependency transfers and every trace agrees."""
+    size = len(s)
+    unitary_defect = np.linalg.norm(s @ np.conj(s).T - np.eye(size))
+    if unitary_defect > tol * (1.0 + math.sqrt(size)):
+        return None
+    left, right = letters
+    a = len(left)
+    defect = _norms((s @ left - right @ s).reshape(a, -1))
+    return s if (defect <= tol * (1.0 + _norms(left.reshape(a, -1)))).all() else None
+
+
+def _aligned_intertwiner(letters, tol: float):
+    """An intertwiner of two stacked float letter lists that ``_accepted``
+    accepts, found from one eigenbasis per side without any span; None if
+    this finds none, which proves nothing.
+
+    If some letter's Frobenius norm differs from its partner's by more than
+    the acceptance bounds allow, no S passes, and none is sought.  Else H =
+    C + C* with C = sum_k c_k L_k is Hermitian (real symmetric on real
+    letters) for the fixed c_k = sqrt(k + 2), plus i (-1)^k on complex
+    letters.  The closure's letter lists are closed under adjoint, in pairs
+    (L, L*) and, on the real letters, one antisymmetric E; the positive
+    real parts keep a pair from cancelling in H.  Each side's
+    ``eigh`` gives H = V diag V*, and M_k = V* L_k V.  A unitary S with
+    S L_k S* = L'_k maps H to H', so if H has distinct eigenvalues, S = V'
+    D V* for a diagonal unitary D with N_k = D M_k D*, and D has real signs
+    on real letters.  Entry (i, j) then fixes d_j = d_i phase(M_k[ij]
+    conj(N_k[ij])): the phases are propagated from phase 1 at each root
+    along a maximum-weight spanning forest of max_k |M_k[ij]| (Prim's),
+    through the letter k of that maximum, and a zero M_k[ij] conj(N_k[ij])
+    refuses.
+
+    Where H repeats an eigenvalue, ``eigh``'s basis of that eigenspace is
+    arbitrary, so S would pass only if the letters were scalar there: two
+    neighbouring eigenvalues within tol whose eigenvectors some letter
+    couples beyond tol refuse before any phase is fixed.  Real letters
+    whose algebra is of complex type (it commutes with a J of square -I)
+    repeat every eigenvalue of H this way.
+    """
+    a, size = letters.shape[1], letters.shape[-1]
+    f = letters.reshape(2, a, -1).view(np.float64)
+    sq = np.einsum("ski,ski->ks", f, f).tolist()  # squared norms, letter-wise
+    top = math.sqrt(max(map(max, sq)))
+    # an accepted S has |S| = 1 and smallest singular value at least
+    # 1 - slack, so |S L - L' S| >= ||L| - |L'|| - slack max(|L|, |L'|),
+    # and no S passes past this bound, one for all letters; |L|^2 - |L'|^2
+    # is at most 2 top times ||L| - |L'||
+    slack = tol * (1.0 + math.sqrt(size))
+    if max(abs(x - y) for x, y in sq) > 2 * top * (tol + slack) * (1.0 + top):
+        return None
+    c = np.sqrt(np.arange(2.0, a + 2))
+    if letters.dtype == np.complex128:
+        c = c + 1j * (-1.0) ** np.arange(a)
+    mix = (c @ letters.reshape(2, a, -1)).reshape(2, size, size)
+    h, v = np.linalg.eigh(mix + np.conj(mix.transpose(0, 2, 1)))
+    vh = np.conj(v.transpose(0, 2, 1))
+    m = vh[:, None] @ letters @ v[:, None]  # M_k and N_k
+    mag = np.abs(m[0])
+    weight, which = mag.max(axis=0).tolist(), mag.argmax(axis=0).tolist()
+    h = h[0].tolist()
+    near = tol * (1.0 + max(-h[0], h[-1]))
+    for i in range(size - 1):
+        if h[i + 1] - h[i] <= near and weight[i][i + 1] > tol * (1.0 + top):
+            return None  # a repeated eigenvalue on which the letters are not scalar
+    d, best, parent = [1.0] * size, [0.0] * size, [0] * size
+    todo = list(range(size))
+    while todo:  # Prim's, on lists: a numpy call per step costs more
+        j = max(todo, key=best.__getitem__)
+        todo.remove(j)
+        if best[j] > 0:  # else j roots a new tree, with phase 1
+            i = parent[j]
+            k = which[i][j]
+            z = m.item(0, k, i, j) * m.item(1, k, i, j).conjugate()
+            if z == 0:
+                return None
+            d[j] = d[i] * z / abs(z)
+        row = weight[j]
+        for i in todo:
+            if row[i] > best[i]:
+                best[i], parent[i] = row[i], j
+    # V' D V* has singular values 1 up to rounding, as _accepted requires
+    return _accepted((v[1] * np.array(d)) @ vh[0], letters, tol)
+
+
 class _MappedSpan:
     """Float arithmetic of the closure: both sides' spans, stacked on axis 0
-    (0 left, 1 right).  The letters, the empty word's product I and every
-    stored vector share one dtype: ``float64`` when no letter has an
-    imaginary part (the real 2n letters), else ``complex128``.  Each child
-    pair is divided by its joint norm (a pair of norm 0 is dropped), and
-    traces are compared within ``tol``.
+    (0 left, 1 right).  The letters (``_float_letters``), the empty word's
+    product I and every stored vector share one dtype.  Each child pair is
+    divided by its joint norm (a pair of norm 0 is dropped), and traces are
+    compared within ``tol``, all basis words in one call.  The closure
+    builds a span only when ``_aligned_intertwiner`` finds no intertwiner
+    of the letters first.
 
     Each side keeps orthonormal vectors, and beside each one its mirror: the
     other side's combination under the same elimination recipe.  A dependent
@@ -370,11 +473,8 @@ class _MappedSpan:
     column j of S and r_1^T row 1 of S^-1: row j N of G, reshaped to N x N,
     times the fixed x = (cos 0, ..., cos(N - 1)) is s_j (r_1^T x), so N
     rows of G give S up to a scalar in N^5 flops, not G's N^6.  S, scaled
-    to largest singular value 1, is accepted if it is unitary by
-    ``verify_witness``'s rule, |S S* - I| <= tol (1 + sqrt N), and
-    |S L_k - L'_k S| <= tol (1 + |L_k|) on every letter.  Every word is a
-    product of letters, so every word then maps by X -> S X S^-1: every
-    dependency transfers and every trace agrees, and the span is
+    to largest singular value 1, is held to the rule of ``_accepted``, the
+    one that ``_aligned_intertwiner``'s S meets; if it passes, the span is
     ``settled`` with no later word to check.  The final trace check still
     runs.  If S is refused, every later word is decided like the earlier
     ones.
@@ -384,12 +484,9 @@ class _MappedSpan:
     then.
     """
 
-    def __init__(self, letters_x, letters_y, tol: float):
-        n = letters_x[0].rows
+    def __init__(self, letters, tol: float):
+        n = letters.shape[-1]
         self.dim, self.tol, self.cap, self.d = n * n, tol, _BLOCK, 0
-        letters = np.array([[m.data for m in letters_x], [m.data for m in letters_y]])
-        if not letters.imag.any():  # real letters span a real algebra
-            letters = np.ascontiguousarray(letters.real)
         self.letters = letters
         self.eye = np.broadcast_to(np.eye(n, dtype=letters.dtype), (2, 1, n, n))
         self.prods = letters[:, :0]  # each basis word's product
@@ -504,19 +601,18 @@ class _MappedSpan:
         units = np.conj(q[:, ::size]).T @ m
         s = (units.reshape(size, size, size) @ np.cos(np.arange(size))).T
         s /= np.linalg.norm(s, 2)
-        unitary_defect = np.linalg.norm(s @ np.conj(s).T - np.eye(size))
-        if unitary_defect > self.tol * (1.0 + math.sqrt(size)):
-            return False
-        left, right = self.letters
-        a = len(left)
-        defect = _norms((s @ left - right @ s).reshape(a, -1))
-        return bool((defect <= self.tol * (1.0 + _norms(left.reshape(a, -1)))).all())
+        return _accepted(s, self.letters, self.tol) is not None
 
-    def trace_mismatch(self, i: int, nu):
-        """Both sides' traces of basis product i, times nu, unless they
-        agree within tol."""
-        tl, tr = nu * np.trace(self.prods[0, i]), nu * np.trace(self.prods[1, i])
-        return None if _close(tl, tr, self.tol) else (tl, tr)
+    def trace_mismatch(self, nus):
+        """The first basis index whose traces, times its nu, differ beyond
+        tol, with both traces; None if every basis word's agree."""
+        tl, tr = np.trace(self.prods[:, : self.d], axis1=-2, axis2=-1) * np.array(nus)
+        # not _close(tl, tr, tol), entry by entry
+        bad = np.flatnonzero(~(np.abs(tl - tr) <= self.tol * (1.0 + np.abs(tl))))
+        if not len(bad):
+            return None
+        i = int(bad[0])
+        return i, (tl[i], tr[i])
 
 
 class _IntegerSpan:
@@ -637,13 +733,15 @@ class _IntegerSpan:
         self.rows[side].append((pivot, reduced))
         self.raw[side].append(raw)
 
-    def trace_mismatch(self, i: int, nu):
-        """Both sides' traces of basis product i, times nu, as Gaussian
-        rationals unless they are equal."""
-        t = np.trace(self.prods[:, i], axis1=-2, axis2=-1).tolist()
-        if t[0] == t[1]:
+    def trace_mismatch(self, nus):
+        """The first basis index whose traces differ, with both traces times
+        its nu as Gaussian rationals; None if every basis word's are equal."""
+        tl, tr = np.trace(self.prods[:, : self.d], axis1=-2, axis2=-1).tolist()
+        i = next((i for i in range(self.d) if tl[i] != tr[i]), None)
+        if i is None:
             return None
-        return tuple(GaussianRational(*(nu * part for part in side)) for side in t)
+        nu = nus[i]
+        return i, tuple(GaussianRational(*(nu * part for part in t[i])) for t in (tl, tr))
 
 
 def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
@@ -662,27 +760,44 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
     span ``settled`` by an intertwiner of the letters checks no later word.
     When no word extends the basis, every basis word's traces must agree
     (else a TraceCertificate).
+
+    Float letters are first handed to ``_aligned_intertwiner``: if it finds
+    an intertwiner, the verdict is Equivalent with no span built, so its
+    ``dimension`` is None.  That check can only answer Equivalent, and
+    otherwise the span decides as above.
     """
     _check_tol(tol)
     exact = letters_x[0].mode == EXACT
     if exact:
         spans = _IntegerSpan(letters_x, letters_y)
     else:
-        spans = _MappedSpan(letters_x, letters_y, tol)
+        letters = _float_letters(letters_x, letters_y)
+        if _aligned_intertwiner(letters, tol) is not None:
+            return Verdict(True, ENGINE_CLOSURE, tolerance=tol)
+        spans = _MappedSpan(letters, tol)
     a = len(letters_x)
-    words, nus = [], []  # the basis, and the factor each product dropped
+    # each basis word's (parent, letter), and the factor its product dropped
+    sources, nus = [], []
 
-    def word_of(source):
+    def word_of(source, words):
         if source is None:
             return empty_word(a)
         parent, letter = source
         return words[parent].append_letter(letter)
 
+    def basis_words():
+        """The basis as words, built only for a certificate."""
+        words = []
+        for source in sources:
+            words.append(word_of(source, words))
+        return words
+
     def certify(source, nu, j, side, resid):
         """The certificate of row j's transfer failing on ``side``."""
         coeffs = spans.coeffs(j, side)
+        words = basis_words()
         return DependencyCertificate(
-            word_of(source),
+            word_of(source, words),
             tuple(words),
             tuple(nu * c / b for c, b in zip(coeffs, nus)),
             float(nu * resid),
@@ -701,7 +816,7 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
                     return certify(source, scales[j], j, side, resid)
             if not (deps[0] or deps[1]):
                 spans.add(j)
-                words.append(word_of(source))
+                sources.append(source)
                 nus.append(scales[j])
                 if spans.settled:  # so is every later word
                     return None
@@ -709,24 +824,23 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
 
     failure = extend(*spans.scaled([None], spans.eye, [1]))
     g, size = 0, a
-    while failure is None and not spans.settled and g < len(words) * a:
-        stop = min(g + min(size, spans.cap), len(words) * a)
+    while failure is None and not spans.settled and g < len(sources) * a:
+        stop = min(g + min(size, spans.cap), len(sources) * a)
         origin = [divmod(e, a) for e in range(g, stop)]
         block = spans.products(origin)
         failure = extend(*spans.scaled(origin, block, [nus[k] for k, _ in origin]))
         g, size = stop, 2 * size
     if failure is None:
-        for i, word in enumerate(words):
-            traces = spans.trace_mismatch(i, nus[i])
-            if traces is not None:
-                failure = TraceCertificate(word, *traces)
-                break
+        mismatch = spans.trace_mismatch(nus)
+        if mismatch is not None:
+            i, traces = mismatch
+            failure = TraceCertificate(basis_words()[i], *traces)
     return Verdict(
         failure is None,
         ENGINE_CLOSURE,
         certificate=failure,
         tolerance=None if exact else tol,
-        dimension=len(words),
+        dimension=len(sources),
     )
 
 
@@ -739,7 +853,10 @@ def algebra_closure(
     """Polynomial-time unitary-similarity decision by lockstep algebra spanning.
 
     Verdicts coincide with the brute trace-word criterion; the agreement is
-    enforced by cross-engine tests, not assumed.
+    enforced by cross-engine tests, not assumed.  In float mode an
+    intertwiner found from one eigenbasis alignment of the letters
+    (``_aligned_intertwiner``) answers Equivalent before any span is built,
+    and the verdict then has no ``dimension``.
     """
     t0 = time.perf_counter()
     _check_pair(X, Y)

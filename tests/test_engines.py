@@ -51,6 +51,26 @@ J = Matrix.from_complex([[0, 1], [0, 0]])
 J2 = Matrix.from_complex([[0, 2], [0, 0]])
 
 
+def _signature(verdict):
+    cert = verdict.certificate
+    return verdict.result, None if cert is None else str(cert.word)
+
+
+def _spanned(monkeypatch, decide, band=False):
+    """``decide()`` with the eigenbasis check switched off, so that a float
+    closure builds its span; the verdict with the check must have the same
+    result and certificate word.  For inputs within the tolerance band
+    (``band``), the check may also answer Equivalent where the span does
+    not: the check's S then maps every letter within tol."""
+    checked = decide()
+    with monkeypatch.context() as m:
+        m.setattr(engines, "_aligned_intertwiner", lambda letters, tol: None)
+        spanned = decide()
+    if not (band and checked.equivalent):
+        assert _signature(checked) == _signature(spanned)
+    return spanned
+
+
 class TestSpechtBrute:
     def test_reflexive(self, rng):
         x = rand_matrix(rng, 3)
@@ -105,8 +125,8 @@ class TestSpechtBrute:
 
 
 class TestAlgebraClosure:
-    def test_identity_pair(self):
-        v = algebra_closure(identity(3), identity(3))
+    def test_identity_pair(self, monkeypatch):
+        v = _spanned(monkeypatch, lambda: algebra_closure(identity(3), identity(3)))
         assert v.equivalent and v.dimension == 1
 
     def test_jordan_mismatch(self):
@@ -238,25 +258,25 @@ class TestClosureModes:
             _, (ps, qs) = common_scale([p, q])
             assert cert.recheck([ps, ps.adjoint()], [qs, qs.adjoint()], 1e-8)
 
-    def test_near_normal_family_never_crashes(self):
+    def test_near_normal_family_never_crashes(self, monkeypatch):
         # one dependency decision per word: a word dependent within tolerance
         # on one side is never added as a noise basis vector on the other
         for n in (4, 6, 8):
             for eps in (3e-10, 1e-9, 3e-9, 1e-8):
                 for seed in range(4000, 4005):
                     x, y = _near_normal_pair(n, eps, seed)
-                    v = algebra_closure(x, y)
+                    v = _spanned(monkeypatch, lambda: algebra_closure(x, y), band=True)
                     assert v.dimension <= n * n
 
-    def test_near_normal_family_outside_the_band(self):
+    def test_near_normal_family_outside_the_band(self, monkeypatch):
         for n in (4, 6, 8):
             for seed in range(4000, 4005):
                 for eps in (1e-11, 1e-10):
                     x, y = _near_normal_pair(n, eps, seed)
-                    assert algebra_closure(x, y).equivalent
+                    assert _spanned(monkeypatch, lambda: algebra_closure(x, y)).equivalent
                 for eps in (1e-7, 1e-6):
                     x, y = _near_normal_pair(n, eps, seed)
-                    v = algebra_closure(x, y)
+                    v = _spanned(monkeypatch, lambda: algebra_closure(x, y))
                     assert not v.equivalent
                     _, (xs, ys) = common_scale([x, y])
                     assert v.certificate.recheck(
@@ -277,11 +297,11 @@ class TestClosureModes:
             _, (xs, ys) = common_scale([x, x.transpose()])
             assert cert.recheck([xs, xs.adjoint()], [ys, ys.adjoint()], 1e-8)
 
-    def test_similar_generic_pair_fills_the_span(self):
+    def test_similar_generic_pair_fills_the_span(self, monkeypatch):
         x = rat_matrix(np.random.default_rng(4), 4)
         u = _cyclic_permutation(4)
         for p, q in ((x, u.adjoint() @ x @ u), similar_pair(4, 4)):
-            v = algebra_closure(p, q)
+            v = _spanned(monkeypatch, lambda: algebra_closure(p, q))
             assert v.equivalent and v.dimension == 16
 
     def test_leaves_no_reference_cycle(self):
@@ -303,7 +323,7 @@ class TestClosureModes:
         finally:
             gc.enable()
 
-    def test_exact_and_float_closure_agree(self, rng):
+    def test_exact_and_float_closure_agree(self, rng, monkeypatch):
         pairs = []  # (x, y, made similar by an exact unitary)
         for n in (2, 3, 4):
             for kind in ("generic", "nilpotent", "reducible", "diagonal"):
@@ -327,7 +347,7 @@ class TestClosureModes:
         kinds = set()
         for x, y, similar in pairs:
             ve = algebra_closure(x, y)
-            vf = algebra_closure(x.to_float(), y.to_float())
+            vf = _spanned(monkeypatch, lambda: algebra_closure(x.to_float(), y.to_float()))
             assert ve.tolerance is None and vf.tolerance is not None
             assert ve.equivalent == vf.equivalent
             assert ve.dimension == vf.dimension
@@ -351,13 +371,14 @@ class TestBlockInvariance:
     if words arrived one at a time, so the block size changes no result."""
 
     @staticmethod
-    def _decisions():
+    def _decisions(monkeypatch):
         out = []  # (verdict, left letters, right letters)
         for seed in (1, 2):
             g = make_yes_instance(2, 1, 1, 1, 1, seed=seed)
             for inst in (g.inst, perturb_to_no(g, 0.1, seed=seed).inst):
                 _, left, right = decision_letters(inst)
-                out.append((solve_general(inst), left, right))
+                verdict = _spanned(monkeypatch, lambda: solve_general(inst))
+                out.append((verdict, left, right))
         b = rat_matrix(np.random.default_rng(3), 3).to_float()
         pairs = [
             _shift_pair(8, 5),  # fails inside its block: the rest is dropped
@@ -368,13 +389,14 @@ class TestBlockInvariance:
         ]
         for x, y in pairs:
             _, (xs, ys) = common_scale([x, y])
-            out.append((algebra_closure(x, y), [xs, xs.adjoint()], [ys, ys.adjoint()]))
+            verdict = _spanned(monkeypatch, lambda: algebra_closure(x, y))
+            out.append((verdict, [xs, xs.adjoint()], [ys, ys.adjoint()]))
         return out
 
     def test_block_size_one_agrees(self, monkeypatch):
-        blocked = self._decisions()
+        blocked = self._decisions(monkeypatch)
         monkeypatch.setattr(engines, "_BLOCK", 1)
-        single = self._decisions()
+        single = self._decisions(monkeypatch)
         assert [v.equivalent for v, _, _ in blocked] == [
             True, False, True, False, False, False, True, False
         ]
@@ -406,23 +428,26 @@ class TestIntertwinerStop:
     """A float span takes its letters' dtype, and once it is full it is
     settled by the intertwiner read off its left map, when that is unitary
     and maps every letter; else every later word is decided one by one,
-    like the words before the span filled."""
+    like the words before the span filled.  The eigenbasis check is switched
+    off in every decision, so that the span is built."""
 
     def test_real_letters_give_a_real_span(self):
         _, left, right = decision_letters(make_yes_instance(2, 1, 1, 1, 1, seed=1).inst)
-        real = engines._MappedSpan(left, right, 1e-8)
+        real = engines._MappedSpan(engines._float_letters(left, right), 1e-8)
         a, b = similar_pair(3, 5)
-        cplx = engines._MappedSpan([a, a.adjoint()], [b, b.adjoint()], 1e-8)
+        cplx = engines._MappedSpan(
+            engines._float_letters([a, a.adjoint()], [b, b.adjoint()]), 1e-8
+        )
         for spans, dtype in ((real, np.float64), (cplx, np.complex128)):
             assert spans.letters.dtype == spans.eye.dtype == spans.qm.dtype == dtype
 
     @pytest.mark.parametrize("route", ["real2n", "s1"])
-    def test_yes_span_settles_without_a_transfer_map(self, float_spans, route):
+    def test_yes_span_settles_without_a_transfer_map(self, float_spans, route, monkeypatch):
         if route == "real2n":
             inst, size = make_yes_instance(3, 1, 1, 1, 1, seed=1).inst, 6
         else:
             inst, size = make_yes_instance(4, 1, 0, 0, 0, seed=1).inst, 4
-        v = solve_general(inst)
+        v = _spanned(monkeypatch, lambda: solve_general(inst))
         assert v.equivalent and v.dimension == size * size
         assert v.route.startswith(f"general:{route}")
         assert float_spans[-1].settled
@@ -441,7 +466,7 @@ class TestIntertwinerStop:
         s = np.diag([1.0, 2.0, 3.0]) + np.triu(rng.standard_normal((3, 3)), 1)
         xs = [rand_matrix(rng, 3) for _ in range(2)]
         ys = [Matrix(s @ x.data @ np.linalg.inv(s), "float") for x in xs]
-        v = engines._closure_verdict(xs, ys, 1e-8)
+        v = _spanned(monkeypatch, lambda: engines._closure_verdict(xs, ys, 1e-8))
         assert v.equivalent and v.dimension == 9
         spans = float_spans[-1]
         assert spans.full and not spans.settled
@@ -456,7 +481,8 @@ class TestIntertwinerStop:
         x = complex_gaussian(rng, 3)
         y = u @ x @ u.conj().T if maps else complex_gaussian(rng, 3)
         units = np.eye(9, dtype=complex).reshape(9, 3, 3)
-        spans = engines._MappedSpan([Matrix(x, "float")], [Matrix(y, "float")], 1e-8)
+        letters = engines._float_letters([Matrix(x, "float")], [Matrix(y, "float")])
+        spans = engines._MappedSpan(letters, 1e-8)
         spans.project(np.stack([units, u @ units @ u.conj().T]))
         for j in range(9):
             assert spans.reduce(j) == (False, False)
@@ -475,14 +501,15 @@ class TestIntertwinerStop:
                 engines._MappedSpan, name,
                 lambda self, *args, _m=method, _n=name: calls.append((_n, args)) or _m(self, *args),
             )
-        v = solve_general(make_yes_instance(3, 1, 1, 1, 1, seed=1).inst)
+        inst = make_yes_instance(3, 1, 1, 1, 1, seed=1).inst
+        v = _spanned(monkeypatch, lambda: solve_general(inst))
         assert v.equivalent and v.dimension == 36
         (name, (row,)), spans = calls[-1], float_spans[-1]
         assert name == "add" and spans.settled
         assert row < spans._children.shape[1] - 1
 
     @pytest.mark.parametrize("seed", [312, 675, 1093])
-    def test_conjugated_nilpotent_shift(self, seed):
+    def test_conjugated_nilpotent_shift(self, seed, monkeypatch):
         # a 12x12 nilpotent weighted shift, conjugated twice: these draws
         # were once answered NotEquivalent at dimension 144, with
         # certificates that failed their own recheck
@@ -492,7 +519,7 @@ class TestIntertwinerStop:
         u = random_unitary(12, int(rng.integers(2**31)))
         b = v @ core @ v.adjoint()
         inst = ProblemInstance(12, S1=[(u @ b @ u.adjoint(), b)])
-        verdict = solve_general(inst)
+        verdict = _spanned(monkeypatch, lambda: solve_general(inst))
         assert verdict.equivalent and verdict.dimension == 144
         assert verify_witness(inst, u)
 
@@ -834,7 +861,7 @@ class TestRealLetters:
                 assert len(got) == len(want)
                 assert all(g == w for g, w in zip(got, want)), (shape, inst.n, inst.mode)
 
-    def test_exact_and_float_agree(self):
+    def test_exact_and_float_agree(self, monkeypatch):
         rng = np.random.default_rng(6060)
         results = []
         for i, shape in enumerate(ROADMAP_SHAPES):
@@ -842,7 +869,7 @@ class TestRealLetters:
                 for perturb in (False, True):
                     inst = _exact_instance(rng, n, shape, i + n, perturb)
                     ve = solve_general(inst)
-                    vf = solve_general(_to_float(inst))
+                    vf = _spanned(monkeypatch, lambda: solve_general(_to_float(inst)))
                     assert ve.tolerance is None and vf.tolerance is not None
                     assert ve.equivalent == vf.equivalent, (shape, n, perturb)
                     assert ve.dimension == vf.dimension
@@ -853,6 +880,73 @@ class TestRealLetters:
                         assert ve.equivalent
                     results.append(ve.equivalent)
         assert results.count(False) == len(ROADMAP_SHAPES) * 2
+
+
+def _aligned(inst):
+    """The eigenbasis check's S on an instance's decision letters, or None."""
+    _, left, right = decision_letters(inst)
+    return engines._aligned_intertwiner(engines._float_letters(left, right), 1e-8)
+
+
+def _witness_of(inst, s):
+    """The U of an accepted S, which maps the left letters to the right
+    ones: S* on the S1 route, and (W_11)* with W = T S T* on the real
+    letters, T = [[I, iI], [I, -iI]] / sqrt 2."""
+    n = inst.n
+    if inst.counts[1:] == (0, 0, 0):
+        return Matrix(np.conj(s).T, "float")
+    eye = np.eye(n)
+    t = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / math.sqrt(2)
+    w = t @ s @ np.conj(t).T
+    return Matrix(np.conj(w[:n, :n]).T, "float")
+
+
+class TestAlignedIntertwiner:
+    """The float closure first looks for an intertwiner through one
+    eigenbasis alignment of the letters, and answers Equivalent with no
+    span when ``_accepted`` accepts it."""
+
+    SHAPES = ROADMAP_SHAPES + [(1, 0, 0, 0), (2, 0, 0, 0)]  # and the S1 route
+
+    def test_every_accepted_s_gives_a_witness(self):
+        accepted = 0
+        for shape in self.SHAPES:
+            for n in (1, 2, 3, 4):
+                for seed in range(6):
+                    g = make_yes_instance(n, *shape, seed=seed)
+                    s = _aligned(g.inst)
+                    if s is not None:
+                        accepted += 1
+                        u = _witness_of(g.inst, s)
+                        assert verify_witness(g.inst, u), (shape, n, seed)
+        # the real algebra of (0,0,0,1) is of complex type: its H repeats
+        # every eigenvalue, so its 24 instances are left to the span
+        assert accepted >= 200
+
+    def test_never_accepts_a_perturbed_instance(self):
+        for shape in self.SHAPES:
+            for n in (1, 2, 3, 4):
+                for seed in range(6):
+                    g = make_yes_instance(n, *shape, seed=seed)
+                    for eps in (0.1, 1e-3):
+                        p = perturb_to_no(g, eps, seed=seed + 100)
+                        assert _aligned(p.inst) is None, (shape, n, seed, eps)
+
+    def test_accepted_verdict_has_no_dimension(self, float_spans):
+        v = solve_general(make_yes_instance(3, 1, 1, 1, 1, seed=1).inst)
+        assert v.equivalent and v.dimension is None and v.tolerance == 1e-8
+        assert "dimension" not in v.to_json()
+        assert not float_spans
+
+    def test_complex_type_misses_and_the_span_decides(self, float_spans):
+        # the real letters of (1,0,0,1) generate M_3(C), an algebra of
+        # complex type and real dimension 18, whose symmetric H has every
+        # eigenvalue twice: the span decides, and never fills
+        g = make_yes_instance(3, 1, 0, 0, 1, seed=1)
+        assert _aligned(g.inst) is None
+        v = solve_general(g.inst)
+        assert v.equivalent and v.dimension == 18
+        assert not float_spans[-1].full
 
 
 class TestVerifyWitness:
