@@ -24,8 +24,10 @@ Two interchangeable engines decide unitary similarity of a pair:
   word at a time.  Verdicts, certificate words and dimensions are those of
   taking words one at a time.  Before a float span is built, one
   eigenbasis alignment of the letters looks for a unitary intertwiner
-  (``_aligned_intertwiner``); when it finds one, the answer is Equivalent
-  with no span.
+  (``_aligned_intertwiner``): the eigenvectors of one complex Hermitian
+  combination of each side's letters, real letters included, matched up
+  to one unit phase each, with no phase carried along an edge within the
+  tolerance.  When it finds one, the answer is Equivalent with no span.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
@@ -371,26 +373,29 @@ def _aligned_intertwiner(letters, tol: float):
 
     If some letter's Frobenius norm differs from its partner's by more than
     the acceptance bounds allow, no S passes, and none is sought.  Else H =
-    C + C* with C = sum_k c_k L_k is Hermitian (real symmetric on real
-    letters) for the fixed c_k = sqrt(k + 2), plus i (-1)^k on complex
-    letters.  The closure's letter lists are closed under adjoint, in pairs
-    (L, L*) and, on the real letters, one antisymmetric E; the positive
-    real parts keep a pair from cancelling in H.  Each side's
-    ``eigh`` gives H = V diag V*, and M_k = V* L_k V.  A unitary S with
-    S L_k S* = L'_k maps H to H', so if H has distinct eigenvalues, S = V'
-    D V* for a diagonal unitary D with N_k = D M_k D*, and D has real signs
-    on real letters.  Entry (i, j) then fixes d_j = d_i phase(M_k[ij]
+    C + C* with C = sum_k c_k L_k is complex Hermitian, on real letters
+    too, for the fixed c_k = sqrt(k + 2) + i (-1)^k.  The closure's letter
+    lists are closed under adjoint, in pairs (L, L*) and, on the real
+    letters, one antisymmetric E; the positive real parts keep a pair from
+    cancelling in H.  Each side's ``eigh`` gives H = V diag V*, and M_k =
+    V* L_k V.  A unitary S with S L_k S* = L'_k maps H to H', so if H has
+    distinct eigenvalues, S = V' D V* for a diagonal unitary D with N_k =
+    D M_k D*.  Entry (i, j) then fixes d_j = d_i phase(M_k[ij]
     conj(N_k[ij])): the phases are propagated from phase 1 at each root
     along a maximum-weight spanning forest of max_k |M_k[ij]| (Prim's),
     through the letter k of that maximum, and a zero M_k[ij] conj(N_k[ij])
-    refuses.
+    refuses.  An edge of weight at most tol (1 + top) is noise and carries
+    no phase: an eigenvector reached only through such edges, such as a
+    null vector of low-rank letters, roots a new tree with phase 1.  S is
+    complex even on real letters; ``_accepted`` holds it to the same rule.
 
     Where H repeats an eigenvalue, ``eigh``'s basis of that eigenspace is
     arbitrary, so S would pass only if the letters were scalar there: two
     neighbouring eigenvalues within tol whose eigenvectors some letter
     couples beyond tol refuse before any phase is fixed.  Real letters
     whose algebra is of complex type (it commutes with a J of square -I)
-    repeat every eigenvalue of H this way.
+    would repeat every eigenvalue of a real symmetric H this way; the
+    imaginary parts of c_k keep them apart.
     """
     a, size = letters.shape[1], letters.shape[-1]
     f = letters.reshape(2, a, -1).view(np.float64)
@@ -403,9 +408,7 @@ def _aligned_intertwiner(letters, tol: float):
     slack = tol * (1.0 + math.sqrt(size))
     if max(abs(x - y) for x, y in sq) > 2 * top * (tol + slack) * (1.0 + top):
         return None
-    c = np.sqrt(np.arange(2.0, a + 2))
-    if letters.dtype == np.complex128:
-        c = c + 1j * (-1.0) ** np.arange(a)
+    c = np.sqrt(np.arange(2.0, a + 2)) + 1j * (-1.0) ** np.arange(a)
     mix = (c @ letters.reshape(2, a, -1)).reshape(2, size, size)
     h, v = np.linalg.eigh(mix + np.conj(mix.transpose(0, 2, 1)))
     vh = np.conj(v.transpose(0, 2, 1))
@@ -422,7 +425,7 @@ def _aligned_intertwiner(letters, tol: float):
     while todo:  # Prim's, on lists: a numpy call per step costs more
         j = max(todo, key=best.__getitem__)
         todo.remove(j)
-        if best[j] > 0:  # else j roots a new tree, with phase 1
+        if best[j] > tol * (1.0 + top):  # else j roots a new tree, phase 1
             i = parent[j]
             k = which[i][j]
             z = m.item(0, k, i, j) * m.item(1, k, i, j).conjugate()

@@ -8,6 +8,7 @@ rational strings like "3/4"; mixing the two is rejected.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .numerics import EXACT, FLOAT, GaussianRational, Matrix
@@ -46,6 +47,8 @@ def _parse_component(value, mode: str, where: str):
             raise InstanceFormatError(
                 f"{where}: float mode requires numbers, got {value!r}"
             )
+        if not abs(value) <= sys.float_info.max:  # NaN, Infinity, huge ints
+            raise InstanceFormatError(f"{where}: not a finite number: {value!r}")
         return float(value)
     if not isinstance(value, str):
         raise InstanceFormatError(

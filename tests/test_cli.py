@@ -293,6 +293,31 @@ class TestGenAndVerify:
         assert code == 1
 
 
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), -float("inf"), 10**400],
+    ids=["nan", "inf", "-inf", "huge-int"],
+)
+def test_non_finite_entry_exit_2(tmp_path, capsys, value):
+    gen = make_yes_instance(2, 1, 0, 0, 0, seed=3)
+    inst, wit = tmp_path / "inst.json", tmp_path / "wit.json"
+    good_inst, good_wit = instance_doc(gen.inst), matrix_doc(gen.witness)
+    bad_inst, bad_wit = instance_doc(gen.inst), matrix_doc(gen.witness)
+    bad_inst["S1"][0]["A"][1][0]["re"] = value  # written as JSON NaN, Infinity
+    bad_wit["matrix"][1][0]["im"] = value
+    for command, inst_doc, wit_doc in (
+        ("decide", bad_inst, good_wit),
+        ("verify", bad_inst, good_wit),
+        ("verify", good_inst, bad_wit),
+    ):
+        write_json(inst, inst_doc)
+        write_json(wit, wit_doc)
+        argv = [command, str(inst)] + ([str(wit)] if command == "verify" else [])
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", (command, inst_doc is bad_inst)
+        assert "not a finite number" in err
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_tolerance_not_finite_positive_exit_2(tmp_path, capsys, tol):
     gen = make_yes_instance(3, 1, 1, 1, 1, seed=3)

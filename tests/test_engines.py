@@ -37,6 +37,7 @@ from unieq import (
     zeros,
 )
 
+from test_structured import instance as structured_instance
 from conftest import (
     complex_gaussian,
     congruent_pair,
@@ -890,14 +891,19 @@ def _aligned(inst):
 
 def _witness_of(inst, s):
     """The U of an accepted S, which maps the left letters to the right
-    ones: S* on the S1 route, and (W_11)* with W = T S T* on the real
-    letters, T = [[I, iI], [I, -iI]] / sqrt 2."""
+    ones: S* on the S1 route.  On the real letters S may be complex, so take
+    the polar step of the ``solve_general`` proof: R = Re S + t Im S
+    intertwines the real letters for every real t, so for the
+    best-conditioned of a few t its orthogonal polar factor O does too, and
+    U = (W_11)* with W = T O T*, T = [[I, iI], [I, -iI]] / sqrt 2."""
     n = inst.n
     if inst.counts[1:] == (0, 0, 0):
         return Matrix(np.conj(s).T, "float")
+    r = min((s.real + t * s.imag for t in (0.0, 1.0, -1.0, 0.5, 2.0)), key=np.linalg.cond)
+    left, _, right = np.linalg.svd(r)
     eye = np.eye(n)
     t = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / math.sqrt(2)
-    w = t @ s @ np.conj(t).T
+    w = t @ (left @ right) @ np.conj(t).T
     return Matrix(np.conj(w[:n, :n]).T, "float")
 
 
@@ -906,22 +912,18 @@ class TestAlignedIntertwiner:
     eigenbasis alignment of the letters, and answers Equivalent with no
     span when ``_accepted`` accepts it."""
 
-    SHAPES = ROADMAP_SHAPES + [(1, 0, 0, 0), (2, 0, 0, 0)]  # and the S1 route
+    # (1,0,0,1) and (0,0,0,1) are of complex type, and the S1 route
+    SHAPES = ROADMAP_SHAPES + [(1, 0, 0, 1), (1, 0, 0, 0), (2, 0, 0, 0)]
 
     def test_every_accepted_s_gives_a_witness(self):
-        accepted = 0
         for shape in self.SHAPES:
             for n in (1, 2, 3, 4):
                 for seed in range(6):
                     g = make_yes_instance(n, *shape, seed=seed)
                     s = _aligned(g.inst)
-                    if s is not None:
-                        accepted += 1
-                        u = _witness_of(g.inst, s)
-                        assert verify_witness(g.inst, u), (shape, n, seed)
-        # the real algebra of (0,0,0,1) is of complex type: its H repeats
-        # every eigenvalue, so its 24 instances are left to the span
-        assert accepted >= 200
+                    assert s is not None, (shape, n, seed)
+                    u = _witness_of(g.inst, s)
+                    assert verify_witness(g.inst, u), (shape, n, seed)
 
     def test_never_accepts_a_perturbed_instance(self):
         for shape in self.SHAPES:
@@ -938,15 +940,43 @@ class TestAlignedIntertwiner:
         assert "dimension" not in v.to_json()
         assert not float_spans
 
-    def test_complex_type_misses_and_the_span_decides(self, float_spans):
+    def test_complex_type_is_settled_without_a_span(self, float_spans):
         # the real letters of (1,0,0,1) generate M_3(C), an algebra of
-        # complex type and real dimension 18, whose symmetric H has every
-        # eigenvalue twice: the span decides, and never fills
+        # complex type: a real symmetric H would repeat every eigenvalue,
+        # the complex Hermitian H does not
         g = make_yes_instance(3, 1, 0, 0, 1, seed=1)
-        assert _aligned(g.inst) is None
         v = solve_general(g.inst)
-        assert v.equivalent and v.dimension == 18
-        assert not float_spans[-1].full
+        assert v.equivalent and v.dimension is None
+        assert "dimension" not in v.to_json()
+        assert not float_spans
+        assert verify_witness(g.inst, _witness_of(g.inst, _aligned(g.inst)))
+
+    def test_repeated_eigenvalue_leaves_the_span_to_decide(self, float_spans):
+        # a normal 2x2 B with a repeated eigenvalue is scalar; in S2 its
+        # real letters give H every eigenvalue twice, each side's eigh
+        # picks its own basis of each eigenspace, and _accepted refuses S
+        rng = np.random.default_rng([2, 0, 0])
+        inst, u = structured_instance("normal", 2, (2,), rng)
+        assert _aligned(inst) is None
+        v = solve_general(inst)
+        assert v.equivalent and v.dimension is not None
+        assert float_spans and verify_witness(inst, u)
+
+    @pytest.mark.parametrize("n, seed", [(8, 31), (16, 14)])
+    def test_rank_deficient_letters_are_settled_without_a_span(self, n, seed, float_spans):
+        # B of rank 2 gives H a null space of dimension n - 4, whose
+        # eigenvectors the letters couple to the rest by rounding only; on
+        # these seeds one such edge has an exactly zero product, so they
+        # must root trees of their own with phase 1
+        rng = np.random.default_rng(seed)
+        x, y = (complex_gaussian(rng, n)[:, :2] for _ in range(2))
+        b = Matrix(x @ y.conj().T, "float")
+        u = random_unitary(n, rng)
+        inst = ProblemInstance(n, [(u @ b @ u.adjoint(), b)])
+        v = solve_general(inst)
+        assert v.equivalent and v.dimension is None
+        assert not float_spans
+        assert verify_witness(inst, _witness_of(inst, _aligned(inst)))
 
 
 class TestVerifyWitness:
