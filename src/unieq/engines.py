@@ -17,17 +17,16 @@ Two interchangeable engines decide unitary similarity of a pair:
   Each arithmetic is one class that owns its letters, products, scaling,
   span, trace check and certificate solve: float Gram-Schmidt
   (``_MappedSpan``), real when the letters are, which takes the
-  breadth-first frontier in blocks of up to ``_BLOCK`` words and, once its
-  span is full, stops at a unitary intertwiner of the letters read off
-  the span if there is one, and exact fraction-free row reduction over the
-  Gaussian integers after one denominator clearing (``_IntegerSpan``), one
-  word at a time.  Verdicts, certificate words and dimensions are those of
-  taking words one at a time.  Before a float span is built, one
-  eigenbasis alignment of the letters looks for a unitary intertwiner
-  (``_aligned_intertwiner``): the eigenvectors of one complex Hermitian
-  combination of each side's letters, real letters included, matched up
-  to one unit phase each, with no phase carried along an edge within the
-  tolerance.  When it finds one, the answer is Equivalent with no span.
+  breadth-first frontier in blocks of up to ``_BLOCK`` words, and exact
+  fraction-free row reduction over the Gaussian integers after one
+  denominator clearing (``_IntegerSpan``), one word at a time.  Verdicts,
+  certificate words and dimensions are those of taking words one at a
+  time.  Before a float span is built, one eigenbasis alignment of the
+  letters looks for a unitary intertwiner (``_aligned_intertwiner``): the
+  eigenvectors of one complex Hermitian combination of each side's
+  letters, real letters included, matched up to one unit phase each, with
+  no phase carried along an edge within the tolerance.  When it finds
+  one, the answer is Equivalent with no span.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
@@ -467,21 +466,6 @@ class _MappedSpan:
     against the whole basis if that cancels it, so every word meets exactly
     the basis it would meet if words arrived one at a time.
 
-    Once the span is ``full`` (as many words as the ambient dimension), its
-    orthonormal vectors Q are square and unitary to working precision, and
-    the left map phi (each left word to its right word) takes a vector v
-    to v G with G = Q* M over the mirrors M.  Both letter algebras are then
-    all of M_N (N the letter size), so phi is an algebra map iff phi(X) =
-    S X S^-1 for one invertible S.  Then phi(E_j1) = s_j r_1^T, with s_j
-    column j of S and r_1^T row 1 of S^-1: row j N of G, reshaped to N x N,
-    times the fixed x = (cos 0, ..., cos(N - 1)) is s_j (r_1^T x), so N
-    rows of G give S up to a scalar in N^5 flops, not G's N^6.  S, scaled
-    to largest singular value 1, is held to the rule of ``_accepted``, the
-    one that ``_aligned_intertwiner``'s S meets; if it passes, the span is
-    ``settled`` with no later word to check.  The final trace check still
-    runs.  If S is refused, every later word is decided like the earlier
-    ones.
-
     Certificate coefficients solve the triangular factor Q* P of the side's
     orthonormal vectors Q and basis products P against Q* v, built only
     then.
@@ -494,11 +478,6 @@ class _MappedSpan:
         self.eye = np.broadcast_to(np.eye(n, dtype=letters.dtype), (2, 1, n, n))
         self.prods = letters[:, :0]  # each basis word's product
         self.qm = np.empty((2, 0, 2 * self.dim), dtype=letters.dtype)
-        self.settled = False  # every later word transfers, once the span is full
-
-    @property
-    def full(self) -> bool:
-        return self.d == self.dim
 
     @staticmethod
     def scaled(origin, prods, nus):
@@ -583,28 +562,11 @@ class _MappedSpan:
         return np.linalg.solve(q @ p.T, q @ self._children[side, j].ravel())
 
     def add(self, j: int):
-        """Add row j on both sides.  If that fills the span, it is settled
-        when the left map is an intertwiner's."""
+        """Add row j on both sides."""
         d = self.d
         np.divide(self._block[3][:, j], np.array(self._rn)[:, None], out=self.qm[:, d])
         self.prods[:, d] = self._children[:, j]
         self.d = d + 1
-        if self.full:
-            self.settled = self._intertwined()
-
-    def _intertwined(self) -> bool:
-        """Whether the full span's left map is X -> S X S^-1 for a
-        unitary S with S L_k = L'_k S on every letter, each within tol."""
-        size, n = self.letters.shape[-1], self.dim
-        q, m = self.qm[0, :, :n], self.qm[0, :, n:]
-        # row j*size of G = Q* M is phi(E_j1) = s_j r_1^T, and phi(E_j1) x
-        # is column j of S times the scalar r_1^T x; cos 0, cos 1, ... are
-        # linearly independent over the algebraic numbers, so that scalar
-        # is not 0 for any S with algebraic entries
-        units = np.conj(q[:, ::size]).T @ m
-        s = (units.reshape(size, size, size) @ np.cos(np.arange(size))).T
-        s /= np.linalg.norm(s, 2)
-        return _accepted(s, self.letters, self.tol) is not None
 
     def trace_mismatch(self, nus):
         """The first basis index whose traces, times its nu, differ beyond
@@ -645,7 +607,7 @@ class _IntegerSpan:
     certificate, by Bareiss elimination on the basis rows' pivot columns.
     """
 
-    cap, settled = 1, False  # exact mode decides every word on its own
+    cap = 1  # exact mode decides every word on its own
 
     def __init__(self, letters_x, letters_y):
         a, n = len(letters_x), letters_x[0].rows
@@ -759,10 +721,9 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
     entries up, doubling to the span's cap, and decided one at a time in
     entry order.  A word that depends on the basis on either side is not
     added, and the same combination must hold on the other side (else a
-    DependencyCertificate, and the rest of its block is dropped).  A float
-    span ``settled`` by an intertwiner of the letters checks no later word.
-    When no word extends the basis, every basis word's traces must agree
-    (else a TraceCertificate).
+    DependencyCertificate, and the rest of its block is dropped).  When no
+    word extends the basis, every basis word's traces must agree (else a
+    TraceCertificate).
 
     Float letters are first handed to ``_aligned_intertwiner``: if it finds
     an intertwiner, the verdict is Equivalent with no span built, so its
@@ -821,13 +782,11 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
                 spans.add(j)
                 sources.append(source)
                 nus.append(scales[j])
-                if spans.settled:  # so is every later word
-                    return None
         return None
 
     failure = extend(*spans.scaled([None], spans.eye, [1]))
     g, size = 0, a
-    while failure is None and not spans.settled and g < len(sources) * a:
+    while failure is None and g < len(sources) * a:
         stop = min(g + min(size, spans.cap), len(sources) * a)
         origin = [divmod(e, a) for e in range(g, stop)]
         block = spans.products(origin)
@@ -1188,10 +1147,11 @@ def verify_witness(inst: ProblemInstance, U: Matrix, tol: float = DEFAULT_TOL) -
     _check_tol(tol)
     n = inst.n
     eye = identity(n, U.mode)
-    if (U @ U.adjoint() - eye).norm_fro() > tol * (1.0 + math.sqrt(n)):
+    # "not <=" so that a NaN defect fails
+    if not (U @ U.adjoint() - eye).norm_fro() <= tol * (1.0 + math.sqrt(n)):
         return False
     for set_id, _, a, b in inst.pairs():
         expect = _RELATIONS[set_id](U, b)
-        if (a - expect).norm_fro() > tol * (1.0 + a.norm_fro()):
+        if not (a - expect).norm_fro() <= tol * (1.0 + a.norm_fro()):
             return False
     return True

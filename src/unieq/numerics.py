@@ -9,6 +9,7 @@ either mode; mixing the two in one operation is an error, never a coercion.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -558,11 +559,32 @@ def bareiss_solve(a, b):
 # pre-scaling
 # --------------------------------------------------------------------------
 
+def _largest_norm(mats) -> float:
+    """The largest Frobenius norm of float matrices, taken of the moduli
+    divided by the largest one, so that no square overflows or underflows;
+    ValueError if an entry is not finite or the norm is outside the normal
+    float range, where its inverse would be inf or 0."""
+    if not all(np.isfinite(m.data).all() for m in mats):
+        raise ValueError("float matrix entries must be finite")
+    with np.errstate(all="ignore"):  # the range check below catches all
+        moduli = [np.abs(m.data) for m in mats]
+        peak = max(float(x.max(initial=0.0)) for x in moduli)
+        if peak == 0.0:
+            return 0.0
+        biggest = peak * max(float(np.linalg.norm(x / peak)) for x in moduli)
+    if not sys.float_info.min <= biggest < math.inf:
+        raise ValueError("a float matrix norm is out of the normal float range")
+    return biggest
+
+
 def common_scale(matrices):
     """One factor making the largest Frobenius norm at most 1.
 
-    Float mode normalizes the maximum norm to exactly 1.  Exact mode uses the
-    largest power-of-two denominator needed, so scaling stays rational and
+    Float mode normalizes the maximum norm to exactly 1; a norm that the
+    squares of the entries overflow or underflow is taken again from the
+    entries divided by the largest one, and a non-finite entry or a norm
+    past the float range raises ValueError.  Exact mode uses the largest
+    power-of-two denominator needed, so scaling stays rational and
     decisions stay tolerance-free.  Returns ``(factor, scaled_matrices)``.
     """
     mats = list(matrices)
@@ -572,7 +594,13 @@ def common_scale(matrices):
     for m in mats:
         mats[0]._check_mode(m)
     if mode == FLOAT:
-        biggest = max(m.norm_fro() for m in mats)
+        with np.errstate(over="ignore"):  # an overflow is taken again below
+            norms = [m.norm_fro() for m in mats]
+        biggest = max(norms)
+        # overflow, underflow or 0; a NaN norm need not be the max, but the
+        # sum of norms is NaN exactly when one is
+        if not sys.float_info.min <= biggest < math.inf or math.isnan(sum(norms)):
+            biggest = _largest_norm(mats)
         if biggest == 0.0:
             return 1.0, mats
         factor = 1.0 / biggest

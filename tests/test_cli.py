@@ -154,6 +154,27 @@ class TestDecide:
         assert "tolerance" not in json.loads(out)
 
 
+    @pytest.mark.parametrize("size", [1e200, 1e-200])
+    @pytest.mark.parametrize("family", ["S1", "S2"])
+    def test_out_of_range_magnitudes_not_equivalent(self, tmp_path, capsys, size, family):
+        # the squares of these entries overflow or underflow: a norm of inf
+        # would scale every matrix to 0, and a norm of 0 would leave the
+        # decision to compare them at a tolerance far above their size
+        def entry(z):
+            return {"re": z, "im": 0}
+
+        b = [[2 * size, 0], [0, 0]] if family == "S1" else [[0, 2 * size], [0, 0]]
+        pair = {
+            "A": [[entry(size), entry(0)], [entry(0), entry(0)]],
+            "B": [[entry(z) for z in row] for row in b],
+        }
+        path = tmp_path / "range.json"
+        write_json(path, {"mode": "float", "n": 2, family: [pair]})
+        code, out, _ = run(capsys, ["decide", str(path)])
+        assert code == 1
+        assert json.loads(out)["result"] == "NotEquivalent"
+
+
 class TestBound:
     @pytest.mark.parametrize(
         "m,value,floor", [(8, 36.44, 36), (12, 65.69, 65), (2, 4.74, 4)]

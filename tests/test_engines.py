@@ -426,11 +426,9 @@ def float_spans(monkeypatch):
 
 
 class TestIntertwinerStop:
-    """A float span takes its letters' dtype, and once it is full it is
-    settled by the intertwiner read off its left map, when that is unitary
-    and maps every letter; else every later word is decided one by one,
-    like the words before the span filled.  The eigenbasis check is switched
-    off in every decision, so that the span is built."""
+    """A float span takes its letters' dtype, and an intertwiner stops the
+    decision only when ``_accepted`` finds it unitary and mapping every
+    letter, which the eigenbasis check tests before any span is built."""
 
     def test_real_letters_give_a_real_span(self):
         _, left, right = decision_letters(make_yes_instance(2, 1, 1, 1, 1, seed=1).inst)
@@ -442,87 +440,36 @@ class TestIntertwinerStop:
         for spans, dtype in ((real, np.float64), (cplx, np.complex128)):
             assert spans.letters.dtype == spans.eye.dtype == spans.qm.dtype == dtype
 
-    @pytest.mark.parametrize("route", ["real2n", "s1"])
-    def test_yes_span_settles_without_a_transfer_map(self, float_spans, route, monkeypatch):
-        if route == "real2n":
-            inst, size = make_yes_instance(3, 1, 1, 1, 1, seed=1).inst, 6
-        else:
-            inst, size = make_yes_instance(4, 1, 0, 0, 0, seed=1).inst, 4
-        v = _spanned(monkeypatch, lambda: solve_general(inst))
-        assert v.equivalent and v.dimension == size * size
-        assert v.route.startswith(f"general:{route}")
-        assert float_spans[-1].settled
-
-    def test_refused_span_decides_word_by_word(self, float_spans, monkeypatch):
-        # [X1, X2] and [S X1 S^-1, S X2 S^-1] span all 3x3 matrices and every
-        # dependency transfers, but S is not unitary: the span is refused by
-        # the unitarity check alone, and every later word is still reduced
-        full_at_reduce = []
-        reduce = engines._MappedSpan.reduce
-        monkeypatch.setattr(
-            engines._MappedSpan, "reduce",
-            lambda self, j: full_at_reduce.append(self.full) or reduce(self, j),
-        )
-        rng = np.random.default_rng(8)
-        s = np.diag([1.0, 2.0, 3.0]) + np.triu(rng.standard_normal((3, 3)), 1)
-        xs = [rand_matrix(rng, 3) for _ in range(2)]
-        ys = [Matrix(s @ x.data @ np.linalg.inv(s), "float") for x in xs]
-        v = _spanned(monkeypatch, lambda: engines._closure_verdict(xs, ys, 1e-8))
-        assert v.equivalent and v.dimension == 9
-        spans = float_spans[-1]
-        assert spans.full and not spans.settled
-        assert any(full_at_reduce)
-
-    @pytest.mark.parametrize("maps", [True, False])
-    def test_letter_check(self, maps):
-        # a hand-built full span whose left map is A -> U A U* for a unitary
-        # U: it settles only if U also maps the letter
+    @pytest.mark.parametrize("case", ["maps", "misses", "not_unitary"])
+    def test_letter_check(self, case):
+        # S of largest singular value 1 is accepted only if it is unitary
+        # and S L = L' S; the non-unitary S maps its letter exactly
         rng = np.random.default_rng(12)
-        u = random_unitary(3, rng).data
         x = complex_gaussian(rng, 3)
-        y = u @ x @ u.conj().T if maps else complex_gaussian(rng, 3)
-        units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+        s = random_unitary(3, rng).data
+        if case == "not_unitary":
+            s = s @ np.diag([1.0, 0.5, 0.25])
+        y = complex_gaussian(rng, 3) if case == "misses" else s @ x @ np.linalg.inv(s)
         letters = engines._float_letters([Matrix(x, "float")], [Matrix(y, "float")])
-        spans = engines._MappedSpan(letters, 1e-8)
-        spans.project(np.stack([units, u @ units @ u.conj().T]))
-        for j in range(9):
-            assert spans.reduce(j) == (False, False)
-            spans.add(j)
-        assert spans.full
-        assert spans.settled == maps
-
-    def test_span_filling_mid_block_skips_the_rest(self, float_spans, monkeypatch):
-        # the real letters of this instance fill their 36-dimensional span
-        # inside a block: the filling add is the last call, so no later row
-        # is reduced or even multiplied out
-        calls = []
-        for name in ("products", "reduce", "add"):
-            method = getattr(engines._MappedSpan, name)
-            monkeypatch.setattr(
-                engines._MappedSpan, name,
-                lambda self, *args, _m=method, _n=name: calls.append((_n, args)) or _m(self, *args),
-            )
-        inst = make_yes_instance(3, 1, 1, 1, 1, seed=1).inst
-        v = _spanned(monkeypatch, lambda: solve_general(inst))
-        assert v.equivalent and v.dimension == 36
-        (name, (row,)), spans = calls[-1], float_spans[-1]
-        assert name == "add" and spans.settled
-        assert row < spans._children.shape[1] - 1
+        assert (engines._accepted(s, letters, 1e-8) is not None) == (case == "maps")
 
     @pytest.mark.parametrize("seed", [312, 675, 1093])
-    def test_conjugated_nilpotent_shift(self, seed, monkeypatch):
+    def test_conjugated_nilpotent_shift(self, seed, float_spans):
         # a 12x12 nilpotent weighted shift, conjugated twice: these draws
         # were once answered NotEquivalent at dimension 144, with
-        # certificates that failed their own recheck
+        # certificates that failed their own recheck; the eigenbasis check
+        # settles them with no span
         rng = np.random.default_rng([99, seed])
         core = Matrix(np.diag(rng.uniform(0.5, 1.5, 11), k=1).astype(complex), "float")
         v = random_unitary(12, int(rng.integers(2**31)))
         u = random_unitary(12, int(rng.integers(2**31)))
         b = v @ core @ v.adjoint()
         inst = ProblemInstance(12, S1=[(u @ b @ u.adjoint(), b)])
-        verdict = _spanned(monkeypatch, lambda: solve_general(inst))
-        assert verdict.equivalent and verdict.dimension == 144
+        verdict = solve_general(inst)
+        assert verdict.equivalent and verdict.dimension is None
+        assert not float_spans
         assert verify_witness(inst, u)
+
 
 class TestUnitarilySimilar:
     def test_1x1(self):
@@ -1001,6 +948,30 @@ class TestVerifyWitness:
         g = make_yes_instance(2, 1, 0, 0, 0, seed=4)
         with pytest.raises(ValueError):
             verify_witness(g.inst, identity(3))
+
+    def test_nan_witness_rejected(self):
+        # every comparison with a NaN defect is False, so none may pass it
+        nan = Matrix(np.full((2, 2), np.nan, dtype=complex), "float")
+        g = make_yes_instance(2, 1, 1, 1, 1, seed=4)
+        for inst in (g.inst, perturb_to_no(g, 0.1, seed=5).inst):
+            assert not verify_witness(inst, nan)
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_every_decision_refuses(self, value):
+        a, b = similar_pair(3, 2)
+        a.data[0, 1] = value
+        calls = [
+            lambda: solve_general(ProblemInstance(3, S1=[(a, b)])),
+            lambda: solve_general(ProblemInstance(3, S2=[(b, b)], S3=[(a, b)])),
+            lambda: unitarily_similar(a, b),
+            lambda: unitarily_similar(b, a, engine="closure"),
+            lambda: unitarily_congruent(a, b),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 class TestTolerance:

@@ -176,6 +176,28 @@ class TestInvariantsAndScaling:
         assert abs(max(m.norm_fro() for m in scaled) - 1.0) < 1e-12
         assert abs(factor * 7.0 * mats[1].scale(1 / 7.0).norm_fro() - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("size", [1e200, 1e-200])
+    def test_common_scale_out_of_range(self, rng, size):
+        # the squared entries overflow or underflow; the norm is taken again
+        # from the entries divided by the largest one
+        mats = [rand_matrix(rng, 3).scale(s) for s in (0.5, 7.0, 2.0)]
+        factor, scaled = common_scale([m.scale(size) for m in mats])
+        assert abs(max(m.norm_fro() for m in scaled) - 1.0) < 1e-12
+        assert factor * size == pytest.approx(common_scale(mats)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_common_scale_rejects_non_finite_entries(self, rng, value):
+        bad = rand_matrix(rng, 3)
+        bad.data[1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            common_scale([rand_matrix(rng, 3), bad])
+
+    @pytest.mark.parametrize("size", [1e308, 1e-310])
+    def test_common_scale_rejects_a_norm_out_of_range(self, size):
+        # a norm past the float range would scale by 0 or by inf
+        with pytest.raises(ValueError, match="float range"):
+            common_scale([Matrix(np.full((2, 2), size, dtype=complex), "float")])
+
     def test_common_scale_exact_power_of_two(self, rng):
         mats = [rat_matrix(rng, 2, span=9) for _ in range(3)]
         factor, scaled = common_scale(mats)
