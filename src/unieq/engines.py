@@ -186,8 +186,9 @@ class Verdict:
     """Outcome of a decision, with an audit trail.
 
     NotEquivalent always carries a certificate; Equivalent never does.
-    ``scale`` is the common pre-scaling factor applied to the inputs before
-    any comparison, and ``route`` records the reduction chain taken.
+    ``scale`` is the common pre-scaling factor that the public call applied
+    once to all its inputs before any comparison, and ``route`` records the
+    reduction chain taken.
     """
 
     equivalent: bool
@@ -227,10 +228,23 @@ class Verdict:
         return doc
 
 
-def _finish(verdict: Verdict, t0: float, scale, route: str) -> Verdict:
+def _finish(verdict: Verdict, t0: float, route: str) -> Verdict:
+    """Time a route from t0 and put its name before the inner route's."""
     verdict.elapsed_s = time.perf_counter() - t0
-    verdict.scale = float(verdict.scale) * float(scale)
     verdict.route = route if not verdict.route else f"{route}>{verdict.route}"
+    return verdict
+
+
+def _scaled(verdict: Verdict, t0: float, scale) -> Verdict:
+    """Time a public call from t0 and record its one common scale factor.
+
+    Every relation is homogeneous: U realizes it for (A, B) exactly when it
+    does for (cA, cB).  So each public decision checks its arguments, scales
+    all its matrices once by ``common_scale`` or
+    ``ProblemInstance.scaled_common``, and hands them to scale-free private
+    routes, which never call a public decision."""
+    verdict.elapsed_s = time.perf_counter() - t0
+    verdict.scale = float(scale)
     return verdict
 
 
@@ -283,9 +297,9 @@ def specht_brute(
     max_exponent: int | None = None,
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
-    prescale: bool = True,
 ) -> Verdict:
-    """Compare traces of every word in (X, X*) against (Y, Y*).
+    """Compare traces of every word in (X, X*) against (Y, Y*), after one
+    common scaling of X and Y.
 
     Complete for unitary similarity when ``max_length`` reaches
     ``floor_length_bound(size)``; with a smaller cutoff it is a screener that
@@ -295,11 +309,14 @@ def specht_brute(
     t0 = time.perf_counter()
     _check_pair(X, Y)
     _check_tol(tol)
+    scale, (X, Y) = common_scale([X, Y])
+    return _scaled(_brute(X, Y, max_length, max_exponent, tol, budget), t0, scale)
+
+
+def _brute(X, Y, max_length, max_exponent, tol, budget) -> Verdict:
+    t0 = time.perf_counter()
     if max_length < 1:
         raise ValueError(f"max_length must be at least 1, got {max_length}")
-    scale = 1.0
-    if prescale:
-        scale, (X, Y) = common_scale([X, Y])
     count = word_count(2, max_length, max_exponent)
     if count > budget:
         raise BudgetExceededError(
@@ -308,7 +325,7 @@ def specht_brute(
     letters = [[X, X.adjoint()], [Y, Y.adjoint()]]
     stream = iter_word_traces(letters, max_length, max_exponent, DEDUP_CYCLIC_STAR)
     verdict = _trace_verdict(stream, ENGINE_BRUTE, X.mode == EXACT, tol)
-    return _finish(verdict, t0, scale, "brute")
+    return _finish(verdict, t0, "brute")
 
 
 # --------------------------------------------------------------------------
@@ -730,7 +747,6 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
     ``dimension`` is None.  That check can only answer Equivalent, and
     otherwise the span decides as above.
     """
-    _check_tol(tol)
     exact = letters_x[0].mode == EXACT
     if exact:
         spans = _IntegerSpan(letters_x, letters_y)
@@ -806,13 +822,9 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
     )
 
 
-def algebra_closure(
-    X: Matrix,
-    Y: Matrix,
-    tol: float = DEFAULT_TOL,
-    prescale: bool = True,
-) -> Verdict:
-    """Polynomial-time unitary-similarity decision by lockstep algebra spanning.
+def algebra_closure(X: Matrix, Y: Matrix, tol: float = DEFAULT_TOL) -> Verdict:
+    """Polynomial-time unitary-similarity decision by lockstep algebra
+    spanning, after one common scaling of X and Y.
 
     Verdicts coincide with the brute trace-word criterion; the agreement is
     enforced by cross-engine tests, not assumed.  In float mode an
@@ -822,11 +834,15 @@ def algebra_closure(
     """
     t0 = time.perf_counter()
     _check_pair(X, Y)
-    scale = 1.0
-    if prescale:
-        scale, (X, Y) = common_scale([X, Y])
+    _check_tol(tol)
+    scale, (X, Y) = common_scale([X, Y])
+    return _scaled(_closure(X, Y, tol), t0, scale)
+
+
+def _closure(X, Y, tol) -> Verdict:
+    t0 = time.perf_counter()
     verdict = _closure_verdict([X, X.adjoint()], [Y, Y.adjoint()], tol)
-    return _finish(verdict, t0, scale, "closure")
+    return _finish(verdict, t0, "closure")
 
 
 # --------------------------------------------------------------------------
@@ -852,7 +868,6 @@ _N3_WORDS = (
 
 
 def _fastpath(X: Matrix, Y: Matrix, words, tag: str, tol: float) -> Verdict:
-    _check_tol(tol)
     lx, ly = [X, X.adjoint()], [Y, Y.adjoint()]
     stream = (
         (w, (eval_word(w, lx).trace(), eval_word(w, ly).trace())) for w in words
@@ -867,10 +882,9 @@ def unitarily_similar(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     max_length: int | None = None,
-    max_exponent: int | None = None,
-    prescale: bool = True,
 ) -> Verdict:
-    """Decide whether A = U B U* for some unitary U.
+    """Decide whether A = U B U* for some unitary U, after one common
+    scaling of A and B.
 
     ``auto`` takes the short fixed word lists for sizes 2 and 3 and the
     closure engine otherwise; ``brute`` runs the certified enumeration up to
@@ -879,28 +893,23 @@ def unitarily_similar(
     t0 = time.perf_counter()
     _check_pair(A, B)
     _check_engine(engine)
-    scale = 1.0
-    if prescale:
-        scale, (A, B) = common_scale([A, B])
+    _check_tol(tol)
+    scale, (A, B) = common_scale([A, B])
+    return _scaled(_similar(A, B, engine, tol, budget, max_length), t0, scale)
+
+
+def _similar(A, B, engine, tol, budget, max_length, max_exponent=None) -> Verdict:
+    t0 = time.perf_counter()
     m = A.rows
     if engine == ENGINE_BRUTE:
         length = max_length if max_length is not None else floor_length_bound(m)
-        inner = specht_brute(
-            A,
-            B,
-            length,
-            max_exponent=max_exponent,
-            tol=tol,
-            budget=budget,
-            prescale=False,
-        )
-        return _finish(inner, t0, scale, "similar")
-    if engine == ENGINE_AUTO and m in (2, 3):
+        inner = _brute(A, B, length, max_exponent, tol, budget)
+    elif engine == ENGINE_AUTO and m in (2, 3):
         words = _N2_WORDS if m == 2 else _N3_WORDS
         inner = _fastpath(A, B, words, f"fastpath_n{m}", tol)
-        return _finish(inner, t0, scale, "similar")
-    inner = algebra_closure(A, B, tol=tol, prescale=False)
-    return _finish(inner, t0, scale, "similar")
+    else:
+        inner = _closure(A, B, tol)
+    return _finish(inner, t0, "similar")
 
 
 # --------------------------------------------------------------------------
@@ -921,9 +930,9 @@ def simultaneously_unitarily_similar(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     max_length: int | None = None,
-    prescale: bool = True,
 ) -> Verdict:
-    """Decide whether one unitary U realizes A_i = U B_i U* for every pair.
+    """Decide whether one unitary U realizes A_i = U B_i U* for every pair,
+    after one common scaling of all the matrices.
 
     The closure engine spans the multi-letter algebra directly; the brute
     engine encodes the pairs into one gadget pair and runs the certified
@@ -940,43 +949,28 @@ def simultaneously_unitarily_similar(
         _check_pair(a, b)
         if a.rows != n:
             raise ValueError("all pairs must share one size")
-    scale = 1.0
-    if prescale:
-        mats = [m for p in pairs for m in p]
-        scale, scaled = common_scale(mats)
-        pairs = list(zip(scaled[0::2], scaled[1::2]))
+    _check_tol(tol)
+    scale, mats = common_scale([m for p in pairs for m in p])
+    pairs = list(zip(mats[0::2], mats[1::2]))
+    return _scaled(_pairs(pairs, engine, tol, budget, max_length), t0, scale)
 
+
+def _pairs(pairs, engine, tol, budget, max_length) -> Verdict:
+    t0 = time.perf_counter()
     if len(pairs) == 1 and engine != ENGINE_BRUTE:
-        inner = unitarily_similar(
-            pairs[0][0],
-            pairs[0][1],
-            engine=engine,
-            tol=tol,
-            budget=budget,
-            max_length=max_length,
-            prescale=False,
-        )
-        return _finish(inner, t0, scale, "pairs")
-
+        inner = _similar(*pairs[0], engine, tol, budget, max_length)
+        return _finish(inner, t0, "pairs")
     if engine == ENGINE_BRUTE:
-        ga, gb = build_similarity_gadget(pairs, n)
+        ga, gb = build_similarity_gadget(pairs, pairs[0][0].rows)
         size = ga.M.rows
         length = (
             max_length if max_length is not None else floor_length_bound(size)
         )
-        inner = specht_brute(
-            ga.M,
-            gb.M,
-            length,
-            max_exponent=ga.layout.k - 1,  # the gadgets are nilpotent of index k
-            tol=tol,
-            budget=budget,
-            prescale=False,
-        )
-        return _finish(inner, t0, scale, "pairs:gadget")
-
+        # exponent cap k - 1: the gadgets are nilpotent of index k
+        inner = _brute(ga.M, gb.M, length, ga.layout.k - 1, tol, budget)
+        return _finish(inner, t0, "pairs:gadget")
     verdict = _closure_verdict(*_pairs_letters(pairs), tol)
-    return _finish(verdict, t0, scale, "pairs:closure")
+    return _finish(verdict, t0, "pairs:closure")
 
 
 # --------------------------------------------------------------------------
@@ -1001,9 +995,9 @@ def unitarily_congruent(
     budget: int = DEFAULT_BUDGET,
     max_length: int | None = None,
     use_k_gadget: bool = False,
-    prescale: bool = True,
 ) -> Verdict:
-    """Decide whether A = U B U^T for some unitary U.
+    """Decide whether A = U B U^T for some unitary U, after one common
+    scaling of A and B.
 
     The default route is the S2-only case of ``solve_general``'s real 2n
     letters.  The brute engine tests simultaneous unitary similarity of the
@@ -1015,38 +1009,27 @@ def unitarily_congruent(
     t0 = time.perf_counter()
     _check_pair(A, B)
     _check_engine(engine)
-    scale = 1.0
-    if prescale:
-        scale, (A, B) = common_scale([A, B])
+    _check_tol(tol)
+    scale, (A, B) = common_scale([A, B])
+    inner = _congruent(A, B, engine, tol, budget, max_length, use_k_gadget)
+    return _scaled(inner, t0, scale)
+
+
+def _congruent(A, B, engine, tol, budget, max_length, use_k_gadget) -> Verdict:
+    t0 = time.perf_counter()
     if use_k_gadget:
         ka, kb = build_congruence_K(A), build_congruence_K(B)
-        inner = unitarily_similar(
-            ka,
-            kb,
-            engine=engine,
-            tol=tol,
-            budget=budget,
-            max_length=max_length,
-            max_exponent=3,
-            prescale=False,
-        )
-        return _finish(inner, t0, scale, "congruence:K")
+        inner = _similar(ka, kb, engine, tol, budget, max_length, max_exponent=3)
+        return _finish(inner, t0, "congruence:K")
     if engine != ENGINE_BRUTE:
         letters = build_real_letters(ProblemInstance(A.rows, S2=[(A, B)]))
         inner = _closure_verdict(*letters, tol)
-        return _finish(inner, t0, scale, "congruence:real2n")
+        return _finish(inner, t0, "congruence:real2n")
     triple = congruence_triple(A, B)
     if _nonsingular(A) or _nonsingular(B):
         triple = triple[:2]  # A or B nonsingular: the first two pairs suffice
-    inner = simultaneously_unitarily_similar(
-        triple,
-        engine=engine,
-        tol=tol,
-        budget=budget,
-        max_length=max_length,
-        prescale=False,
-    )
-    return _finish(inner, t0, scale, "congruence:triple")
+    inner = _pairs(triple, engine, tol, budget, max_length)
+    return _finish(inner, t0, "congruence:triple")
 
 
 # --------------------------------------------------------------------------
@@ -1062,7 +1045,8 @@ def solve_general(
     use_k_gadget: bool = False,
 ) -> Verdict:
     """Decide the four-family problem: one unitary U giving similarity for
-    S1, congruence for S2, and the conjugated relations for S3 and S4.
+    S1, congruence for S2, and the conjugated relations for S3 and S4,
+    after one common scaling of every matrix (``scaled_common``).
 
     A pure-S1 instance is routed through simultaneous similarity directly.
     Anything else goes to the closure on the real 2n-by-2n letters of
@@ -1092,34 +1076,21 @@ def solve_general(
     if inst.total_pairs == 0:
         raise ValueError("instance has no pairs")
     _check_engine(engine)
+    _check_tol(tol)
     t0 = time.perf_counter()
     scale, sinst = inst.scaled_common()
     m1, m2, m3, m4 = sinst.counts
     if m2 == m3 == m4 == 0:
-        inner = simultaneously_unitarily_similar(
-            sinst.S1,
-            engine=engine,
-            tol=tol,
-            budget=budget,
-            max_length=max_length,
-            prescale=False,
-        )
-        return _finish(inner, t0, scale, "general:s1")
-    if engine != ENGINE_BRUTE and not use_k_gadget:
+        inner = _pairs(sinst.S1, engine, tol, budget, max_length)
+        route = "general:s1"
+    elif engine != ENGINE_BRUTE and not use_k_gadget:
         inner = _closure_verdict(*build_real_letters(sinst), tol)
-        return _finish(inner, t0, scale, "general:real2n")
-    ga, gb = build_general_gadget(sinst)
-    inner = unitarily_congruent(
-        ga.M,
-        gb.M,
-        engine=engine,
-        tol=tol,
-        budget=budget,
-        max_length=max_length,
-        use_k_gadget=use_k_gadget,
-        prescale=False,
-    )
-    return _finish(inner, t0, scale, "general:gadget")
+        route = "general:real2n"
+    else:
+        ga, gb = build_general_gadget(sinst)
+        inner = _congruent(ga.M, gb.M, engine, tol, budget, max_length, use_k_gadget)
+        route = "general:gadget"
+    return _scaled(_finish(inner, t0, route), t0, scale)
 
 
 def decision_letters(inst: ProblemInstance):
@@ -1141,10 +1112,16 @@ def decision_letters(inst: ProblemInstance):
 
 
 def verify_witness(inst: ProblemInstance, U: Matrix, tol: float = DEFAULT_TOL) -> bool:
-    """Check that one concrete unitary U realizes all four relation families."""
+    """Check that one concrete unitary U realizes all four relation families.
+
+    The instance is scaled once, as every decision scales it
+    (``scaled_common``), so that its norms and the bounds tol (1 + |A|)
+    stay in range; U is not scaled.
+    """
     if U.shape != (inst.n, inst.n):
         raise ValueError(f"witness must be {inst.n}x{inst.n}")
     _check_tol(tol)
+    _, inst = inst.scaled_common()
     n = inst.n
     eye = identity(n, U.mode)
     # "not <=" so that a NaN defect fails

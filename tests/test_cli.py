@@ -168,11 +168,15 @@ class TestDecide:
             "A": [[entry(size), entry(0)], [entry(0), entry(0)]],
             "B": [[entry(z) for z in row] for row in b],
         }
-        path = tmp_path / "range.json"
+        path, wit = tmp_path / "range.json", tmp_path / "eye.json"
         write_json(path, {"mode": "float", "n": 2, family: [pair]})
+        write_json(wit, {"mode": "float", "matrix": [[entry(1), entry(0)], [entry(0), entry(1)]]})
         code, out, _ = run(capsys, ["decide", str(path)])
         assert code == 1
         assert json.loads(out)["result"] == "NotEquivalent"
+        # verify scales the instance as decide does, so it refuses I too
+        code, out, _ = run(capsys, ["verify", str(path), str(wit)])
+        assert code == 1 and json.loads(out)["verified"] is False
 
 
 class TestBound:

@@ -79,16 +79,13 @@ class TestSpechtBrute:
         assert v.equivalent and v.certificate is None
 
     def test_jordan_mismatch_certificate(self):
-        v = specht_brute(J, J2, 6, prescale=False)
+        v = specht_brute(J, J2, 6)
         assert not v.equivalent
         cert = v.certificate
         assert str(cert.word) == "s t"
-        assert cert.trace_left == pytest.approx(1.0)
-        assert cert.trace_right == pytest.approx(4.0)
-
-    def test_prescaled_certificate_still_least_word(self):
-        v = specht_brute(J, J2, 6)
-        assert str(v.certificate.word) == "s t"
+        # traces of the scaled letters: a word of length 2 scales by scale^2
+        assert cert.trace_left == pytest.approx(1.0 * v.scale**2)
+        assert cert.trace_right == pytest.approx(4.0 * v.scale**2)
         assert v.scale == pytest.approx(0.5)
 
     def test_generated_witness_instance(self):
@@ -489,11 +486,11 @@ class TestUnitarilySimilar:
     def test_unipotent_mismatch(self):
         a = Matrix.from_complex([[1, 1], [0, 1]])
         b = Matrix.from_complex([[1, 2], [0, 1]])
-        v = unitarily_similar(a, b, prescale=False)
+        v = unitarily_similar(a, b)
         assert not v.equivalent
         assert str(v.certificate.word) == "s t"
-        assert v.certificate.trace_left == pytest.approx(3.0)
-        assert v.certificate.trace_right == pytest.approx(6.0)
+        assert v.certificate.trace_left == pytest.approx(3.0 * v.scale**2)
+        assert v.certificate.trace_right == pytest.approx(6.0 * v.scale**2)
 
     def test_engine_tags(self, rng):
         assert unitarily_similar(rand_matrix(rng, 2), rand_matrix(rng, 2)).engine == "fastpath_n2"
@@ -968,10 +965,65 @@ class TestNonFiniteEntries:
             lambda: unitarily_similar(a, b),
             lambda: unitarily_similar(b, a, engine="closure"),
             lambda: unitarily_congruent(a, b),
+            lambda: verify_witness(ProblemInstance(3, S1=[(a, b)]), identity(3)),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="finite"):
                 call()
+
+
+def _scaled_once_calls():
+    """One call of each public decision per route, keyed by a test id."""
+    a, b = similar_pair(2, 3)
+    c, d = similar_pair(3, 3)
+    e, f = similar_pair(4, 3)
+    s1 = make_yes_instance(2, 2, 0, 0, 0, seed=5).inst
+    mixed = make_yes_instance(1, 1, 1, 0, 0, seed=5)
+    return {
+        "general-real2n": lambda: solve_general(mixed.inst),
+        "general-s1": lambda: solve_general(s1),
+        "general-brute": lambda: solve_general(mixed.inst, engine="brute", max_length=2),
+        "general-k": lambda: solve_general(mixed.inst, use_k_gadget=True),
+        "similar-n2": lambda: unitarily_similar(a, b),
+        "similar-n3": lambda: unitarily_similar(c, d),
+        "similar-n4": lambda: unitarily_similar(e, f),
+        "similar-closure": lambda: unitarily_similar(a, b, engine="closure"),
+        "similar-brute": lambda: unitarily_similar(a, b, engine="brute"),
+        "pairs-auto": lambda: simultaneously_unitarily_similar([(a, b), (b, a)]),
+        "pairs-brute": lambda: simultaneously_unitarily_similar(
+            [(a, b), (b, a)], engine="brute", max_length=2
+        ),
+        "congruent-auto": lambda: unitarily_congruent(a, b),
+        "congruent-brute": lambda: unitarily_congruent(a, b, engine="brute", max_length=2),
+        "congruent-k": lambda: unitarily_congruent(a, b, use_k_gadget=True),
+        "specht": lambda: specht_brute(a, b, 3),
+        "closure": lambda: algebra_closure(a, b),
+        "verify": lambda: verify_witness(mixed.inst, mixed.witness),
+        "letters": lambda: decision_letters(mixed.inst),
+    }
+
+
+class TestScaledOnce:
+    @pytest.mark.parametrize("route", list(_scaled_once_calls()))
+    def test_one_scaling_per_public_call(self, monkeypatch, route):
+        # every relation is homogeneous, so one common factor per call is
+        # enough; internal routes get scaled matrices and never rescale
+        call = _scaled_once_calls()[route]
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(engines, "common_scale", counted(engines.common_scale))
+        monkeypatch.setattr(
+            ProblemInstance, "scaled_common", counted(ProblemInstance.scaled_common)
+        )
+        call()
+        assert len(calls) == 1, calls
 
 
 class TestTolerance:

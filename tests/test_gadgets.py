@@ -260,13 +260,13 @@ class TestCongruenceTriple:
     def brute_pair_counts(monkeypatch, pairs):
         """How many derived pairs the brute congruence route decides on."""
         seen = []
-        inner = engines.simultaneously_unitarily_similar
+        inner = engines._pairs
 
-        def spy(triple, **kwargs):
+        def spy(triple, *args):
             seen.append(len(triple))
-            return inner(triple, **kwargs)
+            return inner(triple, *args)
 
-        monkeypatch.setattr(engines, "simultaneously_unitarily_similar", spy)
+        monkeypatch.setattr(engines, "_pairs", spy)
         for a, b in pairs:
             unitarily_congruent(a, b, engine="brute", max_length=2)
         return seen
