@@ -88,6 +88,17 @@ class TestSpechtBrute:
         assert cert.trace_right == pytest.approx(4.0 * v.scale**2)
         assert v.scale == pytest.approx(0.5)
 
+    def test_prescaled_certificate_still_least_word(self):
+        # the public call scales once, so the least word does not depend on
+        # the magnitude of the entries
+        v = specht_brute(J, J2, 6)
+        assert str(v.certificate.word) == "s t"
+        assert v.scale == pytest.approx(0.5)
+        big = specht_brute(J.scale(1e150), J2.scale(1e150), 6)
+        assert not big.equivalent
+        assert str(big.certificate.word) == "s t"
+        assert big.scale == pytest.approx(0.5e-150)
+
     def test_generated_witness_instance(self):
         a, b = similar_pair(3, seed=41)
         v = specht_brute(a, b, 8, tol=1e-8)
