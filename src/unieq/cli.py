@@ -54,7 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "decide through the paper's gadget and its 4n-by-4n K gadget "
-            "instead of the real 2n letters"
+            "instead of the real 2n letters; slow in exact mode, where the "
+            "K gadget of one 2x2 pair already fills a 64-dimensional "
+            "integer span and takes minutes"
         ),
     )
 

@@ -31,9 +31,13 @@ Two interchangeable engines decide unitary similarity of a pair:
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
 problem via the multi-letter closure on real 2n-by-2n letters
-(``build_real_letters``).  The paper's own reduction, parity-placed gadgets
+(``real_letter_stack``).  The paper's own reduction, parity-placed gadgets
 plus congruence through the derived triple or the K gadget, stays the route
 of the brute engine and of ``use_k_gadget``.
+
+A decision's letters are built once, right after its one scaling, as one
+array (2, a, N, N), side on axis 0, that the closure, its eigenbasis check
+and its span read as it is; ``decision_letters`` gives rechecks views of it.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .numerics import (
     EXACT,
     GaussianRational,
     Matrix,
+    as_matrices,
     bareiss_solve,
     clear_denominators,
     common_scale,
@@ -70,9 +75,10 @@ from .gadgets import (
     ProblemInstance,
     build_congruence_K,
     build_general_gadget,
-    build_real_letters,
     build_similarity_gadget,
     congruence_triple,
+    real_letter_stack,
+    stack_pairs,
 )
 
 DEFAULT_TOL = 1e-8
@@ -309,11 +315,11 @@ def specht_brute(
     t0 = time.perf_counter()
     _check_pair(X, Y)
     _check_tol(tol)
-    scale, (X, Y) = common_scale([X, Y])
-    return _scaled(_brute(X, Y, max_length, max_exponent, tol, budget), t0, scale)
+    scale, letters = _decision(ProblemInstance(X.rows, [(X, Y)]))
+    return _scaled(_brute(letters, max_length, max_exponent, tol, budget), t0, scale)
 
 
-def _brute(X, Y, max_length, max_exponent, tol, budget) -> Verdict:
+def _brute(letters, max_length, max_exponent, tol, budget) -> Verdict:
     t0 = time.perf_counter()
     if max_length < 1:
         raise ValueError(f"max_length must be at least 1, got {max_length}")
@@ -322,9 +328,8 @@ def _brute(X, Y, max_length, max_exponent, tol, budget) -> Verdict:
         raise BudgetExceededError(
             f"brute enumeration needs {count} words, budget is {budget}"
         )
-    letters = [[X, X.adjoint()], [Y, Y.adjoint()]]
     stream = iter_word_traces(letters, max_length, max_exponent, DEDUP_CYCLIC_STAR)
-    verdict = _trace_verdict(stream, ENGINE_BRUTE, X.mode == EXACT, tol)
+    verdict = _trace_verdict(stream, ENGINE_BRUTE, letters.dtype == object, tol)
     return _finish(verdict, t0, "brute")
 
 
@@ -354,16 +359,6 @@ def _grown(a, rows: int, limit: int):
     new = np.empty((a.shape[0], cap) + a.shape[2:], dtype=a.dtype)
     new[:, :have] = a
     return new
-
-
-def _float_letters(letters_x, letters_y):
-    """Both sides' float letters stacked on axis 0 (0 left, 1 right):
-    ``float64`` when no letter has an imaginary part (the real 2n letters),
-    else ``complex128``."""
-    letters = np.array([[m.data for m in letters_x], [m.data for m in letters_y]])
-    if not letters.imag.any():  # real letters span a real algebra
-        letters = np.ascontiguousarray(letters.real)
-    return letters
 
 
 def _accepted(s, letters, tol: float):
@@ -458,9 +453,9 @@ def _aligned_intertwiner(letters, tol: float):
 
 class _MappedSpan:
     """Float arithmetic of the closure: both sides' spans, stacked on axis 0
-    (0 left, 1 right).  The letters (``_float_letters``), the empty word's
-    product I and every stored vector share one dtype.  Each child pair is
-    divided by its joint norm (a pair of norm 0 is dropped), and traces are
+    (0 left, 1 right).  The letters, the empty word's product I and every
+    stored vector share one dtype.  Each child pair is divided by its joint
+    norm (a pair of norm 0 is dropped), and traces are
     compared within ``tol``, all basis words in one call.  The closure
     builds a span only when ``_aligned_intertwiner`` finds no intertwiner
     of the letters first.
@@ -626,12 +621,13 @@ class _IntegerSpan:
 
     cap = 1  # exact mode decides every word on its own
 
-    def __init__(self, letters_x, letters_y):
-        a, n = len(letters_x), letters_x[0].rows
+    def __init__(self, letters):
+        a, n = letters.shape[1], letters.shape[-1]
         # the identity, cleared with the letters, is D I: the empty word's
         # nu comes out as D / D = 1
         eye = identity(n, EXACT)
-        self.denom, ints = clear_denominators(letters_x + letters_y + [eye])
+        mats = as_matrices(letters.reshape(2 * a, n, n)) + [eye]
+        self.denom, ints = clear_denominators(mats)
         self.letters = ints[:-1].reshape((2, a) + ints.shape[1:])
         self.eye = np.broadcast_to(ints[-1], (2, 1) + ints.shape[1:])
         self.prods = self.letters[:, :0]  # each basis word's product
@@ -726,9 +722,10 @@ class _IntegerSpan:
         return i, tuple(GaussianRational(*(nu * part for part in t[i])) for t in (tl, tr))
 
 
-def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
-    """Span the algebras generated by two letter lists of one size in
-    lockstep, in the arithmetic of their mode.
+def _closure_verdict(letters, tol) -> Verdict:
+    """Span the algebras generated by the two sides' letters, stacked (2,
+    a, N, N), in lockstep: exact over Gaussian rationals, else real when no
+    letter has an imaginary part, else complex.
 
     A span stores each word's product divided by a factor carried in
     ``nu``, so nu times a stored product is the word's value: certificate
@@ -747,15 +744,16 @@ def _closure_verdict(letters_x, letters_y, tol) -> Verdict:
     ``dimension`` is None.  That check can only answer Equivalent, and
     otherwise the span decides as above.
     """
-    exact = letters_x[0].mode == EXACT
+    exact = letters.dtype == object
     if exact:
-        spans = _IntegerSpan(letters_x, letters_y)
+        spans = _IntegerSpan(letters)
     else:
-        letters = _float_letters(letters_x, letters_y)
+        if np.iscomplexobj(letters) and not letters.imag.any():
+            letters = np.ascontiguousarray(letters.real)  # a real algebra
         if _aligned_intertwiner(letters, tol) is not None:
             return Verdict(True, ENGINE_CLOSURE, tolerance=tol)
         spans = _MappedSpan(letters, tol)
-    a = len(letters_x)
+    a = letters.shape[1]
     # each basis word's (parent, letter), and the factor its product dropped
     sources, nus = [], []
 
@@ -835,14 +833,13 @@ def algebra_closure(X: Matrix, Y: Matrix, tol: float = DEFAULT_TOL) -> Verdict:
     t0 = time.perf_counter()
     _check_pair(X, Y)
     _check_tol(tol)
-    scale, (X, Y) = common_scale([X, Y])
-    return _scaled(_closure(X, Y, tol), t0, scale)
+    scale, letters = _decision(ProblemInstance(X.rows, [(X, Y)]))
+    return _scaled(_closure(letters, tol), t0, scale)
 
 
-def _closure(X, Y, tol) -> Verdict:
+def _closure(letters, tol) -> Verdict:
     t0 = time.perf_counter()
-    verdict = _closure_verdict([X, X.adjoint()], [Y, Y.adjoint()], tol)
-    return _finish(verdict, t0, "closure")
+    return _finish(_closure_verdict(letters, tol), t0, "closure")
 
 
 # --------------------------------------------------------------------------
@@ -867,12 +864,12 @@ _N3_WORDS = (
 )
 
 
-def _fastpath(X: Matrix, Y: Matrix, words, tag: str, tol: float) -> Verdict:
-    lx, ly = [X, X.adjoint()], [Y, Y.adjoint()]
+def _fastpath(letters, words, tag: str, tol: float) -> Verdict:
+    lx, ly = (as_matrices(side) for side in letters)
     stream = (
         (w, (eval_word(w, lx).trace(), eval_word(w, ly).trace())) for w in words
     )
-    return _trace_verdict(stream, tag, X.mode == EXACT, tol)
+    return _trace_verdict(stream, tag, letters.dtype == object, tol)
 
 
 def unitarily_similar(
@@ -894,21 +891,22 @@ def unitarily_similar(
     _check_pair(A, B)
     _check_engine(engine)
     _check_tol(tol)
-    scale, (A, B) = common_scale([A, B])
-    return _scaled(_similar(A, B, engine, tol, budget, max_length), t0, scale)
+    scale, letters = _decision(ProblemInstance(A.rows, [(A, B)]))
+    return _scaled(_similar(letters, engine, tol, budget, max_length), t0, scale)
 
 
-def _similar(A, B, engine, tol, budget, max_length, max_exponent=None) -> Verdict:
+def _similar(letters, engine, tol, budget, max_length, max_exponent=None) -> Verdict:
+    """The similarity routes on the letters [A, A*] of one pair."""
     t0 = time.perf_counter()
-    m = A.rows
+    m = letters.shape[-1]
     if engine == ENGINE_BRUTE:
         length = max_length if max_length is not None else floor_length_bound(m)
-        inner = _brute(A, B, length, max_exponent, tol, budget)
+        inner = _brute(letters, length, max_exponent, tol, budget)
     elif engine == ENGINE_AUTO and m in (2, 3):
         words = _N2_WORDS if m == 2 else _N3_WORDS
-        inner = _fastpath(A, B, words, f"fastpath_n{m}", tol)
+        inner = _fastpath(letters, words, f"fastpath_n{m}", tol)
     else:
-        inner = _closure(A, B, tol)
+        inner = _closure(letters, tol)
     return _finish(inner, t0, "similar")
 
 
@@ -916,12 +914,13 @@ def _similar(A, B, engine, tol, budget, max_length, max_exponent=None) -> Verdic
 # simultaneous unitary similarity
 # --------------------------------------------------------------------------
 
-def _pairs_letters(pairs):
-    lx, ly = [], []
-    for a, b in pairs:
-        lx.extend((a, a.adjoint()))
-        ly.extend((b, b.adjoint()))
-    return lx, ly
+def _pairs_letters(stack):
+    """The letters [A, A*] of each pair, interleaved and stacked (2, 2 m,
+    n, n), from the m pairs' entries stacked as ``stack_pairs`` does."""
+    letters = np.empty((2, 2 * stack.shape[1]) + stack.shape[2:], dtype=stack.dtype)
+    letters[:, 0::2] = stack
+    letters[:, 1::2] = np.conj(stack).swapaxes(-1, -2)
+    return letters
 
 
 def simultaneously_unitarily_similar(
@@ -950,27 +949,25 @@ def simultaneously_unitarily_similar(
         if a.rows != n:
             raise ValueError("all pairs must share one size")
     _check_tol(tol)
-    scale, mats = common_scale([m for p in pairs for m in p])
-    pairs = list(zip(mats[0::2], mats[1::2]))
-    return _scaled(_pairs(pairs, engine, tol, budget, max_length), t0, scale)
+    scale, letters = _decision(ProblemInstance(n, pairs))
+    return _scaled(_pairs(letters, engine, tol, budget, max_length), t0, scale)
 
 
-def _pairs(pairs, engine, tol, budget, max_length) -> Verdict:
+def _pairs(letters, engine, tol, budget, max_length) -> Verdict:
+    """The simultaneous similarity routes on the letters of m pairs."""
     t0 = time.perf_counter()
-    if len(pairs) == 1 and engine != ENGINE_BRUTE:
-        inner = _similar(*pairs[0], engine, tol, budget, max_length)
+    if letters.shape[1] == 2 and engine != ENGINE_BRUTE:
+        inner = _similar(letters, engine, tol, budget, max_length)
         return _finish(inner, t0, "pairs")
     if engine == ENGINE_BRUTE:
-        ga, gb = build_similarity_gadget(pairs, pairs[0][0].rows)
-        size = ga.M.rows
-        length = (
-            max_length if max_length is not None else floor_length_bound(size)
-        )
+        pairs = zip(*(as_matrices(side[0::2]) for side in letters))
+        ga, gb = build_similarity_gadget(pairs, letters.shape[-1])
+        length = floor_length_bound(ga.M.rows) if max_length is None else max_length
         # exponent cap k - 1: the gadgets are nilpotent of index k
-        inner = _brute(ga.M, gb.M, length, ga.layout.k - 1, tol, budget)
+        gadget_letters = _pairs_letters(stack_pairs([(ga.M, gb.M)]))
+        inner = _brute(gadget_letters, length, ga.layout.k - 1, tol, budget)
         return _finish(inner, t0, "pairs:gadget")
-    verdict = _closure_verdict(*_pairs_letters(pairs), tol)
-    return _finish(verdict, t0, "pairs:closure")
+    return _finish(_closure_verdict(letters, tol), t0, "pairs:closure")
 
 
 # --------------------------------------------------------------------------
@@ -1004,7 +1001,10 @@ def unitarily_congruent(
     derived triple (``congruence_triple``), of its first two pairs alone
     when A or B is nonsingular (``_nonsingular``); ``use_k_gadget`` instead
     builds the 4n-by-4n nilpotent gadgets and tests their unitary
-    similarity with word exponents capped at 3.
+    similarity with word exponents capped at 3.  That route is slow in
+    exact mode: on a 2-by-2 Gaussian-rational pair its closure fills a
+    64-dimensional integer span, and one decision took 43-209 s, against
+    at most 0.02 s on the default route.
     """
     t0 = time.perf_counter()
     _check_pair(A, B)
@@ -1019,16 +1019,17 @@ def _congruent(A, B, engine, tol, budget, max_length, use_k_gadget) -> Verdict:
     t0 = time.perf_counter()
     if use_k_gadget:
         ka, kb = build_congruence_K(A), build_congruence_K(B)
-        inner = _similar(ka, kb, engine, tol, budget, max_length, max_exponent=3)
+        letters = _pairs_letters(stack_pairs([(ka, kb)]))
+        inner = _similar(letters, engine, tol, budget, max_length, max_exponent=3)
         return _finish(inner, t0, "congruence:K")
     if engine != ENGINE_BRUTE:
-        letters = build_real_letters(ProblemInstance(A.rows, S2=[(A, B)]))
-        inner = _closure_verdict(*letters, tol)
-        return _finish(inner, t0, "congruence:real2n")
+        letters = real_letter_stack(stack_pairs([(A, B)]), (0, 1, 0, 0))
+        return _finish(_closure_verdict(letters, tol), t0, "congruence:real2n")
     triple = congruence_triple(A, B)
     if _nonsingular(A) or _nonsingular(B):
         triple = triple[:2]  # A or B nonsingular: the first two pairs suffice
-    inner = _pairs(triple, engine, tol, budget, max_length)
+    letters = _pairs_letters(stack_pairs(triple))
+    inner = _pairs(letters, engine, tol, budget, max_length)
     return _finish(inner, t0, "congruence:triple")
 
 
@@ -1050,7 +1051,7 @@ def solve_general(
 
     A pure-S1 instance is routed through simultaneous similarity directly.
     Anything else goes to the closure on the real 2n-by-2n letters of
-    ``build_real_letters`` (route ``general:real2n``), unless the brute
+    ``real_letter_stack`` (route ``general:real2n``), unless the brute
     engine or ``use_k_gadget`` asks for the paper's reduction: the
     parity-placed gadget pair, whose unitary congruence is equivalent to the
     whole instance (route ``general:gadget``).
@@ -1058,7 +1059,7 @@ def solve_general(
     Why the real letters decide the instance.  W = U (+) conj(U) maps a
     matrix L placed at block (1,1), (1,2), (2,1) or (2,2) by L -> W L W*
     to U B U*, U B U^T, conj(U) B U* or conj(U) B U^T, and the letters are
-    the parts of T* L T and T* E T (``build_real_letters``).
+    the parts of T* L T and T* E T (``real_letter_stack``).
 
     * If U realizes every relation, O = T* W T = [[Re U, -Im U], [Im U,
       Re U]] is real orthogonal and maps every letter.
@@ -1078,37 +1079,42 @@ def solve_general(
     _check_engine(engine)
     _check_tol(tol)
     t0 = time.perf_counter()
-    scale, sinst = inst.scaled_common()
-    m1, m2, m3, m4 = sinst.counts
-    if m2 == m3 == m4 == 0:
-        inner = _pairs(sinst.S1, engine, tol, budget, max_length)
-        route = "general:s1"
-    elif engine != ENGINE_BRUTE and not use_k_gadget:
-        inner = _closure_verdict(*build_real_letters(sinst), tol)
-        route = "general:real2n"
-    else:
+    s1 = inst.counts[1:] == (0, 0, 0)
+    if not s1 and (engine == ENGINE_BRUTE or use_k_gadget):
+        scale, sinst = inst.scaled_common()
         ga, gb = build_general_gadget(sinst)
         inner = _congruent(ga.M, gb.M, engine, tol, budget, max_length, use_k_gadget)
         route = "general:gadget"
+    else:
+        scale, letters = _decision(inst)
+        if s1:
+            inner, route = _pairs(letters, engine, tol, budget, max_length), "general:s1"
+        else:
+            inner, route = _closure_verdict(letters, tol), "general:real2n"
     return _scaled(_finish(inner, t0, route), t0, scale)
 
 
+def _decision(inst: ProblemInstance):
+    """The common scale and the letters of an instance's default decision,
+    in one stacked pass, which ``decision_letters`` views: [A, A*] of each
+    pair of a pure-S1 instance, else the real 2n letters."""
+    scale, stack = common_scale(stack_pairs(p[2:] for p in inst.pairs()))
+    if inst.counts[1:] == (0, 0, 0):
+        return scale, _pairs_letters(stack)
+    return scale, real_letter_stack(stack, inst.counts)
+
+
 def decision_letters(inst: ProblemInstance):
-    """Rebuild the two letter lists the default general decision compares:
-    the S1 pairs with their adjoints for a pure-S1 instance, the real 2n
-    letters otherwise.
+    """The two letter lists the default general decision compares, as
+    Matrix views of the array its closure reads (``_decision``).
 
     Deterministic, so certificates can be re-verified from the instance
     alone.  Returns ``(scale, letters_left, letters_right)``.
     """
     if inst.total_pairs == 0:
         raise ValueError("instance has no pairs")
-    scale, sinst = inst.scaled_common()
-    m1, m2, m3, m4 = sinst.counts
-    if m2 == m3 == m4 == 0:
-        lx, ly = _pairs_letters(sinst.S1)
-        return scale, lx, ly
-    return (scale, *build_real_letters(sinst))
+    scale, letters = _decision(inst)
+    return (scale, *(as_matrices(side) for side in letters))
 
 
 def verify_witness(inst: ProblemInstance, U: Matrix, tol: float = DEFAULT_TOL) -> bool:

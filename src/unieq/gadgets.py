@@ -10,14 +10,17 @@ encodes the four-family problem in real 2n-by-2n letters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .numerics import (
+    EXACT,
     FLOAT,
     Matrix,
+    as_matrices,
     block,
     common_scale,
     identity,
@@ -49,6 +52,7 @@ _RELATIONS = {
 # With S = [[I, iI], [I, -iI]], S* L S = [[B, s12 iB], [s21 iB, s22 B]];
 # these are the signs (s12, s21, s22).
 _REAL_SIGNS = {1: (1, -1, 1), 2: (-1, -1, -1), 3: (1, 1, -1), 4: (-1, 1, 1)}
+_POSITIVE = np.array([_REAL_SIGNS[s] for s in (1, 2, 3, 4)]) > 0  # row s - 1
 
 
 @dataclass
@@ -104,15 +108,13 @@ class ProblemInstance:
         return (self.S1, self.S2, self.S3, self.S4)[set_id - 1]
 
     def scaled_common(self):
-        """Rescale every matrix by one common factor (max norm <= 1)."""
-        mats = []
-        for _, _, a, b in self.pairs():
-            mats.extend((a, b))
-        factor, scaled = common_scale(mats)
-        it = iter(scaled)
-        families = [[], [], [], []]
-        for set_id, _, _, _ in self.pairs():
-            families[set_id - 1].append((next(it), next(it)))
+        """Rescale every matrix by one common factor (max norm <= 1), all in
+        one stacked pass."""
+        if not self.total_pairs:
+            return 1.0, ProblemInstance(self.n)
+        factor, (a, b) = common_scale(stack_pairs(p[2:] for p in self.pairs()))
+        pairs = iter(zip(as_matrices(a), as_matrices(b)))
+        families = [[next(pairs) for _ in range(count)] for count in self.counts]
         return factor, ProblemInstance(self.n, *families)
 
 
@@ -267,42 +269,70 @@ def build_general_gadget(inst: ProblemInstance, layout: GadgetLayout | None = No
     return ga, gb
 
 
-def build_real_letters(inst: ProblemInstance):
-    """The real 2n-by-2n letter lists, ``(left, right)``, whose
-    simultaneous unitary similarity is equivalent to the whole instance.
+def stack_pairs(pairs):
+    """The entries of matrix pairs (A, B), stacked (2, pairs, n, n): every
+    A, then every B."""
+    return np.array([[m.data for m in side] for side in zip(*pairs)])
+
+
+def _halves(x):
+    """The real and the imaginary part of x / 2: Gaussian rationals, or
+    floats whose zeros are all +0.0."""
+    if x.dtype == object:
+        return (h.data for h in Matrix(x, EXACT).scale(Fraction(1, 2)).re_im())
+    return x.real * 0.5 + 0.0, x.imag * 0.5 + 0.0
+
+
+def real_letter_stack(stack, counts):
+    """The real 2n-by-2n letters, whose simultaneous unitary similarity is
+    equivalent to the whole instance, built once for all m pairs as one
+    array (2, 4 m + 1, 2n, 2n) of float64 or Gaussian rationals, side on
+    axis 0.  ``stack`` holds the pairs as ``stack_pairs`` stacks them, in
+    family order, ``counts[s - 1]`` of family s; a decision passes them
+    right after its single scaling (``engines._decision``).
 
     Each pair matrix sits at its family's block of a 2n-by-2n zero matrix
     L.  With S = [[I, iI], [I, -iI]] = sqrt(2) T, the real and imaginary
     parts of T* L T = S* L S / 2, each followed by its transpose, are
-    letters; they stay in the instance's mode and are assembled from the
-    parts of B / 2 by the closed form of S* L S (``_REAL_SIGNS``), with no
-    matrix product.  The last letter, on both sides, is Im(T* E T) =
-    [[0, I], [-I, 0]] / 2 for E = diag(I, 0).
-    ``solve_general`` proves the equivalence.
+    letters, assembled from the parts of B / 2 by the closed form of S* L S
+    (``_REAL_SIGNS``), with no matrix product.  The last letter is Im(T* E
+    T) = [[0, I], [-I, 0]] / 2 for E = diag(I, 0).  ``solve_general``
+    proves the equivalence.
     """
+    m, n = stack.shape[1], stack.shape[-1]
+    p, q = _halves(stack)
+    mp, mq = -p, -q
+    s12, s21, s22 = np.repeat(_POSITIVE, counts, axis=0).T[:, :, None, None]
+    out = np.empty((2, 4 * m + 1, 2 * n, 2 * n), dtype=p.dtype)
+    # (side, pair, real | imaginary part, letter | transpose)
+    parts = out[:, :-1].reshape(2, m, 2, 2, 2 * n, 2 * n)
+    re, im = parts[:, :, 0, 0], parts[:, :, 1, 0]
+    # B / 2 = P + iQ, so Re(s iB / 2) = -s Q and Im(s iB / 2) = s P
+    re[..., :n, :n], im[..., :n, :n] = p, q
+    re[..., :n, n:], im[..., :n, n:] = np.where(s12, mq, q), np.where(s12, p, mp)
+    re[..., n:, :n], im[..., n:, :n] = np.where(s21, mq, q), np.where(s21, p, mp)
+    re[..., n:, n:], im[..., n:, n:] = np.where(s22, p, mp), np.where(s22, q, mq)
+    parts[:, :, :, 1] = parts[:, :, :, 0].swapaxes(-1, -2)
+    out[:, -1] = _last_letter(n, p.dtype == object)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _last_letter(n: int, exact: bool):
+    """Im(T* E T) = [[0, I], [-I, 0]] / 2, from the parts of I / 2."""
+    half, zero = _halves(identity(n, EXACT if exact else FLOAT).data)
+    e = np.block([[zero, half], [-half, zero]])
+    e.flags.writeable = False  # one array for every call
+    return e
+
+
+def build_real_letters(inst: ProblemInstance):
+    """The ``real_letter_stack`` of an instance as ``(left, right)``, two
+    lists of Matrix views of that one array."""
     if inst.total_pairs == 0:
         raise ValueError("instance has no pairs")
-    n = inst.n
-
-    def parts(m: Matrix, set_id):
-        # B / 2 = P + iQ, so Re(s iB / 2) = -s Q and Im(s iB / 2) = s P
-        p, q = (x.data for x in m.scale(Fraction(1, 2)).re_im())
-        s12, s21, s22 = _REAL_SIGNS[set_id]
-        re = np.empty((2 * n, 2 * n), dtype=p.dtype)
-        im = np.empty_like(re)
-        re[:n, :n], im[:n, :n] = p, q
-        re[:n, n:], im[:n, n:] = (q, -p) if s12 < 0 else (-q, p)
-        re[n:, :n], im[n:, :n] = (q, -p) if s21 < 0 else (-q, p)
-        re[n:, n:], im[n:, n:] = (p, q) if s22 > 0 else (-p, -q)
-        return Matrix(re, m.mode), Matrix(im, m.mode)
-
-    left, right = [], []
-    for set_id, _, a, b in inst.pairs():
-        for letters, m in ((left, a), (right, b)):
-            for part in parts(m, set_id):
-                letters.extend((part, part.transpose()))
-    _, e = parts(identity(n, inst.mode), 1)
-    return left + [e], right + [e]
+    letters = real_letter_stack(stack_pairs(p[2:] for p in inst.pairs()), inst.counts)
+    return as_matrices(letters[0]), as_matrices(letters[1])
 
 
 def _check_pairs(pairs, n: int):

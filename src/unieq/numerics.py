@@ -559,16 +559,22 @@ def bareiss_solve(a, b):
 # pre-scaling
 # --------------------------------------------------------------------------
 
+def as_matrices(data):
+    """Matrix views of stacked entries, one per index of the first axis:
+    exact mode when the entries are objects, float mode otherwise."""
+    return [Matrix(x, EXACT if data.dtype == object else FLOAT) for x in data]
+
+
 def _largest_norm(mats) -> float:
-    """The largest Frobenius norm of float matrices, taken of the moduli
-    divided by the largest one, so that no square overflows or underflows;
-    ValueError if an entry is not finite or the norm is outside the normal
-    float range, where its inverse would be inf or 0."""
-    if not all(np.isfinite(m.data).all() for m in mats):
+    """The largest Frobenius norm of stacked float matrices, taken of the
+    moduli divided by the largest one, so that no square overflows or
+    underflows; ValueError if an entry is not finite or the norm is outside
+    the normal float range, where its inverse would be inf or 0."""
+    if not np.isfinite(mats).all():
         raise ValueError("float matrix entries must be finite")
     with np.errstate(all="ignore"):  # the range check below catches all
-        moduli = [np.abs(m.data) for m in mats]
-        peak = max(float(x.max(initial=0.0)) for x in moduli)
+        moduli = np.abs(mats)
+        peak = float(moduli.max(initial=0.0))
         if peak == 0.0:
             return 0.0
         biggest = peak * max(float(np.linalg.norm(x / peak)) for x in moduli)
@@ -580,36 +586,42 @@ def _largest_norm(mats) -> float:
 def common_scale(matrices):
     """One factor making the largest Frobenius norm at most 1.
 
-    Float mode normalizes the maximum norm to exactly 1; a norm that the
-    squares of the entries overflow or underflow is taken again from the
-    entries divided by the largest one, and a non-finite entry or a norm
-    past the float range raises ValueError.  Exact mode uses the largest
+    ``matrices`` are Matrix objects of one shape and mode, or one array
+    stacking their entries on its leading axes (objects in exact mode); all
+    are scaled in one pass and come back in the form given, Matrix objects
+    as views of one stack.  Each matrix counts with its own norm.  Float
+    mode normalizes the maximum norm to exactly 1; a norm that the squares
+    of the entries overflow or underflow is taken again from the entries
+    divided by the largest one, and a non-finite entry or a norm past the
+    float range raises ValueError.  Exact mode uses the largest
     power-of-two denominator needed, so scaling stays rational and
-    decisions stay tolerance-free.  Returns ``(factor, scaled_matrices)``.
+    decisions stay tolerance-free.  Returns ``(factor, scaled)``.
     """
-    mats = list(matrices)
-    if not mats:
-        return 1.0, []
-    mode = mats[0].mode
-    for m in mats:
-        mats[0]._check_mode(m)
-    if mode == FLOAT:
-        with np.errstate(over="ignore"):  # an overflow is taken again below
-            norms = [m.norm_fro() for m in mats]
-        biggest = max(norms)
-        # overflow, underflow or 0; a NaN norm need not be the max, but the
-        # sum of norms is NaN exactly when one is
-        if not sys.float_info.min <= biggest < math.inf or math.isnan(sum(norms)):
-            biggest = _largest_norm(mats)
-        if biggest == 0.0:
-            return 1.0, mats
-        factor = 1.0 / biggest
-        return factor, [m.scale(factor) for m in mats]
-    biggest_sq = max(m.norm_fro_sq() for m in mats)
-    if biggest_sq <= 1:
-        return Fraction(1), mats
-    e = 0
-    while biggest_sq > 4**e:
-        e += 1
-    factor = Fraction(1, 2**e)
-    return factor, [m.scale(factor) for m in mats]
+    if not isinstance(matrices, np.ndarray):
+        mats = list(matrices)
+        if not mats:
+            return 1.0, []
+        for m in mats:
+            mats[0]._check_mode(m)
+        factor, data = common_scale(np.array([m.data for m in mats]))
+        return factor, as_matrices(data)
+    mats = matrices.reshape((-1,) + matrices.shape[-2:])
+    if matrices.dtype == object:
+        biggest_sq = max(m.norm_fro_sq() for m in as_matrices(mats))
+        if biggest_sq <= 1:
+            return Fraction(1), matrices
+        e = 0
+        while biggest_sq > 4**e:
+            e += 1
+        factor = Fraction(1, 2**e)
+        return factor, matrices * _as_exact(factor)
+    with np.errstate(over="ignore"):  # an overflow is taken again below
+        norms = np.sqrt(np.sum(np.abs(mats) ** 2, axis=(1, 2)))
+    biggest = float(norms.max())
+    # overflow, underflow, 0 or a NaN, which the max passes on
+    if not sys.float_info.min <= biggest < math.inf:
+        biggest = _largest_norm(mats)
+    if biggest == 0.0:
+        return 1.0, matrices
+    factor = 1.0 / biggest
+    return factor, matrices * complex(factor)

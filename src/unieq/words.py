@@ -22,7 +22,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .numerics import Matrix, identity
+from .numerics import EXACT, FLOAT, Matrix, identity
 
 DEDUP_NONE = "none"
 DEDUP_CYCLIC = "cyclic"
@@ -263,8 +263,9 @@ def iter_word_traces(
     """Stream ``(word, traces)`` over every enumerated word.
 
     ``letter_sets`` is a list of letter assignments (each one matrix per
-    letter); ``traces`` holds the trace of the word's product under each
-    assignment, in order.  The stream is the one ``enumerate_words`` gives.
+    letter), or one array (sets, letters, n, n) of their entries; ``traces``
+    holds the trace of the word's product under each assignment, in order.
+    The stream is the one ``enumerate_words`` gives.
 
     Each length is walked depth first, holding one prefix product per set
     and depth, so memory is O(length).  When deduplicating, the walk only
@@ -275,25 +276,24 @@ def iter_word_traces(
     ``tr(P M) = sum(P * M.T)``, in O(n^2) per set, so no leaf product is
     built.
     """
-    if not letter_sets:
-        raise ValueError("need at least one letter set")
-    alphabet_size = len(letter_sets[0])
-    for ls in letter_sets:
-        if len(ls) != alphabet_size:
-            raise ValueError("letter sets must share one alphabet size")
-        _check_letters(ls, alphabet_size)
+    letters = letter_sets
+    if not isinstance(letters, np.ndarray):
+        if not letter_sets:
+            raise ValueError("need at least one letter set")
+        for ls in letter_sets:
+            if len(ls) != len(letter_sets[0]):
+                raise ValueError("letter sets must share one alphabet size")
+            _check_letters(ls, len(ls))
+        letters = np.array([[m.data for m in ls] for ls in letter_sets])
+    nsets, alphabet_size, n = letters.shape[:3]
     _check_exponent(max_exponent)
     _check_dedup(dedup, alphabet_size)
 
-    nsets = len(letter_sets)
-    first = letter_sets[0][0]
     # the sets run along the first axis, so one matmul extends every set
-    stacks = [
-        np.stack([ls[k].data for ls in letter_sets])
-        for k in range(alphabet_size)
-    ]
+    stacks = list(np.ascontiguousarray(letters.swapaxes(0, 1)))
     flips = [m.transpose(0, 2, 1).reshape(nsets, -1) for m in stacks]
-    eye = np.stack([identity(first.rows, first.mode).data] * nsets)
+    mode = EXACT if letters.dtype == object else FLOAT
+    eye = np.stack([identity(n, mode).data] * nsets)
     necklaces = dedup != DEDUP_NONE
     star = dedup == DEDUP_CYCLIC_STAR
     cap = max_exponent

@@ -439,11 +439,11 @@ class TestIntertwinerStop:
     letter, which the eigenbasis check tests before any span is built."""
 
     def test_real_letters_give_a_real_span(self):
-        _, left, right = decision_letters(make_yes_instance(2, 1, 1, 1, 1, seed=1).inst)
-        real = engines._MappedSpan(engines._float_letters(left, right), 1e-8)
+        _, letters = engines._decision(make_yes_instance(2, 1, 1, 1, 1, seed=1).inst)
+        real = engines._MappedSpan(letters, 1e-8)
         a, b = similar_pair(3, 5)
         cplx = engines._MappedSpan(
-            engines._float_letters([a, a.adjoint()], [b, b.adjoint()]), 1e-8
+            engines._pairs_letters(engines.stack_pairs([(a, b)])), 1e-8
         )
         for spans, dtype in ((real, np.float64), (cplx, np.complex128)):
             assert spans.letters.dtype == spans.eye.dtype == spans.qm.dtype == dtype
@@ -458,7 +458,7 @@ class TestIntertwinerStop:
         if case == "not_unitary":
             s = s @ np.diag([1.0, 0.5, 0.25])
         y = complex_gaussian(rng, 3) if case == "misses" else s @ x @ np.linalg.inv(s)
-        letters = engines._float_letters([Matrix(x, "float")], [Matrix(y, "float")])
+        letters = np.array([[x], [y]])
         assert (engines._accepted(s, letters, 1e-8) is not None) == (case == "maps")
 
     @pytest.mark.parametrize("seed", [312, 675, 1093])
@@ -838,10 +838,142 @@ class TestRealLetters:
         assert results.count(False) == len(ROADMAP_SHAPES) * 2
 
 
+class TestDecisionLetters:
+    """Each decision scales its matrices and builds its letters once, as one
+    stacked array (``engines._decision``): the closure of ``solve_general``
+    reads that array, and ``decision_letters`` gives Matrix views of it."""
+
+    @staticmethod
+    def _closure_input(monkeypatch, inst):
+        seen = []
+        inner = engines._closure_verdict
+
+        def spy(letters, tol):
+            seen.append(letters)
+            return inner(letters, tol)
+
+        monkeypatch.setattr(engines, "_closure_verdict", spy)
+        solve_general(inst)
+        (letters,) = seen
+        return letters
+
+    @staticmethod
+    def _cases():
+        """Instances whose default decision runs the closure, with the dtype
+        of their letters."""
+        rng = np.random.default_rng(77)
+        return {
+            "real2n": (make_yes_instance(2, 1, 1, 1, 1, seed=2).inst, np.float64),
+            "real2n-no": (
+                perturb_to_no(make_yes_instance(2, 0, 1, 1, 0, seed=2), 0.1, seed=3).inst,
+                np.float64,
+            ),
+            "s1-pairs": (make_yes_instance(2, 2, 0, 0, 0, seed=2).inst, np.complex128),
+            "s1-n5": (make_yes_instance(5, 1, 0, 0, 0, seed=2).inst, np.complex128),
+            "exact-real2n": (_exact_instance(rng, 2, (0, 1, 0, 1), 1, True), object),
+            "exact-s1": (_exact_instance(rng, 2, (2, 0, 0, 0), 1, False), object),
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["real2n", "real2n-no", "s1-pairs", "s1-n5", "exact-real2n", "exact-s1"]
+    )
+    def test_recheck_letters_are_the_closure_letters(self, monkeypatch, case):
+        inst, dtype = self._cases()[case]
+        letters = self._closure_input(monkeypatch, inst)
+        assert letters.dtype == dtype
+        scale, left, right = decision_letters(inst)
+        assert scale == solve_general(inst).scale
+        for side, views in zip(letters, (left, right)):
+            assert len(views) == len(side)
+            for view, row in zip(views, side):
+                assert view.mode == ("exact" if dtype is object else "float")
+                if dtype is object:
+                    assert all(x == y for x, y in zip(view.data.flat, row.flat))
+                else:
+                    assert view.data.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_s1_letters_interleave_each_matrix_with_its_adjoint(self, exact):
+        if exact:
+            inst = _exact_instance(np.random.default_rng(5), 2, (2, 0, 0, 0), 0, False)
+        else:
+            inst = make_yes_instance(3, 2, 0, 0, 0, seed=4).inst
+        scale, letters = engines._decision(inst)
+        n = inst.n
+        assert letters.shape == (2, 4, n, n)
+        assert letters.dtype == (object if exact else np.complex128)
+        for side in (0, 1):
+            for i, pair in enumerate(inst.S1):
+                m = pair[side].scale(scale)
+                assert Matrix(letters[side, 2 * i], m.mode) == m
+                assert Matrix(letters[side, 2 * i + 1], m.mode) == m.adjoint()
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_real_letters_are_the_scaled_instance_letters(self, exact):
+        rng = np.random.default_rng(8)
+        if exact:
+            inst = _exact_instance(rng, 2, (1, 1, 1, 1), 0, False)
+        else:
+            inst = make_yes_instance(2, 1, 1, 1, 1, seed=8).inst
+        scale, letters = engines._decision(inst)
+        assert letters.shape == (2, 4 * 4 + 1, 4, 4)
+        assert letters.dtype == (object if exact else np.float64)
+        _, sinst = inst.scaled_common()
+        for side, reference in zip(letters, TestRealLetters._product_form(sinst)):
+            assert [Matrix(x, sinst.mode) for x in side] == reference
+
+
+class TestStackedScaling:
+    """The stacked scaling before the letters keeps each matrix's own norm,
+    the overflow and underflow fallback, the refusal of non-finite entries
+    and the unscaled all-zero instance, on the real 2n route."""
+
+    @staticmethod
+    def _diag(x, y):
+        return Matrix(np.diag([x, y]).astype(complex), "float")
+
+    @pytest.mark.parametrize("size", [1e200, 1e-200])
+    def test_out_of_range_pair_decides_as_at_scale_one(self, size):
+        g = make_yes_instance(2, 0, 1, 0, 0, seed=4)
+        for inst in (g.inst, perturb_to_no(g, 0.1, seed=3).inst):
+            ((a, b),) = inst.S2
+            v = solve_general(inst)
+            far = solve_general(ProblemInstance(2, S2=[(a.scale(size), b.scale(size))]))
+            assert far.route == v.route == "general:real2n"
+            assert _signature(far) == _signature(v)
+            assert far.scale == pytest.approx(v.scale / size, rel=1e-12)
+        assert not v.equivalent
+
+    def test_equal_huge_pair_is_equivalent(self):
+        a = self._diag(1e200, 0)
+        v = solve_general(ProblemInstance(2, S2=[(a, a)]))
+        assert v.equivalent and v.route == "general:real2n" and v.scale == 1e-200
+
+    def test_unequal_huge_pair_is_not_equivalent(self):
+        inst = ProblemInstance(2, S2=[(self._diag(1e200, 0), self._diag(2e200, 0))])
+        v = solve_general(inst)
+        assert not v.equivalent and v.route == "general:real2n"
+        assert str(v.certificate.word) == "x0^3" and v.dimension == 6
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_refused(self, value):
+        inst = ProblemInstance(2, S2=[(self._diag(1.0, value), self._diag(1.0, 0))])
+        with pytest.raises(ValueError, match="finite"):
+            solve_general(inst)
+
+    def test_all_zero_instances_are_equivalent_unscaled(self):
+        z = zeros(2, 2)
+        for inst in (
+            ProblemInstance(2, S2=[(z, z)]),
+            ProblemInstance(2, S1=[(z, z)], S4=[(z, z)]),
+        ):
+            v = solve_general(inst)
+            assert v.equivalent and v.route == "general:real2n" and v.scale == 1.0
+
+
 def _aligned(inst):
     """The eigenbasis check's S on an instance's decision letters, or None."""
-    _, left, right = decision_letters(inst)
-    return engines._aligned_intertwiner(engines._float_letters(left, right), 1e-8)
+    return engines._aligned_intertwiner(engines._decision(inst)[1], 1e-8)
 
 
 def _witness_of(inst, s):

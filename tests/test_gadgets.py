@@ -21,6 +21,7 @@ from unieq import (
     plan_layout,
     random_unitary,
     unitarily_congruent,
+    verify_witness,
 )
 
 from conftest import rand_matrix, rat_matrix
@@ -262,9 +263,9 @@ class TestCongruenceTriple:
         seen = []
         inner = engines._pairs
 
-        def spy(triple, *args):
-            seen.append(len(triple))
-            return inner(triple, *args)
+        def spy(letters, *args):
+            seen.append(letters.shape[1] // 2)  # letters A, A* per pair
+            return inner(letters, *args)
 
         monkeypatch.setattr(engines, "_pairs", spy)
         for a, b in pairs:
@@ -320,3 +321,8 @@ class TestProblemInstance:
         norms = [m.norm_fro() for _, _, a, b in scaled.pairs() for m in (a, b)]
         assert max(norms) == pytest.approx(1.0)
         assert scaled.counts == inst.counts
+
+    def test_scaled_common_of_no_pairs(self):
+        factor, scaled = ProblemInstance(2).scaled_common()
+        assert factor == 1.0 and scaled.total_pairs == 0
+        assert verify_witness(ProblemInstance(2), identity(2))

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,10 +230,12 @@ class TestSpectrum:
 
     def test_multi_set_stream(self, rng):
         a, b = rand_matrix(rng, 2), rand_matrix(rng, 2)
-        rows = list(
-            iter_word_traces([[a, a.adjoint()], [b, b.adjoint()]], 3)
-        )
+        letter_sets = [[a, a.adjoint()], [b, b.adjoint()]]
+        rows = list(iter_word_traces(letter_sets, 3))
         assert len(rows) == 14
+        # the letters' entries stacked (sets, letters, n, n) give the same stream
+        stacked = np.array([[m.data for m in ls] for ls in letter_sets])
+        assert list(iter_word_traces(stacked, 3)) == rows
         for w, (ta, tb) in rows:
             assert ta == pytest.approx(
                 string_eval(w.letters(), [a, a.adjoint()]).trace(), abs=1e-12
@@ -287,6 +290,8 @@ class TestStreamMatchesEnumeration:
         rows = list(iter_word_traces(letter_sets, 7, None, DEDUP_CYCLIC_STAR))
         words = list(enumerate_words(2, 7, None, DEDUP_CYCLIC_STAR))
         assert [w for w, _ in rows] == words
+        stacked = np.array([[m.data for m in ls] for ls in letter_sets])
+        assert list(iter_word_traces(stacked, 7, None, DEDUP_CYCLIC_STAR)) == rows
         for w, traces in rows:
             for letters, t in zip(letter_sets, traces):
                 assert t == string_eval(w.letters(), letters).trace()
