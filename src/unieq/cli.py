@@ -54,9 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "decide through the paper's gadget and its 4n-by-4n K gadget "
-            "instead of the real 2n letters; slow in exact mode, where the "
-            "K gadget of one 2x2 pair already fills a 64-dimensional "
-            "integer span and takes minutes"
+            "instead of the real 2n letters; slow in exact mode, where a NO "
+            "on one 2x2 pair fills a 64-dimensional integer span of the K "
+            "gadget and takes about a minute (a YES about 0.1 s)"
         ),
     )
 

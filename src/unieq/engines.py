@@ -26,7 +26,14 @@ Two interchangeable engines decide unitary similarity of a pair:
   eigenvectors of one complex Hermitian combination of each side's
   letters, real letters included, matched up to one unit phase each, with
   no phase carried along an edge within the tolerance.  When it finds
-  one, the answer is Equivalent with no span.
+  one, the answer is Equivalent with no span.  Before an exact span is
+  built, the letters cleared of denominators are searched for an
+  invertible integer intertwiner (``_integer_intertwiner``): arithmetic
+  mod a prime only rules one out, by the spectra of the letters, which an
+  invertible intertwiner keeps, and then by the rank of the stacked
+  linear system; else up to three fixed combinations of an integer
+  nullspace basis are tried, and one that maps every letter exactly and
+  has a nonzero determinant answers Equivalent with no span.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
@@ -52,6 +59,8 @@ import numpy as np
 from .numerics import (
     DEP_TOL,
     EXACT,
+    PRIME,
+    SQRT_MINUS_ONE,
     GaussianRational,
     Matrix,
     as_matrices,
@@ -60,6 +69,11 @@ from .numerics import (
     common_scale,
     gaussian_matmul,
     identity,
+    independent_rows_mod_p,
+    integer_det,
+    integer_nullspace,
+    intertwiner_operator,
+    power_traces_differ_mod_p,
 )
 from .words import (
     DEDUP_CYCLIC_STAR,
@@ -158,6 +172,10 @@ class DependencyCertificate:
     side: str  # "left" or "right": the side on which the dependency holds
 
     def recheck(self, letters_left, letters_right, tol: float) -> bool:
+        """Re-evaluate every word from scratch and confirm that the
+        combination gives the word on the dependent side and fails on the
+        other: within tol over float letters, exactly over Gaussian-rational
+        ones, as for traces (``_close``)."""
         if self.side == "left":
             dep, other = letters_left, letters_right
         else:
@@ -171,6 +189,8 @@ class DependencyCertificate:
             to = eval_word(w, other).scale(c)
             combo_dep = td if combo_dep is None else combo_dep + td
             combo_other = to if combo_other is None else combo_other + to
+        if target_dep.mode == EXACT:
+            return combo_dep == target_dep and combo_other != target_other
         dep_resid = (target_dep - combo_dep).norm_fro()
         other_resid = (target_other - combo_other).norm_fro()
         dep_ok = dep_resid <= max(10 * tol, 1e-6) * (1.0 + target_dep.norm_fro())
@@ -451,6 +471,78 @@ def _aligned_intertwiner(letters, tol: float):
     return _accepted((v[1] * np.array(d)) @ vh[0], letters, tol)
 
 
+# draw t combines a nullspace basis v as sum_j c_j v_j, c_j = t^((j + 1)^2)
+# mod 1009: small, and with no pattern such as t^j, which over the standard
+# basis of a full matrix space gives a rank-one R
+_DRAWS = (2, 3, 5)
+
+
+def _maps(r, x, y) -> bool:
+    """Whether R x = y R for Gaussian-integer matrices in the layout of
+    ``clear_denominators``."""
+    left, right = np.empty_like(r), np.empty_like(r)
+    gaussian_matmul(r, x, left)
+    gaussian_matmul(y, r, right)
+    return bool((left == right).all())
+
+
+def _integer_intertwiner(ints):
+    """An invertible R with R L_k = L'_k R on every letter of two stacked
+    Gaussian-integer letter lists (2, a, parts, N, N), in the layout of
+    ``clear_denominators``, as R's parts; None if this finds none, which
+    proves nothing.
+
+    The closure's letter lists are closed under adjoint, so R*R commutes
+    with the letters and the unitary polar factor of R intertwines them:
+    over the rationals, with no tolerance, such an R proves Equivalent.  On
+    real letters a real R is sought; ``solve_general`` shows that one
+    exists when a unitary intertwiner does.
+
+    1. Mod ``PRIME``, with i -> ``SQRT_MINUS_ONE``: an invertible R makes
+       each letter similar to its partner, so if some letter's spectrum
+       differs from its partner's (``power_traces_differ_mod_p``), the
+       answer is None.  This covers the letters whose spectra are
+       disjoint, where only R = 0 maps one to the other (Sylvester).
+    2. Else if the stacked maps R -> L'_k R - R L_k
+       (``intertwiner_operator``) have full column rank mod p
+       (``independent_rows_mod_p``), None too.  A trace or minor that is
+       nonzero mod p is nonzero over the Gaussian integers, so p only ever
+       rules an R out.
+    3. Else the rows independent mod p, which are independent over Q(i),
+       give an integer basis v of the nullspace (``integer_nullspace``) of
+       their equations over the integers: on vec R for real letters, and
+       on [vec X; vec Y], the real and imaginary parts of each equation,
+       for R = X + iY over complex ones.  R is a fixed combination of v
+       for each t in ``_DRAWS`` (one draw if v has one vector), returned at
+       the first draw that maps every letter exactly and whose
+       determinant, of [[X, -Y], [Y, X]] over complex letters, is nonzero
+       (``integer_det``).
+    """
+    a, parts, size = ints.shape[1:4]
+    image = ints[:, :, 0] if parts == 1 else ints[:, :, 0] + SQRT_MINUS_ONE * ints[:, :, 1]
+    image = (image % PRIME).astype(np.int64)
+    if power_traces_differ_mod_p(image):
+        return None
+    taken = independent_rows_mod_p(intertwiner_operator(image[1], image[0]))
+    if taken is None:
+        return None
+    flat = ints.reshape(2, a * parts, size, size)
+    ops = intertwiner_operator(flat[1], flat[0]).reshape((a, parts) + (size * size,) * 2)
+    if parts == 2:  # each equation's real and imaginary part on [vec X; vec Y]
+        re, im = ops[:, 0], ops[:, 1]
+        ops = np.stack([np.concatenate(h, axis=-1) for h in ((re, -im), (im, re))], axis=1)
+    rows = ops[[k for k, _ in taken], :, [i for _, i in taken]]
+    null = integer_nullspace(rows.reshape(-1, ops.shape[-1]))
+    left, right = ints
+    for t in _DRAWS if len(null) > 1 else _DRAWS[:1]:
+        r = sum(pow(t, (j + 1) ** 2, 1009) * v for j, v in enumerate(null))
+        r = r.reshape(parts, size, size).swapaxes(1, 2)  # vec is column-major
+        square = r[0] if parts == 1 else np.block([[r[0], -r[1]], [r[1], r[0]]])
+        if all(_maps(r, x, y) for x, y in zip(left, right)) and integer_det(square):
+            return r
+    return None
+
+
 class _MappedSpan:
     """Float arithmetic of the closure: both sides' spans, stacked on axis 0
     (0 left, 1 right).  The letters, the empty word's product I and every
@@ -617,6 +709,8 @@ class _IntegerSpan:
     also brings i times its vector, so the integer span of the rows is the
     complex span of the words.  Coefficients are solved only for a
     certificate, by Bareiss elimination on the basis rows' pivot columns.
+    The closure spans only when ``_integer_intertwiner`` finds no
+    intertwiner of the cleared letters first.
     """
 
     cap = 1  # exact mode decides every word on its own
@@ -739,14 +833,17 @@ def _closure_verdict(letters, tol) -> Verdict:
     word extends the basis, every basis word's traces must agree (else a
     TraceCertificate).
 
-    Float letters are first handed to ``_aligned_intertwiner``: if it finds
-    an intertwiner, the verdict is Equivalent with no span built, so its
-    ``dimension`` is None.  That check can only answer Equivalent, and
-    otherwise the span decides as above.
+    Float letters are first handed to ``_aligned_intertwiner``, and exact
+    letters, once ``_IntegerSpan`` has cleared their denominators, to
+    ``_integer_intertwiner``: if either finds an intertwiner, the verdict
+    is Equivalent with no span built, so its ``dimension`` is None.  Both
+    can only answer Equivalent, and otherwise the span decides as above.
     """
     exact = letters.dtype == object
     if exact:
         spans = _IntegerSpan(letters)
+        if _integer_intertwiner(spans.letters) is not None:
+            return Verdict(True, ENGINE_CLOSURE, tolerance=None)
     else:
         if np.iscomplexobj(letters) and not letters.imag.any():
             letters = np.ascontiguousarray(letters.real)  # a real algebra
@@ -825,10 +922,11 @@ def algebra_closure(X: Matrix, Y: Matrix, tol: float = DEFAULT_TOL) -> Verdict:
     spanning, after one common scaling of X and Y.
 
     Verdicts coincide with the brute trace-word criterion; the agreement is
-    enforced by cross-engine tests, not assumed.  In float mode an
-    intertwiner found from one eigenbasis alignment of the letters
-    (``_aligned_intertwiner``) answers Equivalent before any span is built,
-    and the verdict then has no ``dimension``.
+    enforced by cross-engine tests, not assumed.  An intertwiner found
+    from one eigenbasis alignment of the letters in float mode
+    (``_aligned_intertwiner``), or an invertible integer one in exact mode
+    (``_integer_intertwiner``), answers Equivalent before any span is
+    built, and the verdict then has no ``dimension``.
     """
     t0 = time.perf_counter()
     _check_pair(X, Y)
@@ -1001,15 +1099,21 @@ def unitarily_congruent(
     derived triple (``congruence_triple``), of its first two pairs alone
     when A or B is nonsingular (``_nonsingular``); ``use_k_gadget`` instead
     builds the 4n-by-4n nilpotent gadgets and tests their unitary
-    similarity with word exponents capped at 3.  That route is slow in
-    exact mode: on a 2-by-2 Gaussian-rational pair its closure fills a
-    64-dimensional integer span, and one decision took 43-209 s, against
-    at most 0.02 s on the default route.
+    similarity with word exponents capped at 3.  In exact mode that
+    route's YES is quick, since the exact intertwiner search settles it
+    with no span (0.09 s for a 2-by-2 Gaussian-rational pair (X, X^T)), but
+    a NO still fills a 64-dimensional integer span on the 8-by-8 gadgets
+    and took 56 s, against at most 0.02 s on the default route (single
+    calls on a 2-core machine).
     """
     t0 = time.perf_counter()
     _check_pair(A, B)
     _check_engine(engine)
     _check_tol(tol)
+    if engine != ENGINE_BRUTE and not use_k_gadget:
+        scale, letters = _decision(ProblemInstance(A.rows, S2=[(A, B)]))
+        inner = _finish(_closure_verdict(letters, tol), t0, "congruence:real2n")
+        return _scaled(inner, t0, scale)
     scale, (A, B) = common_scale([A, B])
     inner = _congruent(A, B, engine, tol, budget, max_length, use_k_gadget)
     return _scaled(inner, t0, scale)
@@ -1022,9 +1126,6 @@ def _congruent(A, B, engine, tol, budget, max_length, use_k_gadget) -> Verdict:
         letters = _pairs_letters(stack_pairs([(ka, kb)]))
         inner = _similar(letters, engine, tol, budget, max_length, max_exponent=3)
         return _finish(inner, t0, "congruence:K")
-    if engine != ENGINE_BRUTE:
-        letters = real_letter_stack(stack_pairs([(A, B)]), (0, 1, 0, 0))
-        return _finish(_closure_verdict(letters, tol), t0, "congruence:real2n")
     triple = congruence_triple(A, B)
     if _nonsingular(A) or _nonsingular(B):
         triple = triple[:2]  # A or B nonsingular: the first two pairs suffice

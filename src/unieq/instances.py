@@ -20,7 +20,7 @@ from .numerics import (
     GaussianRational,
     Matrix,
     exact_nullspace,
-    identity,
+    intertwiner_operator,
     nullspace,
 )
 from .gadgets import _RELATIONS, ProblemInstance
@@ -142,28 +142,26 @@ def intertwiner_space_info(
     gap ratio (below :data:`MARGINAL_GAP` means the basis is suspect).
 
     One system serves both modes.  W is vectorized column-major, so A W - W B
-    becomes (I (x) A - B^T (x) I) vec W; A conj(W) = W B splits into the
-    real equations for the real and imaginary parts of W = P + iQ.  Float
-    mode takes the SVD nullspace, exact mode the exact nullspace of the same
-    operator (its gap is reported as inf).
+    becomes (I (x) A - B^T (x) I) vec W (``intertwiner_operator``, which
+    the exact closure's intertwiner search shares); A conj(W) = W B splits
+    into the real equations for the real and imaginary parts of W = P + iQ.
+    Float mode takes the SVD nullspace, exact mode the exact nullspace of
+    the same operator (its gap is reported as inf).
     """
     A._check_mode(B)
     if A.shape != B.shape or not A.is_square:
         raise ValueError("intertwiner spaces need equal-size square matrices")
     m, exact = A.rows, A.mode == EXACT
-    eye, kron = identity(m, A.mode).data, np.kron
     if conjugate_linear:
         (ar, ai), (br, bi) = ([x.data for x in M.re_im()] for M in (A, B))
-        op = np.block(
-            [
-                [kron(eye, ar) - kron(br.T, eye), kron(eye, ai) + kron(bi.T, eye)],
-                [kron(eye, ai) - kron(bi.T, eye), -kron(eye, ar) - kron(br.T, eye)],
-            ]
-        )
+        # the blocks kron(I, X) - kron(Y^T, I) for (X, Y) = (ar, br), (ai,
+        # -bi), (ai, bi) and (-ar, br)
+        ops = intertwiner_operator(np.array([ar, ai, ai, -ar]), np.array([br, -bi, bi, br]))
+        op = np.block([[ops[0], ops[1]], [ops[2], ops[3]]])
         if not exact:
             op = op.real  # a real system, so real nullspace vectors
     else:
-        op = kron(eye, A.data) - kron(B.data.T, eye)
+        op = intertwiner_operator(A.data[None], B.data[None])[0]
     if exact:
         vectors, gap = exact_nullspace(op.tolist()), math.inf
     else:

@@ -532,22 +532,143 @@ def exact_nullspace(rows):
     return basis
 
 
-def bareiss_solve(a, b):
-    """Solve the nonsingular integer system a c = b by fraction-free
-    elimination (Bareiss 1968): ``(numerators, det)`` with c = numerators /
-    det."""
-    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    r, prev = len(m), 1
+def intertwiner_operator(a, b):
+    """The maps W -> A_k W - W B_k of two stacked lists of m-by-m matrices
+    (k, m, m), as the matrices kron(I, A_k) - kron(B_k^T, I) on W
+    vectorized column-major, stacked (k, m^2, m^2) in the lists' dtype."""
+    k, m = a.shape[0], a.shape[-1]
+    eye = np.identity(m, dtype=a.dtype)
+    # entry (k, j, i, q, p): row W[i, j], column W[p, q]
+    op = eye[:, None, :, None] * a[:, None, :, None, :]
+    op = op - b.swapaxes(1, 2)[:, :, None, :, None] * eye[:, None, :]
+    return op.reshape(k, m * m, m * m)
+
+
+# a prime whose residues' products, and sums of 2^16 of them, fit in int64
+PRIME = 8_388_593
+# a square root of -1 mod PRIME, which is 1 mod 4 and has 3 as a non-square:
+# i -> SQRT_MINUS_ONE maps the Gaussian integers onto the integers mod PRIME
+SQRT_MINUS_ONE = pow(3, (PRIME - 1) // 4, PRIME)
+
+
+def power_traces_differ_mod_p(x) -> bool:
+    """Whether some pair of square int64 matrices x[0, k], x[1, k] (x
+    reduced mod ``PRIME``, shape (2, a, n, n)) has tr x^j differing mod p
+    for some j <= n.  Then the traces differ over the integers too, so the
+    two are not similar: no invertible R has R x[0, k] = x[1, k] R.  Equal
+    traces of the first n powers mean equal characteristic polynomials
+    (Newton's identities, as n < p), so this rules out every pair whose
+    spectra differ, among them each pair of disjoint spectra, for which
+    only R = 0 maps one to the other (Sylvester)."""
+    power = x
+    for j in range(x.shape[-1]):
+        if j:
+            power = power @ x % PRIME
+        traces = np.trace(power, axis1=-2, axis2=-1) % PRIME
+        if (traces[0] != traces[1]).any():
+            return True
+    return False
+
+
+def independent_rows_mod_p(blocks):
+    """Rows of the integer blocks (k, rows, cols), taken block by block,
+    that are independent mod ``PRIME`` and span all the rows mod it, as
+    ``(block, row)`` pairs; None as soon as the rows taken reach rank cols,
+    for a nonzero minor mod p is nonzero, so the integers have full column
+    rank too.  Rows independent mod p are independent over Q."""
+    cols = blocks.shape[-1]
+    basis = np.empty((cols, cols), dtype=np.int64)  # 1 at its pivot, 0 at the others
+    pivots, taken = [], []
+    for k, block in enumerate(blocks):
+        x = np.asarray(block % PRIME, dtype=np.int64)
+        r = len(pivots)
+        if r:
+            x = (x - x[:, pivots] @ basis[:r]) % PRIME
+        while True:
+            rows, cs = np.nonzero(x)
+            if not len(rows):
+                break
+            i, c = int(rows[0]), int(cs[0])
+            row = x[i] * pow(int(x[i, c]), -1, PRIME) % PRIME
+            x = (x - np.outer(x[:, c], row)) % PRIME
+            basis[:r] = (basis[:r] - np.outer(basis[:r, c], row)) % PRIME
+            basis[r] = row
+            pivots.append(c)
+            taken.append((k, i))
+            r += 1
+            if r == cols:
+                return None
+    return taken
+
+
+def integer_nullspace(rows):
+    """Integer vectors spanning the rational nullspace of the integer rows
+    (an object array), by fraction-free Gauss-Jordan elimination, x <- p x
+    - f row, each changed row divided by its content: one vector per free
+    column, the lcm L of the pivots there and -L row[free] / pivot at each
+    pivot column."""
+    x = np.array(rows, dtype=object)
+    m, cols = x.shape
+    pivots = []
+    for c in range(cols):
+        k = len(pivots)
+        if k == m:
+            break
+        i = next((i for i in range(k, m) if x[i, c]), None)
+        if i is None:
+            continue
+        x[[k, i]] = x[[i, k]]
+        others = [j for j in range(m) if j != k and x[j, c]]
+        if others:
+            x[others] = x[k, c] * x[others] - np.outer(x[others, c], x[k])
+            for j in others:
+                g = math.gcd(*x[j])
+                if g > 1:
+                    x[j] //= g
+        pivots.append(c)
+    lead = math.lcm(*(x[k, c] for k, c in enumerate(pivots)))
+    basis = []
+    for free in sorted(set(range(cols)) - set(pivots)):
+        v = np.zeros(cols, dtype=object)
+        v[free] = lead
+        for k, c in enumerate(pivots):
+            v[c] = -x[k, free] * (lead // x[k, c])
+        basis.append(v)
+    return basis
+
+
+def _bareiss(m, r: int):
+    """Fraction-free forward elimination of the first r columns of the
+    integer rows m, in place (Bareiss 1968): the determinant of their
+    leading r-by-r block, 0 if it is singular."""
+    prev, sign = 1, 1
     for k in range(r):
-        swap = next(i for i in range(k, r) if m[i][k])
-        m[k], m[swap] = m[swap], m[k]
+        swap = next((i for i in range(k, r) if m[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            m[k], m[swap], sign = m[swap], m[k], -sign
         pk = m[k][k]
         for i in range(k + 1, r):
             mi, f = m[i], m[i][k]
-            for c in range(k + 1, r + 1):
+            for c in range(k + 1, len(mi)):
                 mi[c] = (mi[c] * pk - f * m[k][c]) // prev
         prev = pk
-    det, nums = prev, [0] * r
+    return sign * prev
+
+
+def integer_det(a):
+    """The determinant of a square integer matrix, by ``_bareiss``."""
+    return _bareiss([list(row) for row in a], len(a))
+
+
+def bareiss_solve(a, b):
+    """Solve the nonsingular integer system a c = b by fraction-free
+    elimination (``_bareiss``): ``(numerators, det)`` with c = numerators
+    / det."""
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    r = len(m)
+    det, nums = _bareiss(m, r), [0] * r
     for i in range(r - 1, -1, -1):
         row = m[i]
         s = det * row[r] - sum(row[c] * nums[c] for c in range(i + 1, r))

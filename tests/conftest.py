@@ -39,8 +39,14 @@ def rat_matrix(rng, n, span=3, den=4):
 
 
 def exact_unitary(n, which=0):
-    """A unitary with Gaussian-rational entries (phase, flip, or rotation)."""
+    """A unitary with Gaussian-rational entries (phase, flip, or rotation);
+    for n > 2, a 2-by-2 one on the first two coordinates times the cyclic
+    shift of all n."""
     GR = GaussianRational
+    if n > 2:
+        u = np.array([[GR(int(i == j)) for j in range(n)] for i in range(n)], dtype=object)
+        u[:2, :2] = exact_unitary(2, which).data
+        return Matrix(np.roll(u, 1, axis=1), "exact")
     if n == 1:
         options = [
             Matrix.from_rational([[GR(0, 1)]]),

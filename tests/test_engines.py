@@ -58,14 +58,16 @@ def _signature(verdict):
 
 
 def _spanned(monkeypatch, decide, band=False):
-    """``decide()`` with the eigenbasis check switched off, so that a float
-    closure builds its span; the verdict with the check must have the same
-    result and certificate word.  For inputs within the tolerance band
-    (``band``), the check may also answer Equivalent where the span does
-    not: the check's S then maps every letter within tol."""
+    """``decide()`` with the eigenbasis check and the exact intertwiner
+    search switched off, so that the closure builds its span in either
+    arithmetic; the verdict with them must have the same result and
+    certificate word.  For inputs within the tolerance band (``band``), the
+    check may also answer Equivalent where the span does not: the check's S
+    then maps every letter within tol."""
     checked = decide()
     with monkeypatch.context() as m:
         m.setattr(engines, "_aligned_intertwiner", lambda letters, tol: None)
+        m.setattr(engines, "_integer_intertwiner", lambda ints: None)
         spanned = decide()
     if not (band and checked.equivalent):
         assert _signature(checked) == _signature(spanned)
@@ -355,7 +357,7 @@ class TestClosureModes:
             pairs.append((p1, p2, False))
         kinds = set()
         for x, y, similar in pairs:
-            ve = algebra_closure(x, y)
+            ve = _spanned(monkeypatch, lambda: algebra_closure(x, y))
             vf = _spanned(monkeypatch, lambda: algebra_closure(x.to_float(), y.to_float()))
             assert ve.tolerance is None and vf.tolerance is not None
             assert ve.equivalent == vf.equivalent
@@ -824,7 +826,7 @@ class TestRealLetters:
             for n in (1, 2):
                 for perturb in (False, True):
                     inst = _exact_instance(rng, n, shape, i + n, perturb)
-                    ve = solve_general(inst)
+                    ve = _spanned(monkeypatch, lambda: solve_general(inst))
                     vf = _spanned(monkeypatch, lambda: solve_general(_to_float(inst)))
                     assert ve.tolerance is None and vf.tolerance is not None
                     assert ve.equivalent == vf.equivalent, (shape, n, perturb)
@@ -836,6 +838,108 @@ class TestRealLetters:
                         assert ve.equivalent
                     results.append(ve.equivalent)
         assert results.count(False) == len(ROADMAP_SHAPES) * 2
+
+
+def _step_off(monkeypatch, decide):
+    """``decide()`` with the exact intertwiner search switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(engines, "_integer_intertwiner", lambda ints: None)
+        return decide()
+
+
+def _refuse(*args):
+    raise AssertionError("the intertwiner search went past its exit")
+
+
+class TestIntegerIntertwiner:
+    """An exact closure first looks for an invertible integer intertwiner
+    of its letters (``engines._integer_intertwiner``) and answers
+    Equivalent with no span when it finds one; otherwise the span decides
+    as before."""
+
+    @staticmethod
+    def _doc(verdict):
+        cert = verdict.certificate
+        return verdict.result, None if cert is None else cert.to_json()
+
+    @pytest.mark.parametrize("shape", ROADMAP_SHAPES, ids=lambda s: "%d%d%d%d" % s)
+    def test_step_settles_every_yes_and_changes_no_verdict(self, monkeypatch, shape):
+        rng = np.random.default_rng(7070 + ROADMAP_SHAPES.index(shape))
+        for n in (1, 2, 3):
+            for perturb in (False, True):
+                inst = _exact_instance(rng, n, shape, n, perturb)
+                on = solve_general(inst)
+                off = _step_off(monkeypatch, lambda: solve_general(inst))
+                assert self._doc(on) == self._doc(off), (shape, n, perturb)
+                assert on.equivalent != perturb
+                if not perturb:  # settled by the step, with no span
+                    assert on.dimension is None and off.dimension is not None
+
+    def test_singular_intertwiners_reach_the_closure(self, monkeypatch):
+        """Every R with R X = Y R is singular on these pairs, so the span
+        answers.  (diag(1, 0), I) already differ in spectrum.  The
+        idempotents X = [[1, 1], [0, 0]] (+) 0 and Y = diag(1, 0, 0) are
+        similar, and so are X* and Y*, but X is not normal: R = E_33 maps
+        both letters, and no invertible R does."""
+        spaces = []
+
+        def spy(rows):
+            spaces.append(inner(rows))
+            return spaces[-1]
+
+        inner = engines.integer_nullspace
+        monkeypatch.setattr(engines, "integer_nullspace", spy)
+        x = Matrix.from_rational([[GR(1), GR(0)], [GR(0), GR(0)]])
+        v = algebra_closure(x, identity(2, "exact"))
+        assert not v.equivalent and v.dimension is not None
+        assert not spaces
+        x, y = (
+            Matrix.from_rational([[GR(e) for e in row] for row in rows])
+            for rows in ([[1, 1, 0], [0, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+        )
+        v = algebra_closure(x, y)
+        assert not v.equivalent and v.dimension is not None
+        assert len(spaces) == 1 and len(spaces[0]) > 0
+
+    def test_singular_draws_fall_back_to_the_closure(self, monkeypatch):
+        inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, False)
+        monkeypatch.setattr(engines, "integer_det", lambda square: 0)
+        v = solve_general(inst)
+        assert v.equivalent and v.dimension == 16
+
+    def test_scalar_letters_are_settled(self):
+        """Every R maps I to I: a draw over the whole matrix space must
+        still be invertible."""
+        for n in (2, 3):
+            v = algebra_closure(identity(n, "exact"), identity(n, "exact"))
+            assert v.equivalent and v.dimension is None
+
+    def test_draws_are_checked_exactly(self, monkeypatch):
+        """Rows that miss some equation, as a rank drop mod p would leave,
+        give a nullspace of non-intertwiners; the exact check refuses
+        them."""
+        inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, True)
+        monkeypatch.setattr(engines, "power_traces_differ_mod_p", lambda image: False)
+        monkeypatch.setattr(engines, "independent_rows_mod_p", lambda blocks: [(0, 0)])
+        v = solve_general(inst)
+        assert not v.equivalent and v.dimension is not None
+
+    def test_spectrum_exit_skips_the_nullspace(self, monkeypatch):
+        """A perturbed instance, and diag(1, 2) against diag(3, 4), whose
+        spectra are disjoint (Sylvester's case: only R = 0 maps them)."""
+        inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, True)
+        monkeypatch.setattr(engines, "independent_rows_mod_p", _refuse)
+        monkeypatch.setattr(engines, "integer_nullspace", _refuse)
+        assert not solve_general(inst).equivalent
+        x, y = (Matrix.from_rational([[GR(d), GR(0)], [GR(0), GR(d + 1)]]) for d in (1, 3))
+        assert not algebra_closure(x, y).equivalent
+
+    def test_rank_exit_skips_the_nullspace(self, monkeypatch):
+        """J and 2 J have one spectrum, and so have J* and 2 J*, but only R
+        = 0 maps [J, J*] to [2 J, 2 J*]."""
+        k = Matrix.from_rational([[GR(0), GR(1)], [GR(0), GR(0)]])
+        monkeypatch.setattr(engines, "integer_nullspace", _refuse)
+        assert not algebra_closure(k, k.scale(2)).equivalent
 
 
 class TestDecisionLetters:

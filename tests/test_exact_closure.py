@@ -31,6 +31,7 @@ from unieq import (
 )
 
 from conftest import rat_matrix
+from test_engines import _spanned
 
 GR = GaussianRational
 GOLDEN = Path(__file__).parent / "data" / "exact_verdicts.json"
@@ -196,13 +197,14 @@ class TestDenominators:
 
 
 class TestVanishingChildren:
-    def test_nilpotent_children_vanish_on_both_sides(self):
+    def test_nilpotent_children_vanish_on_both_sides(self, monkeypatch):
         """J^2 = 0 on both sides: the child is dropped, not added."""
         j = _exact([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        v = algebra_closure(j, j)
+        v = _spanned(monkeypatch, lambda: algebra_closure(j, j))
         assert v.equivalent and v.dimension == 9
         k = _exact([[0, 1], [0, 0]])
-        v = simultaneously_unitarily_similar([(k, k), (k.scale(2), k.scale(2))])
+        pairs = [(k, k), (k.scale(2), k.scale(2))]
+        v = _spanned(monkeypatch, lambda: simultaneously_unitarily_similar(pairs))
         assert v.equivalent and v.dimension == 4
 
     def test_child_vanishing_on_one_side_only(self):
@@ -219,6 +221,32 @@ class TestVanishingChildren:
         assert str(cert.word) == "s^2"
         assert cert.side == "left" and not any(cert.coefficients)
         assert cert.recheck([xs, xs.adjoint()], [ys, ys.adjoint()], 1e-8)
+
+
+class TestExactRecheck:
+    @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 10**6), Fraction(1, 10**12)])
+    def test_dependency_certificate_rechecks_exactly(self, eps):
+        """A congruent S2 pair with eps added to one entry of A: the
+        combination misses on the other side by a defect of the order of
+        eps, which a float tolerance would not see."""
+        b = Matrix.from_rational(
+            [[GR(Fraction(2, 3)), GR(Fraction(-3, 2))], [GR(5, -2), GR(Fraction(-4, 5))]]
+        )
+        u = Matrix.from_rational([[GR(0), GR(0, 1)], [GR(1), GR(0)]])
+        a = u @ b @ u.transpose()
+        a.data[0, 0] = a.data[0, 0] + GR(eps)
+        inst = ProblemInstance(2, S2=[(a, b)])
+        v = solve_general(inst)
+        cert = v.certificate
+        assert isinstance(cert, DependencyCertificate) and str(cert.word) == "x0 x0* x0"
+        _, left, right = decision_letters(inst)
+        assert cert.recheck(left, right, 1e-8)
+        # the same combination does not hold on both sides
+        flipped = DependencyCertificate(
+            cert.word, cert.basis_words, cert.coefficients, cert.residual,
+            "right" if cert.side == "left" else "left",
+        )
+        assert not flipped.recheck(left, right, 1e-8)
 
 
 class TestExactTraces:

@@ -17,11 +17,18 @@ from unieq import (
     zeros,
 )
 from unieq.numerics import (
+    PRIME,
+    SQRT_MINUS_ONE,
     bareiss_solve,
     clear_denominators,
     exact_nullspace,
     gaussian_matmul,
+    independent_rows_mod_p,
+    integer_det,
+    integer_nullspace,
+    intertwiner_operator,
     nullspace,
+    power_traces_differ_mod_p,
 )
 
 from conftest import rand_matrix, rat_matrix
@@ -290,6 +297,55 @@ class TestIntegerKernels:
             c = [Fraction(v, det) for v in nums]
             for row, rhs in zip(a, b):
                 assert sum(x * y for x, y in zip(row, c)) == rhs
+
+
+    def test_integer_det_matches_exact_det(self, rng):
+        assert integer_det([[0, 1], [1, 0]]) == -1
+        assert integer_det([[1, 2], [2, 4]]) == 0
+        for r in (1, 2, 3, 5):
+            a = rng.integers(-4, 5, (r, r)).tolist()
+            a[0][0] = 0  # the first column needs a row swap
+            assert integer_det(a) == Matrix.from_rational(a).det()
+
+    def test_intertwiner_operator_is_the_kron_form(self, rng):
+        a, b = rng.integers(-4, 5, (2, 3, 3, 3))
+        w = rng.integers(-4, 5, (3, 3))
+        ops = intertwiner_operator(a, b)
+        for op, x, y in zip(ops, a, b):
+            eye = np.eye(3, dtype=int)
+            assert np.array_equal(op, np.kron(eye, x) - np.kron(y.T, eye))
+            # W is vectorized column-major
+            assert np.array_equal(op @ w.ravel(order="F"), (x @ w - w @ y).ravel(order="F"))
+
+    def test_power_traces_keep_similarity_and_rule_out_disjoint_spectra(self, rng):
+        assert SQRT_MINUS_ONE**2 % PRIME == PRIME - 1
+        for r in (1, 2, 3):
+            for _ in range(20):
+                a, b = rng.integers(-3, 4, (2, r, r))
+                u = np.eye(r, dtype=int) + np.triu(rng.integers(-2, 3, (r, r)), 1)
+                similar = u @ a @ np.rint(np.linalg.inv(u)).astype(int)
+                pairs = np.array([[a, a], [similar, b]]) % PRIME
+                assert not power_traces_differ_mod_p(pairs[:, :1])
+                op = intertwiner_operator(a[None].astype(object), b[None].astype(object))[0]
+                if integer_det(op.tolist()):  # disjoint spectra (Sylvester)
+                    assert power_traces_differ_mod_p(pairs)
+                    assert power_traces_differ_mod_p(pairs[:, 1:])
+
+    def test_independent_rows_and_integer_nullspace(self, rng):
+        for cols in (3, 5, 8):
+            for rank in range(cols):
+                rows = rng.integers(-3, 4, (rank, cols)) @ rng.integers(-3, 4, (cols, cols))
+                blocks = np.concatenate([rows, rows[::-1] * 2]).reshape(2, rank, cols)
+                taken = independent_rows_mod_p(blocks.astype(object))
+                r = np.linalg.matrix_rank(rows)
+                assert taken is not None and len(taken) == r
+                basis = integer_nullspace(blocks[tuple(np.array(taken, dtype=int).reshape(-1, 2).T)])
+                assert len(basis) == cols - r
+                for v in basis:
+                    assert not (rows.astype(object) @ v).any()
+            full = rng.integers(-3, 4, (1, cols + 1, cols))
+            if np.linalg.matrix_rank(full[0]) == cols:
+                assert independent_rows_mod_p(full) is None
 
 
 class TestNullspaceKernels:
