@@ -172,6 +172,9 @@ def _cmd_gadget(args) -> int:
 def _cmd_words(args) -> int:
     engines._check_tol(args.tol)
     a, b = fileio.load_pair(args.pair)
+    engines._check_budget(
+        args.max_length, args.max_exponent, engines.DEFAULT_BUDGET
+    )
     stream = words.iter_word_traces(
         [[a, a.adjoint()], [b, b.adjoint()]],
         args.max_length,

@@ -311,6 +311,16 @@ def _check_tol(tol: float):
         raise ValueError(f"tol must be a finite positive number, got {tol}")
 
 
+def _check_budget(max_length, max_exponent, budget):
+    """Refuse a walk over the words in two letters up to ``max_length``
+    when their count exceeds ``budget``."""
+    count = word_count(2, max_length, max_exponent)
+    if count > budget:
+        raise BudgetExceededError(
+            f"brute enumeration needs {count} words, budget is {budget}"
+        )
+
+
 def floor_length_bound(m: int) -> int:
     """Integer word-length cutoff for m-by-m matrices."""
     return math.floor(pappacena_bound(m))
@@ -343,11 +353,7 @@ def _brute(letters, max_length, max_exponent, tol, budget) -> Verdict:
     t0 = time.perf_counter()
     if max_length < 1:
         raise ValueError(f"max_length must be at least 1, got {max_length}")
-    count = word_count(2, max_length, max_exponent)
-    if count > budget:
-        raise BudgetExceededError(
-            f"brute enumeration needs {count} words, budget is {budget}"
-        )
+    _check_budget(max_length, max_exponent, budget)
     stream = iter_word_traces(letters, max_length, max_exponent, DEDUP_CYCLIC_STAR)
     verdict = _trace_verdict(stream, ENGINE_BRUTE, letters.dtype == object, tol)
     return _finish(verdict, t0, "brute")

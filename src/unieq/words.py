@@ -8,10 +8,12 @@ star-reversal duplicates (both are trace-preserving, which is what the
 decision engines compare).
 
 ``enumerate_words`` filters every capped string and is the reference.  The
-traced walk ``iter_word_traces`` yields the same stream, but when it
-deduplicates it only descends into necklace prefixes, and it reads each
-word's trace off its parent's product in O(n^2) instead of building the
-word's product.
+traced walk ``iter_word_traces`` yields the same stream one length at a
+time: the prefixes of one length (only necklace prefixes when it
+deduplicates) carry their products stacked, the next length's products are
+one stacked matrix product, and each word's trace is read off its parent's
+product in O(n^2) instead of building the word's product.  Past a level of
+``_WIDTH`` prefixes it goes on chunk by chunk, so its memory stays bounded.
 """
 
 from __future__ import annotations
@@ -230,6 +232,11 @@ def word_count(alphabet_size: int, max_length: int, max_exponent=None) -> int:
 # evaluation
 # --------------------------------------------------------------------------
 
+# The traced walk keeps a whole level only while it has at most this many
+# prefixes, and walks past the last such level in chunks of this many.
+_WIDTH = 2048
+
+
 def _check_letters(letters, alphabet_size: int):
     if len(letters) != alphabet_size:
         raise ValueError(
@@ -267,14 +274,24 @@ def iter_word_traces(
     holds the trace of the word's product under each assignment, in order.
     The stream is the one ``enumerate_words`` gives.
 
-    Each length is walked depth first, holding one prefix product per set
-    and depth, so memory is O(length).  When deduplicating, the walk only
-    descends into prenecklaces (Fredricksen-Kessler-Maiorana; every prefix
-    of a necklace is one) and keeps a string at the target length only when
-    it is a necklace; the star-reversal test then runs on those necklaces
-    alone.  A kept word's traces are read off its parent's product as
-    ``tr(P M) = sum(P * M.T)``, in O(n^2) per set, so no leaf product is
-    built.
+    The walk goes one level at a time.  A level is the list of prefixes of
+    one length, in lexicographic order, with their products stacked as
+    (prefixes, sets, n, n); the next level's products are one ``matmul`` of
+    the gathered parent products and the gathered letters.  When
+    deduplicating, a level holds only prenecklaces (Fredricksen-Kessler-
+    Maiorana; every prefix of a necklace is one), a string of the target
+    length is kept only when it is a necklace, and the star-reversal test
+    runs on those necklaces alone.  The traces of one length's words are
+    read off their parents' products in one product-and-sum, ``tr(P M) =
+    sum(P * M.T)``, so no leaf product is built.
+
+    The stored level advances only while its next level has at most
+    ``_WIDTH`` prefixes.  Longer words are reached from it in chunks of at
+    most ``_WIDTH`` prefixes, breadth first inside a chunk and depth first
+    across chunks, so words still come out length by length.  Each length
+    below the stored level then holds one chunk and its children, so memory
+    is O(``_WIDTH`` * length) products and prefixes, however many words the
+    walk yields.
     """
     letters = letter_sets
     if not isinstance(letters, np.ndarray):
@@ -289,43 +306,74 @@ def iter_word_traces(
     _check_exponent(max_exponent)
     _check_dedup(dedup, alphabet_size)
 
-    # the sets run along the first axis, so one matmul extends every set
-    stacks = list(np.ascontiguousarray(letters.swapaxes(0, 1)))
-    flips = [m.transpose(0, 2, 1).reshape(nsets, -1) for m in stacks]
+    # letter-major stacks (letters, sets, n, n) and their transposes, flat
+    stacks = np.ascontiguousarray(letters.swapaxes(0, 1))
+    flips = stacks.transpose(0, 1, 3, 2).reshape(alphabet_size, nsets, n * n)
     mode = EXACT if letters.dtype == object else FLOAT
-    eye = np.stack([identity(n, mode).data] * nsets)
     necklaces = dedup != DEDUP_NONE
     star = dedup == DEDUP_CYCLIC_STAR
     cap = max_exponent
-    path = []
 
-    def walk(prod, target, period, run_len):
-        # prod is the product of path; period is the length of path's
-        # longest Lyndon prefix (the FKM period p)
-        depth = len(path)
-        last = path[-1] if path else -1
-        low = path[depth - period] if necklaces and path else 0
-        for letter in range(low, alphabet_size):
-            if letter == last and cap is not None and run_len >= cap:
-                continue
-            new_period = period if letter == low else depth + 1
-            if depth + 1 < target:
-                path.append(letter)
-                new_run = run_len + 1 if letter == last else 1
-                nxt = prod @ stacks[letter]
-                yield from walk(nxt, target, new_period, new_run)
-                path.pop()
-                continue
-            if necklaces and target % new_period:
-                continue
-            seq = (*path, letter)
+    # A prefix is (parent, letters, period, run): parent is the index of
+    # its own prefix in the level above, period the length of its longest
+    # Lyndon prefix (the FKM period p) and run the length of its last run.
+
+    def children(prefixes):
+        kids = []
+        for parent, (_, seq, period, run) in enumerate(prefixes):
+            depth = len(seq)
+            last = seq[-1] if seq else -1
+            low = seq[depth - period] if necklaces and seq else 0
+            for letter in range(low, alphabet_size):
+                if letter == last and cap is not None and run >= cap:
+                    continue
+                kids.append((
+                    parent,
+                    (*seq, letter),
+                    period if letter == low else depth + 1,
+                    run + 1 if letter == last else 1,
+                ))
+        return kids
+
+    def extend(prods, kids):
+        """The products of ``kids`` from their parents' ``prods``."""
+        parent = [k[0] for k in kids]
+        letter = [k[1][-1] for k in kids]
+        return np.matmul(prods[parent], stacks[letter])
+
+    def words(prods, kids, length):
+        """The words among ``kids``, with their traces."""
+        if necklaces:
+            kids = [k for k in kids if length % k[2] == 0]
+        parent = [k[0] for k in kids]
+        letter = [k[1][-1] for k in kids]
+        flat = prods.reshape(-1, nsets, n * n)[parent]
+        traces = (flat * flips[letter]).sum(axis=2).tolist()
+        for (_, seq, _, _), row in zip(kids, traces):
             if star and not _star_least(seq):
                 continue
-            traces = (prod.reshape(nsets, -1) * flips[letter]).sum(axis=1)
-            yield Word.from_letters(seq, alphabet_size), tuple(traces.tolist())
+            yield Word.from_letters(seq, alphabet_size), tuple(row)
 
+    def descend(prefixes, prods, depth, length):
+        """The words of ``length`` below one level, chunk by chunk."""
+        kids = children(prefixes)
+        if depth == length - 1:
+            yield from words(prods, kids, length)
+            return
+        for lo in range(0, len(kids), _WIDTH):
+            chunk = kids[lo:lo + _WIDTH]
+            yield from descend(chunk, extend(prods, chunk), depth + 1, length)
+
+    eye = np.stack([identity(n, mode).data] * nsets)
+    prefixes, prods, depth = [(0, (), 1, 0)], eye[None], 0
     for length in range(1, max_length + 1):
-        yield from walk(eye, length, 1, 0)
+        if depth < length - 1:
+            yield from descend(prefixes, prods, depth, length)
+            continue
+        kids = children(prefixes)
+        yield from words(prods, kids, length)
+        if length < max_length and len(kids) <= _WIDTH:
+            prefixes, prods, depth = kids, extend(prods, kids), length
 
 
 def word_trace_spectrum(

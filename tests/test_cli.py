@@ -258,6 +258,26 @@ class TestWordsCmd:
         assert code == 2 and out == ""
         assert "max_exponent must be positive" in err
 
+    def test_over_budget_exit_3(self, tmp_path, capsys):
+        # 2**41 - 2 words: refused before the walk, with _brute's message
+        path = tmp_path / "pair.json"
+        write_json(path, JORDAN_PAIR)
+        code, out, err = run(capsys, ["words", str(path), "--max-length", "40"])
+        assert code == 3 and out == ""
+        budget = engines.DEFAULT_BUDGET
+        assert err == (
+            f"error: brute enumeration needs {2**41 - 2} words, budget is {budget}\n"
+        )
+
+    def test_budget_counts_capped_words(self, tmp_path, capsys):
+        # with runs capped at 1 only the 80 alternating strings remain
+        path = tmp_path / "pair.json"
+        write_json(path, JORDAN_PAIR)
+        argv = ["words", str(path), "--max-length", "40", "--max-exponent", "1"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 80
+
 
 class TestGenAndVerify:
     def test_gen_deterministic(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -17,11 +18,12 @@ from unieq import (
     identity,
     iter_word_traces,
     pappacena_bound,
+    specht_brute,
     word_count,
     word_trace_spectrum,
 )
 
-from conftest import rand_matrix, rat_matrix
+from conftest import rand_matrix, rat_matrix, similar_pair
 
 
 # -- independent oracles ----------------------------------------------------
@@ -295,6 +297,30 @@ class TestStreamMatchesEnumeration:
         for w, traces in rows:
             for letters, t in zip(letter_sets, traces):
                 assert t == string_eval(w.letters(), letters).trace()
+
+
+class TestStreamInChunks(TestStreamMatchesEnumeration):
+    """The same streams with the stored level held to 1 or 3 prefixes, so
+    that the walk reaches every longer word chunk by chunk."""
+
+    @pytest.fixture(autouse=True, params=[1, 3])
+    def width(self, request, monkeypatch):
+        monkeypatch.setattr("unieq.words._WIDTH", request.param)
+
+
+class TestWalkMemory:
+    def test_long_walk_peak_is_bounded(self):
+        # n = 4 up to length 18: 2**19 - 2 strings.  The walk peaks near
+        # 13 MB; keeping every level whole peaks near 37 MB.
+        a, b = similar_pair(4, 3)
+        tracemalloc.start()
+        try:
+            verdict = specht_brute(a, b, 18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.equivalent
+        assert peak < 24 * 2**20
 
 
 class TestWordType:
