@@ -8,9 +8,11 @@ not verified, 2 input error, 3 word budget exceeded, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+import textwrap
 import traceback
 
 from . import engines, fileio, instances, words
@@ -54,9 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "decide through the paper's gadget and its 4n-by-4n K gadget "
-            "instead of the real 2n letters; slow in exact mode, where a NO "
-            "on one 2x2 pair fills a 64-dimensional integer span of the K "
-            "gadget and takes about a minute (a YES about 0.1 s)"
+            "instead of the real 2n letters; slower in exact mode, where a NO "
+            "on one 2x2 pair fills a 64-dimensional span of the K gadget and "
+            "takes about 2 s (a YES about 0.1 s)"
         ),
     )
 
@@ -181,16 +183,22 @@ def _cmd_words(args) -> int:
         args.max_exponent,
         args.dedup,
     )
-    rows = [
-        {
+    first = next(stream, None)  # the walk checks its arguments as it starts
+    # the bytes of _emit({"max_length": ..., "rows": [...]}), written row by
+    # row as the walk yields them, so the table is never held in memory
+    out = sys.stdout
+    out.write('{\n  "max_length": %s,\n  "rows": [' % json.dumps(args.max_length))
+    sep = "\n"
+    for word, (ta, tb) in itertools.chain([first] if first else [], stream):
+        row = {
             "word": str(word),
             "trace_a": engines._scalar_json(ta),
             "trace_b": engines._scalar_json(tb),
             "match": bool(engines._close(ta, tb, args.tol)),
         }
-        for word, (ta, tb) in stream
-    ]
-    _emit({"max_length": args.max_length, "rows": rows})
+        out.write(sep + textwrap.indent(json.dumps(row, sort_keys=True, indent=2), "    "))
+        sep = ",\n"
+    out.write("\n  ]\n}\n" if first else "]\n}\n")
     return 0
 
 

@@ -15,25 +15,28 @@ Two interchangeable engines decide unitary similarity of a pair:
   dependency decision per word: a word dependent on either side is
   dependent on both, so the two spans always have the same dimension.
   Each arithmetic is one class that owns its letters, products, scaling,
-  span, trace check and certificate solve: float Gram-Schmidt
-  (``_MappedSpan``), real when the letters are, which takes the
-  breadth-first frontier in blocks of up to ``_BLOCK`` words, and exact
-  fraction-free row reduction over the Gaussian integers after one
-  denominator clearing (``_IntegerSpan``), one word at a time.  Verdicts,
-  certificate words and dimensions are those of taking words one at a
-  time.  Before a float span is built, one eigenbasis alignment of the
-  letters looks for a unitary intertwiner (``_aligned_intertwiner``): the
-  eigenvectors of one complex Hermitian combination of each side's
-  letters, real letters included, matched up to one unit phase each, with
-  no phase carried along an edge within the tolerance.  When it finds
-  one, the answer is Equivalent with no span.  Before an exact span is
-  built, the letters cleared of denominators are searched for an
-  invertible integer intertwiner (``_integer_intertwiner``): arithmetic
-  mod a prime only rules one out, by the spectra of the letters, which an
-  invertible intertwiner keeps, and then by the rank of the stacked
-  linear system; else up to three fixed combinations of an integer
-  nullspace basis are tried, and one that maps every letter exactly and
-  has a nonzero determinant answers Equivalent with no span.
+  span, trace check and certificate solve, and both take the breadth-first
+  frontier in blocks of up to ``_BLOCK`` words: float Gram-Schmidt
+  (``_MappedSpan``), real when the letters are, and, in exact mode, row
+  reduction over the integers mod a prime after one denominator clearing
+  (``_ModularSpan``), with exact Gaussian-integer arithmetic only for the
+  verdict, which is checked exactly and run again mod the next prime if
+  the check contradicts it.  Verdicts, certificate words and dimensions
+  are those of taking words one at a time, and in exact mode those of
+  exact elimination.  Before a float span is built, one eigenbasis
+  alignment of the letters looks for a unitary intertwiner
+  (``_aligned_intertwiner``): the eigenvectors of one complex Hermitian
+  combination of each side's letters, real letters included, matched up
+  to one unit phase each, with no phase carried along an edge within the
+  tolerance.  When it finds one, the answer is Equivalent with no span.
+  Before an exact span is built, the letters cleared of denominators are
+  searched for an invertible integer intertwiner
+  (``_integer_intertwiner``): arithmetic mod a prime only rules one out,
+  by the spectra of the letters, which an invertible intertwiner keeps,
+  and then by the rank of the stacked linear system; else up to three
+  fixed combinations of an integer nullspace basis are tried, and one
+  that maps every letter exactly and has a nonzero determinant answers
+  Equivalent with no span.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
@@ -68,12 +71,14 @@ from .numerics import (
     clear_denominators,
     common_scale,
     gaussian_matmul,
+    gaussian_residues,
     identity,
     independent_rows_mod_p,
     integer_det,
     integer_nullspace,
     intertwiner_operator,
     power_traces_differ_mod_p,
+    span_primes,
 )
 from .words import (
     DEDUP_CYCLIC_STAR,
@@ -492,11 +497,12 @@ def _maps(r, x, y) -> bool:
     return bool((left == right).all())
 
 
-def _integer_intertwiner(ints):
+def _integer_intertwiner(ints, image):
     """An invertible R with R L_k = L'_k R on every letter of two stacked
     Gaussian-integer letter lists (2, a, parts, N, N), in the layout of
     ``clear_denominators``, as R's parts; None if this finds none, which
-    proves nothing.
+    proves nothing.  ``image`` holds the letters' residues mod ``PRIME``
+    (``gaussian_residues``).
 
     The closure's letter lists are closed under adjoint, so R*R commutes
     with the letters and the unitary polar factor of R intertwines them:
@@ -525,8 +531,6 @@ def _integer_intertwiner(ints):
        (``integer_det``).
     """
     a, parts, size = ints.shape[1:4]
-    image = ints[:, :, 0] if parts == 1 else ints[:, :, 0] + SQRT_MINUS_ONE * ints[:, :, 1]
-    image = (image % PRIME).astype(np.int64)
     if power_traces_differ_mod_p(image):
         return None
     taken = independent_rows_mod_p(intertwiner_operator(image[1], image[0]))
@@ -553,7 +557,7 @@ class _MappedSpan:
     """Float arithmetic of the closure: both sides' spans, stacked on axis 0
     (0 left, 1 right).  The letters, the empty word's product I and every
     stored vector share one dtype.  Each child pair is divided by its joint
-    norm (a pair of norm 0 is dropped), and traces are
+    norm, carried in nu (a pair of norm 0 is dropped), and traces are
     compared within ``tol``, all basis words in one call.  The closure
     builds a span only when ``_aligned_intertwiner`` finds no intertwiner
     of the letters first.
@@ -583,33 +587,34 @@ class _MappedSpan:
 
     def __init__(self, letters, tol: float):
         n = letters.shape[-1]
-        self.dim, self.tol, self.cap, self.d = n * n, tol, _BLOCK, 0
+        self.dim, self.tol, self.d = n * n, tol, 0
         self.letters = letters
         self.eye = np.broadcast_to(np.eye(n, dtype=letters.dtype), (2, 1, n, n))
         self.prods = letters[:, :0]  # each basis word's product
         self.qm = np.empty((2, 0, 2 * self.dim), dtype=letters.dtype)
+        # each basis word's (parent, letter), and the factor its product dropped
+        self.sources, self.nus = [], []
 
-    @staticmethod
-    def scaled(origin, prods, nus):
-        """Divide each child pair by its joint norm, carried in nu."""
-        b = prods.shape[1]
-        f = prods.reshape(2, b, -1).view(np.float64)
+    def project(self, origin):
+        """Start a block: the products of the entries ``origin``, each
+        ``(parent, letter)``, or [None] for the empty word, each pair divided
+        by its joint norm.  Returns the entries kept."""
+        if origin == [None]:
+            block, nus = self.eye, [1]
+        else:
+            parents, ks = (list(x) for x in zip(*origin))
+            block = np.matmul(self.prods[:, parents], self.letters[:, ks])
+            nus = [self.nus[k] for k in parents]
+        b = block.shape[1]
+        f = block.reshape(2, b, -1).view(np.float64)
         nraw = np.sqrt(np.einsum("sbi,sbi->b", f, f))
         keep = np.flatnonzero(nraw > _ZERO_PAIR_EPS)  # else the word vanishes
         if len(keep) < b:  # on both sides at once
             origin = [origin[k] for k in keep]
             nus = [nus[k] for k in keep]
-            prods, nraw = prods[:, keep], nraw[keep]
-        nus = [nu * s for nu, s in zip(nus, nraw.tolist())]
-        return origin, prods / nraw[:, None, None], nus
-
-    def products(self, origin):
-        """Both sides' products of the entries ``(parent, letter)``."""
-        parents, ks = zip(*origin)
-        return np.matmul(self.prods[:, list(parents)], self.letters[:, list(ks)])
-
-    def project(self, block):
-        """Start a block of child products, shaped (2, words, n, n)."""
+            block, nraw = block[:, keep], nraw[keep]
+        self._scales = [nu * s for nu, s in zip(nus, nraw.tolist())]
+        block = block / nraw[:, None, None]
         d, b, n = self.d, block.shape[1], self.dim
         self.qm = _grown(self.qm, d + b, n)
         self.prods = _grown(self.prods, d + b, n)
@@ -635,8 +640,9 @@ class _MappedSpan:
                 r[:, rows] -= y2[:, rows] @ q
                 rn[:, rows] = _norms(r[:, rows])
         np.subtract(v[::-1], y @ qm[:, :, n:], out=rd[:, :, n:])
-        self._children = block
+        self._origin, self._children = origin, block
         self._block = (d, vn, dep_tol.T.tolist(), rd, rn.T.tolist())
+        return origin
 
     def reduce(self, j: int):
         """Both sides' dependency flags for row j, within DEP_TOL."""
@@ -658,30 +664,31 @@ class _MappedSpan:
         return rn[0] <= tx, rn[1] <= ty
 
     def mismatch(self, j: int, side: int):
-        """Norm of row j's transfer defect on the other side, None within
-        tol."""
+        """None if row j's transfer defect on the other side is within tol;
+        else the certificate's coefficients over the basis words and its
+        residual, the defect's norm, both times the words' nu."""
         resid = _norm(self._block[3][side, j, self.dim :])
         if resid <= self.tol * (1.0 + self._block[1][1 - side, j]):
             return None
-        return resid
-
-    def coeffs(self, j: int, side: int):
-        """Row j's coefficients over the basis products on ``side``."""
         q = np.conj(self.qm[side, : self.d, : self.dim])
         p = self.prods[side, : self.d].reshape(self.d, self.dim)
-        return np.linalg.solve(q @ p.T, q @ self._children[side, j].ravel())
+        coeffs = np.linalg.solve(q @ p.T, q @ self._children[side, j].ravel())
+        nu = self._scales[j]
+        return tuple(nu * c / b for c, b in zip(coeffs, self.nus)), float(nu * resid)
 
     def add(self, j: int):
         """Add row j on both sides."""
         d = self.d
         np.divide(self._block[3][:, j], np.array(self._rn)[:, None], out=self.qm[:, d])
         self.prods[:, d] = self._children[:, j]
+        self.sources.append(self._origin[j])
+        self.nus.append(self._scales[j])
         self.d = d + 1
 
-    def trace_mismatch(self, nus):
+    def trace_mismatch(self):
         """The first basis index whose traces, times its nu, differ beyond
         tol, with both traces; None if every basis word's agree."""
-        tl, tr = np.trace(self.prods[:, : self.d], axis1=-2, axis2=-1) * np.array(nus)
+        tl, tr = np.trace(self.prods[:, : self.d], axis1=-2, axis2=-1) * np.array(self.nus)
         # not _close(tl, tr, tol), entry by entry
         bad = np.flatnonzero(~(np.abs(tl - tr) <= self.tol * (1.0 + np.abs(tl))))
         if not len(bad):
@@ -690,175 +697,236 @@ class _MappedSpan:
         return i, (tl[i], tr[i])
 
 
-class _IntegerSpan:
-    """Exact arithmetic of the closure: both sides' spans over the Gaussian
-    integers, one word per block.
+_SIDES = np.arange(2)[:, None]  # indexes axis 0 beside per-side indices
 
-    The letters and the empty word's I are cleared of denominators once: D
-    is the lcm of every entry's denominator over both sides, so a word of
-    length L is scaled by D^L on both sides alike, which changes no
-    dependency and no trace equality.  Products are Gaussian integer
-    matrices in the layout of ``clear_denominators``, taken one at a time
-    (a stacked object-array matmul costs more than it saves); each child
-    pair is divided by its joint content g, with g / D carried in nu (a
-    pair of content 0 is dropped), and traces are compared as integers.
 
-    A word's vector is its integer product, the real part followed by the
-    imaginary part if the letters have one.  Each side stores its basis
-    vectors joined to their mirrors, the other side's vectors, as
-    [self | other] rows of Python ints.  A new row is reduced fraction-free,
-    x <- p x - f row against each earlier row with pivot entry p, and then
-    divided by its content, so one elimination updates both halves and no
-    scalar is a fraction.  A word depends on a side's basis iff its self
-    half reduces to zero, and the same combination holds on the other side
-    iff its mirror half is zero too.  Over complex letters each basis word
-    also brings i times its vector, so the integer span of the rows is the
-    complex span of the words.  Coefficients are solved only for a
-    certificate, by Bareiss elimination on the basis rows' pivot columns.
-    The closure spans only when ``_integer_intertwiner`` finds no
-    intertwiner of the cleared letters first.
+class _Unconfirmed(Exception):
+    """An exact check contradicted the span mod p: the prime is bad for
+    this instance."""
+
+
+def _solved(basis, targets, cols):
+    """Exact coordinates of the Gaussian-integer vectors ``targets`` over
+    the ``basis`` vectors, both stacked (vectors, parts, entries) in the
+    parts layout of ``clear_denominators``, read off the entries ``cols``
+    alone, on which the basis has a nonsingular minor M: ``(nums, det)``,
+    coordinate k of target t being (nums[k, 0, t] + i nums[k, 1, t]) / det.
+    Over complex parts the unknowns are each coordinate's real and
+    imaginary part, and the equations each column's, a real minor of
+    determinant |det M|^2 (``bareiss_solve``)."""
+    d, parts = basis.shape[:2]
+    m = basis[:, :, cols]
+    if parts == 1:
+        a = m[:, 0].T
+    else:
+        re, im = m[:, 0].T, m[:, 1].T
+        a = np.empty((2 * d, 2 * d), dtype=object)
+        a[0::2, 0::2], a[0::2, 1::2] = re, -im
+        a[1::2, 0::2], a[1::2, 1::2] = im, re
+    b = targets[:, :, cols].transpose(2, 1, 0).reshape(parts * d, len(targets))
+    nums, det = bareiss_solve(a.tolist(), b.tolist())
+    return np.array(nums, dtype=object).reshape(d, parts, len(targets)), det
+
+
+def _combined(nums, basis):
+    """sum_k nums_k basis_k over the Gaussian integers, one combination per
+    column of ``nums`` (vectors, parts, t) of the ``basis`` (vectors, parts,
+    entries): (t, parts, entries)."""
+    xr, yr = nums[:, 0].T, basis[:, 0]
+    if basis.shape[1] == 1:
+        return (xr @ yr)[:, None]
+    xi, yi = nums[:, 1].T, basis[:, 1]
+    return np.stack([xr @ yr - xi @ yi, xr @ yi + xi @ yr], axis=1)
+
+
+class _ModularSpan:
+    """Exact arithmetic of the closure: both sides' spans over the integers
+    mod a prime p, in lockstep, with exact Gaussian-integer arithmetic only
+    where a verdict is issued.
+
+    The letters come cleared of denominators, as Gaussian integers in the
+    layout of ``clear_denominators`` with one D for both sides (a word of
+    length L is scaled by D^L on both sides, which changes no dependency and
+    no trace equality), and reduced mod p with i -> a square root of -1 mod
+    p.  That is a ring map, so a word's residues are the products of its
+    letters', one stacked int64 matmul per block of up to ``_BLOCK`` words.
+    Each side keeps its [self | other] rows, a word's vector joined to its
+    mirror, the other side's, in reduced echelon form mod p: 1 at its own
+    pivot column and 0 at every other row's.  A block is then reduced by
+    one product, x - x[pivots] B, against the rows as the block started,
+    and ``reduce`` clears from each word, in order, the rows added earlier
+    in its block.  A word depends on a side's rows when its self half is
+    zero, and its dependency transfers when its mirror half is zero too.
+    Complex letters need no i x rows: the residues span the image of the
+    words' complex span, so the dimension is the number of basis words.
+
+    A residue or a minor that is nonzero mod p is nonzero over the
+    Gaussian integers, so rows independent mod p are independent over
+    Q(i).  The converse fails for finitely many p: mod such a bad prime a
+    word independent over Q(i) can look dependent, and a nonzero defect can
+    vanish.  So each verdict is checked exactly, on the exact products of
+    the words involved, built along their prefix tree from the cleared
+    letters and each divided by its joint content g, with nu = nu_parent g
+    / D, so nu times a product is the word's value (no basis word has
+    content 0, for its residues are not all 0):
+
+    * ``mismatch``: the coefficients of the first word dependent on a side
+      whose mirror half is not zero solve the pivot columns that the span
+      chose (``_solved``), and the combination must give the word exactly
+      on the dependent side and miss it on the other.
+    * ``trace_mismatch``: the basis words' traces are compared exactly;
+      when all agree, every child of the basis must have the same
+      coordinates on both sides, from one exact solve against the left
+      pivot block, which proves both spans closed under the letters and
+      every dependency transferred.
+
+    An exact check that contradicts the span raises ``_Unconfirmed``, and
+    the closure runs the span again mod the next prime.  With a good prime
+    the span takes the words that exact elimination would take, so every
+    certificate is the one of deciding each word exactly.  The closure
+    builds a span only when ``_integer_intertwiner`` finds no intertwiner of
+    the cleared letters first.
     """
 
-    cap = 1  # exact mode decides every word on its own
+    tol = None  # exact: verdicts carry no tolerance
 
-    def __init__(self, letters):
-        a, n = letters.shape[1], letters.shape[-1]
-        # the identity, cleared with the letters, is D I: the empty word's
-        # nu comes out as D / D = 1
-        eye = identity(n, EXACT)
-        mats = as_matrices(letters.reshape(2 * a, n, n)) + [eye]
-        self.denom, ints = clear_denominators(mats)
-        self.letters = ints[:-1].reshape((2, a) + ints.shape[1:])
-        self.eye = np.broadcast_to(ints[-1], (2, 1) + ints.shape[1:])
-        self.prods = self.letters[:, :0]  # each basis word's product
-        self.parts = ints.shape[1]  # 2 if the vectors carry an imaginary part
-        self.dim, self.half, self.d = n * n, self.parts * n * n, 0
-        self.rows = ([], [])  # (pivot, reduced [self | other]) per side
-        self.raw = ([], [])  # each row's [self | other] before reduction
+    def __init__(self, ints, denom, residues, p: int):
+        n = ints.shape[-1]
+        self.ints, self.denom, self.p = ints, denom, p
+        self.dim, self.d = n * n, 0
+        self.letters = residues
+        self.eye = np.broadcast_to(np.eye(n, dtype=np.int64), (2, 1, n, n))
+        self.prods = residues[:, :0]  # each basis word's residues
+        self.rows = np.empty((2, 0, 2 * self.dim), dtype=np.int64)
+        self.pivots = np.empty((2, 0), dtype=np.int64)
+        self.sources = []  # each basis word's (parent, letter)
 
-    def scaled(self, origin, prods, nus):
-        """Divide each child pair by its joint content g, carried in nu with
-        the cleared denominator: nu_child = nu_parent g / D."""
-        g = [math.gcd(*prods[:, k].flat) for k in range(prods.shape[1])]
-        keep = [k for k, gk in enumerate(g) if gk]  # else the word vanishes
-        if len(keep) < len(g):  # on both sides at once
-            origin = [origin[k] for k in keep]
-            nus, g = [nus[k] for k in keep], [g[k] for k in keep]
-            prods = prods[:, keep]
-        nus = [Fraction(nu * gk, self.denom) for nu, gk in zip(nus, g)]
-        return origin, prods // np.array(g, dtype=object).reshape(1, -1, 1, 1, 1), nus
-
-    def products(self, origin):
-        """Both sides' products of the entries ``(parent, letter)``."""
-        block = np.empty((2, len(origin)) + self.prods.shape[2:], dtype=object)
-        for j, (parent, k) in enumerate(origin):
-            for s in (0, 1):
-                gaussian_matmul(self.prods[s, parent], self.letters[s, k], block[s, j])
-        return block
-
-    def project(self, block):
-        """Start a block of child products, shaped (2, words, parts, n, n)."""
-        self.prods = _grown(self.prods, self.d + block.shape[1], self.dim)
-        self._children = block
-        v = block.reshape(2, block.shape[1], self.half)
-        self._block = np.concatenate((v, v[::-1]), axis=2)
-
-    def _reduced(self, side: int, x):
-        for pivot, row in self.rows[side]:
-            f = x[pivot]
-            if f:
-                x = row[pivot] * x - f * row
-        g = math.gcd(*x)
-        return x // g if g > 1 else x
+    def project(self, origin):
+        """Start a block: the residues of the entries ``origin``, each
+        ``(parent, letter)``, or [None] for the empty word, reduced against
+        the rows.  Returns the entries, all kept."""
+        p, d, dim = self.p, self.d, self.dim
+        if origin == [None]:
+            block = self.eye
+        else:
+            parents, ks = (list(x) for x in zip(*origin))
+            block = np.matmul(self.prods[:, parents], self.letters[:, ks]) % p
+        b = block.shape[1]
+        self.prods = _grown(self.prods, d + b, dim)
+        self.rows = _grown(self.rows, d + b, dim)
+        self.pivots = _grown(self.pivots, d + b, dim)
+        v = block.reshape(2, b, dim)
+        x = np.concatenate((v, v[::-1]), axis=2)  # [self | other]
+        if d:  # x[pivots] B, the gather (2, d, words) transposed
+            at = x[_SIDES, :, self.pivots[:, :d]].transpose(0, 2, 1)
+            x = (x - at @ self.rows[:, :d]) % p
+        self._origin, self._children, self._x, self._d0 = origin, block, x, d
+        self._zero = (~x[:, :, :dim].any(axis=2)).T.tolist()
+        return origin
 
     def reduce(self, j: int):
         """Both sides' dependency flags for row j: a zero self half."""
-        self._x = [self._reduced(s, self._block[s, j]) for s in (0, 1)]
-        return [not any(x[: self.half]) for x in self._x]
-
-    def mismatch(self, j: int, side: int):
-        """Norm of row j's transfer defect on the other side, None if its
-        mirror half is zero."""
-        h = self.half
-        if not any(self._x[side][h:]):
-            return None
-        raw, x = self.raw[side], self._block[side, j]
-        pivots = [pivot for pivot, _ in self.rows[side]]
-        nums, det = bareiss_solve([[r[p] for r in raw] for p in pivots], x[pivots])
-        defect = det * x[h:] - sum(c * r[h:] for c, r in zip(nums, raw))
-        self._coeffs = [Fraction(c, det) for c in nums]
-        return math.sqrt(Fraction(sum(e * e for e in defect), det * det))
-
-    def coeffs(self, j: int, side: int):
-        """The coefficients ``mismatch`` solved for, one per basis word."""
-        c, k = self._coeffs, self.parts  # over complex letters (re, im)
-        return [GaussianRational(*c[i : i + k]) for i in range(0, len(c), k)]
+        d0, d = self._d0, self.d
+        if d == d0:
+            return self._zero[j]
+        x = self._x[:, j]  # clear the rows added earlier in this block
+        at = x[_SIDES, self.pivots[:, d0:d]]
+        x -= (at[:, None] @ self.rows[:, d0:d])[:, 0]
+        x %= self.p
+        return [not x[0, : self.dim].any(), not x[1, : self.dim].any()]
 
     def add(self, j: int):
-        """Add row j on both sides, and i times it over complex letters."""
-        self.prods[:, self.d] = self._children[:, j]
-        self.d += 1
-        for side in (0, 1):
-            x = self._block[side, j]
-            self._push(side, self._x[side], x)
-            if self.parts == 2:  # [re | im] -> [-im | re] in both halves
-                y = x.reshape(2, 2, -1)
-                ix = np.concatenate((-y[:, 1:], y[:, :1]), axis=1).reshape(-1)
-                self._push(side, self._reduced(side, ix), ix)
+        """Add row j on both sides: scaled to 1 at its first nonzero entry,
+        its pivot, which is cleared from the other rows."""
+        p, d = self.p, self.d
+        x = self._x[:, j]
+        c = (x[:, : self.dim] != 0).argmax(axis=1)
+        inv = [pow(int(x[s, c[s]]), -1, p) for s in (0, 1)]
+        row = x * np.array(inv)[:, None] % p
+        if d:
+            rows = self.rows[:, :d]
+            rows -= rows[_SIDES, :, c[:, None]].transpose(0, 2, 1) * row[:, None]
+            rows %= p
+        self.rows[:, d], self.pivots[:, d] = row, c
+        self.prods[:, d] = self._children[:, j]
+        self.sources.append(self._origin[j])
+        self.d = d + 1
 
-    def _push(self, side: int, reduced, raw):
-        pivot = next(k for k in range(self.half) if reduced[k])
-        self.rows[side].append((pivot, reduced))
-        self.raw[side].append(raw)
+    def _exact(self, sources):
+        """The exact products of the words ``sources``, each ``(parent,
+        letter)`` with the parent an earlier index, or None for the empty
+        word, stacked (2, words, parts, n * n) and each divided by its joint
+        content g, with their nu = nu_parent g / D."""
+        ints, parts, n = self.ints, self.ints.shape[2], self.ints.shape[-1]
+        prods = np.empty((2, len(sources), parts, n, n), dtype=object)
+        nus = []
+        for w, source in enumerate(sources):
+            if source is None:
+                prods[:, w] = 0
+                prods[:, w, 0] = np.eye(n, dtype=object)
+                nus.append(Fraction(1))
+                continue
+            parent, k = source
+            gaussian_matmul(prods[:, parent], ints[:, k], prods[:, w])
+            g = math.gcd(*prods[:, w].flat)
+            if g > 1:  # g = 0 only for a child of the basis that vanishes
+                prods[:, w] //= g
+            nus.append(Fraction(nus[parent] * g, self.denom))
+        return prods.reshape(2, len(sources), parts, self.dim), nus
 
-    def trace_mismatch(self, nus):
-        """The first basis index whose traces differ, with both traces times
-        its nu as Gaussian rationals; None if every basis word's are equal."""
-        tl, tr = np.trace(self.prods[:, : self.d], axis1=-2, axis2=-1).tolist()
-        i = next((i for i in range(self.d) if tl[i] != tr[i]), None)
-        if i is None:
+    def _transferred(self, prods, side: int):
+        """The exact coordinates ``(nums, det)`` (``_solved``) of the words
+        after the basis in ``prods`` over the basis words on ``side``, from
+        that side's pivot columns, and det times each word minus the same
+        combination on the other side; ``_Unconfirmed`` unless the
+        combination gives each word exactly on ``side``."""
+        d, own, other = self.d, prods[side], prods[1 - side]
+        nums, det = _solved(own[:d], own[d:], self.pivots[side, :d].tolist())
+        if (_combined(nums, own[:d]) != det * own[d:]).any():
+            raise _Unconfirmed("a word independent of the basis looked dependent")
+        return nums, det, det * other[d:] - _combined(nums, other[:d])
+
+    def mismatch(self, j: int, side: int):
+        """None if row j's mirror half is zero; else the exact certificate:
+        its coefficients over the basis words and its residual, the
+        Frobenius norm of the defect on the other side, both times the
+        words' nu."""
+        if not self._x[side, j, self.dim :].any():
             return None
-        nu = nus[i]
-        return i, tuple(GaussianRational(*(nu * part for part in t[i])) for t in (tl, tr))
+        prods, nus = self._exact(self.sources + [self._origin[j]])
+        nums, det, missed = self._transferred(prods, side)
+        if not missed.any():
+            raise _Unconfirmed("a dependency that transfers looked as if it failed")
+        resid = math.sqrt(Fraction(sum(e * e for e in missed.flat), det * det))
+        nu, numerators = nus[-1], nums[:, :, 0].tolist()  # (re, im) per word
+        coeffs = [GaussianRational(*(Fraction(c, det) for c in x)) for x in numerators]
+        return tuple(nu * c / b for c, b in zip(coeffs, nus)), float(nu * resid)
+
+    def trace_mismatch(self):
+        """The first basis index whose exact traces differ, with both traces
+        times its nu as Gaussian rationals.  None if every basis word's are
+        equal and every child of the basis has the same coordinates on both
+        sides."""
+        d, n = self.d, self.ints.shape[-1]
+        prods, nus = self._exact(self.sources)
+        diagonal = range(0, self.dim, n + 1)
+        tl, tr = prods[:, :, :, diagonal].sum(axis=-1).tolist()
+        i = next((i for i in range(d) if tl[i] != tr[i]), None)
+        if i is not None:
+            nu = nus[i]
+            return i, tuple(GaussianRational(*(nu * part for part in t[i])) for t in (tl, tr))
+        a = self.ints.shape[1]
+        prods, _ = self._exact(self.sources + [(k, x) for k in range(d) for x in range(a)])
+        if self._transferred(prods, 0)[2].any():
+            raise _Unconfirmed("a child of the basis failed to transfer")
+        return None
 
 
-def _closure_verdict(letters, tol) -> Verdict:
-    """Span the algebras generated by the two sides' letters, stacked (2,
-    a, N, N), in lockstep: exact over Gaussian rationals, else real when no
-    letter has an imaginary part, else complex.
-
-    A span stores each word's product divided by a factor carried in
-    ``nu``, so nu times a stored product is the word's value: certificate
-    coefficients are nu c / nu_basis and traces nu tr.  Child entry g is
-    basis word g // a times letter g % a.  Entries are taken in blocks of
-    consecutive entries whose parents are already in the basis, from ``a``
-    entries up, doubling to the span's cap, and decided one at a time in
-    entry order.  A word that depends on the basis on either side is not
-    added, and the same combination must hold on the other side (else a
-    DependencyCertificate, and the rest of its block is dropped).  When no
-    word extends the basis, every basis word's traces must agree (else a
-    TraceCertificate).
-
-    Float letters are first handed to ``_aligned_intertwiner``, and exact
-    letters, once ``_IntegerSpan`` has cleared their denominators, to
-    ``_integer_intertwiner``: if either finds an intertwiner, the verdict
-    is Equivalent with no span built, so its ``dimension`` is None.  Both
-    can only answer Equivalent, and otherwise the span decides as above.
-    """
-    exact = letters.dtype == object
-    if exact:
-        spans = _IntegerSpan(letters)
-        if _integer_intertwiner(spans.letters) is not None:
-            return Verdict(True, ENGINE_CLOSURE, tolerance=None)
-    else:
-        if np.iscomplexobj(letters) and not letters.imag.any():
-            letters = np.ascontiguousarray(letters.real)  # a real algebra
-        if _aligned_intertwiner(letters, tol) is not None:
-            return Verdict(True, ENGINE_CLOSURE, tolerance=tol)
-        spans = _MappedSpan(letters, tol)
-    a = letters.shape[1]
-    # each basis word's (parent, letter), and the factor its product dropped
-    sources, nus = [], []
+def _span_verdict(spans) -> Verdict:
+    """The lockstep closure verdict of one span, ``_MappedSpan`` or
+    ``_ModularSpan``, which ``_closure_verdict`` describes."""
+    a = spans.letters.shape[1]
+    sources = spans.sources
 
     def word_of(source, words):
         if source is None:
@@ -873,44 +941,31 @@ def _closure_verdict(letters, tol) -> Verdict:
             words.append(word_of(source, words))
         return words
 
-    def certify(source, nu, j, side, resid):
-        """The certificate of row j's transfer failing on ``side``."""
-        coeffs = spans.coeffs(j, side)
-        words = basis_words()
-        return DependencyCertificate(
-            word_of(source, words),
-            tuple(words),
-            tuple(nu * c / b for c, b in zip(coeffs, nus)),
-            float(nu * resid),
-            ("left", "right")[side],
-        )
-
-    def extend(origin, block, scales):
-        """Decide a block of child pairs in entry order; a certificate if a
+    def extend(origin):
+        """Decide a block of entries in entry order; a certificate if a
         transfer fails."""
-        spans.project(block)
+        origin = spans.project(origin)
         for j, source in enumerate(origin):
             deps = spans.reduce(j)
             for side in (0, 1):
-                resid = spans.mismatch(j, side) if deps[side] else None
-                if resid is not None:
-                    return certify(source, scales[j], j, side, resid)
+                failed = spans.mismatch(j, side) if deps[side] else None
+                if failed is not None:
+                    words, name = basis_words(), ("left", "right")[side]
+                    return DependencyCertificate(
+                        word_of(source, words), tuple(words), *failed, name
+                    )
             if not (deps[0] or deps[1]):
                 spans.add(j)
-                sources.append(source)
-                nus.append(scales[j])
         return None
 
-    failure = extend(*spans.scaled([None], spans.eye, [1]))
+    failure = extend([None])
     g, size = 0, a
     while failure is None and g < len(sources) * a:
-        stop = min(g + min(size, spans.cap), len(sources) * a)
-        origin = [divmod(e, a) for e in range(g, stop)]
-        block = spans.products(origin)
-        failure = extend(*spans.scaled(origin, block, [nus[k] for k, _ in origin]))
+        stop = min(g + min(size, _BLOCK), len(sources) * a)
+        failure = extend([divmod(e, a) for e in range(g, stop)])
         g, size = stop, 2 * size
     if failure is None:
-        mismatch = spans.trace_mismatch(nus)
+        mismatch = spans.trace_mismatch()
         if mismatch is not None:
             i, traces = mismatch
             failure = TraceCertificate(basis_words()[i], *traces)
@@ -918,9 +973,58 @@ def _closure_verdict(letters, tol) -> Verdict:
         failure is None,
         ENGINE_CLOSURE,
         certificate=failure,
-        tolerance=None if exact else tol,
+        tolerance=spans.tol,
         dimension=len(sources),
     )
+
+
+def _closure_verdict(letters, tol) -> Verdict:
+    """Span the algebras generated by the two sides' letters, stacked (2,
+    a, N, N), in lockstep: exact over Gaussian rationals (``_ModularSpan``),
+    else in floats (``_MappedSpan``), real when no letter has an imaginary
+    part, else complex.
+
+    A span divides each word's product by a factor carried in ``nu`` (the
+    exact span only the products it builds for its verdict), so nu times a
+    stored product is the word's value: certificate coefficients are nu c /
+    nu_basis and traces nu tr.  Child entry g is
+    basis word g // a times letter g % a.  Entries are taken in blocks of
+    consecutive entries whose parents are already in the basis, from ``a``
+    entries up, doubling to ``_BLOCK``, and decided one at a time in entry
+    order.  A word that depends on the basis on either side is not added,
+    and the same combination must hold on the other side (else a
+    DependencyCertificate, and the rest of its block is dropped).  When no
+    word extends the basis, every basis word's traces must agree (else a
+    TraceCertificate).
+
+    Float letters are first handed to ``_aligned_intertwiner``, and exact
+    letters, once cleared of denominators, to ``_integer_intertwiner``: if
+    either finds an intertwiner, the verdict is Equivalent with no span
+    built, so its ``dimension`` is None.  Both can only answer Equivalent,
+    and otherwise the span decides as above.  The exact span runs mod a
+    prime and checks its verdict exactly; when that check contradicts it,
+    it runs again mod the next prime of ``span_primes``, whose first is the
+    ``PRIME`` of the intertwiner search, so the letters' residues mod it
+    are built once for both.
+    """
+    if letters.dtype != object:
+        if np.iscomplexobj(letters) and not letters.imag.any():
+            letters = np.ascontiguousarray(letters.real)  # a real algebra
+        if _aligned_intertwiner(letters, tol) is not None:
+            return Verdict(True, ENGINE_CLOSURE, tolerance=tol)
+        return _span_verdict(_MappedSpan(letters, tol))
+    a, n = letters.shape[1], letters.shape[-1]
+    denom, ints = clear_denominators(as_matrices(letters.reshape(2 * a, n, n)))
+    ints = ints.reshape((2, a) + ints.shape[1:])
+    image = gaussian_residues(ints, PRIME, SQRT_MINUS_ONE)
+    if _integer_intertwiner(ints, image) is not None:
+        return Verdict(True, ENGINE_CLOSURE, tolerance=None)
+    for p, root in span_primes():
+        residues = image if p == PRIME else gaussian_residues(ints, p, root)
+        try:
+            return _span_verdict(_ModularSpan(ints, denom, residues, p))
+        except _Unconfirmed:
+            pass  # p is bad for these letters: the next prime
 
 
 def algebra_closure(X: Matrix, Y: Matrix, tol: float = DEFAULT_TOL) -> Verdict:
@@ -1108,9 +1212,9 @@ def unitarily_congruent(
     similarity with word exponents capped at 3.  In exact mode that
     route's YES is quick, since the exact intertwiner search settles it
     with no span (0.09 s for a 2-by-2 Gaussian-rational pair (X, X^T)), but
-    a NO still fills a 64-dimensional integer span on the 8-by-8 gadgets
-    and took 56 s, against at most 0.02 s on the default route (single
-    calls on a 2-core machine).
+    a NO still fills a 64-dimensional span on the 8-by-8 gadgets: about 2
+    s, nearly all of it the exact solve of its certificate, against at most
+    0.02 s on the default route (single calls on a 2-core machine).
     """
     t0 = time.perf_counter()
     _check_pair(A, B)

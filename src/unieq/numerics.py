@@ -195,13 +195,15 @@ def clear_denominators(matrices):
 
 
 def gaussian_matmul(x, y, out):
-    """Product of two Gaussian-integer matrices in the layout of
-    ``clear_denominators``, written to ``out``."""
-    if len(x) == 1:
+    """Products of Gaussian-integer matrices in the layout of
+    ``clear_denominators``, stacked (..., parts, n, n), written to
+    ``out``."""
+    if x.shape[-3] == 1:
         np.matmul(x, y, out=out)
     else:
-        out[0] = x[0] @ y[0] - x[1] @ y[1]
-        out[1] = x[0] @ y[1] + x[1] @ y[0]
+        xr, xi, yr, yi = x[..., 0, :, :], x[..., 1, :, :], y[..., 0, :, :], y[..., 1, :, :]
+        out[..., 0, :, :] = xr @ yr - xi @ yi
+        out[..., 1, :, :] = xr @ yi + xi @ yr
 
 
 def _as_exact(value) -> GaussianRational:
@@ -544,11 +546,41 @@ def intertwiner_operator(a, b):
     return op.reshape(k, m * m, m * m)
 
 
+def _sqrt_minus_one(p: int) -> int:
+    """A square root of -1 mod a prime p = 1 mod 4: q^((p - 1) / 4) for the
+    least q that is not a square mod p (Euler's criterion)."""
+    q = next(q for q in range(2, p) if pow(q, (p - 1) // 2, p) == p - 1)
+    return pow(q, (p - 1) // 4, p)
+
+
 # a prime whose residues' products, and sums of 2^16 of them, fit in int64
 PRIME = 8_388_593
-# a square root of -1 mod PRIME, which is 1 mod 4 and has 3 as a non-square:
-# i -> SQRT_MINUS_ONE maps the Gaussian integers onto the integers mod PRIME
-SQRT_MINUS_ONE = pow(3, (PRIME - 1) // 4, PRIME)
+# a square root of -1 mod PRIME, which is 1 mod 4 and has 3 as its least
+# non-square: i -> SQRT_MINUS_ONE maps the Gaussian integers onto the
+# integers mod PRIME
+SQRT_MINUS_ONE = _sqrt_minus_one(PRIME)
+
+
+def span_primes():
+    """The fixed sequence of moduli that the exact closure's span tries in
+    turn, as ``(p, sqrt(-1) mod p)``: ``PRIME``, then every prime p = 1 mod
+    4 below it, largest first.  Each p is 1 mod 4, so i has an image mod p,
+    and each is at most ``PRIME``, so int64 holds its products."""
+    yield PRIME, SQRT_MINUS_ONE
+    for p in range(PRIME - 4, 4, -4):
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p, _sqrt_minus_one(p)
+
+
+def gaussian_residues(ints, p: int, root: int):
+    """Gaussian-integer matrices in the layout of ``clear_denominators``,
+    stacked (..., parts, n, n), mod the prime p with i -> root, a square
+    root of -1 mod p: a ring map onto the integers mod p, as int64 (..., n,
+    n)."""
+    image = ints[..., 0, :, :]
+    if ints.shape[-3] == 2:
+        image = image + root * ints[..., 1, :, :]
+    return (image % p).astype(np.int64)
 
 
 def power_traces_differ_mod_p(x) -> bool:
@@ -664,15 +696,18 @@ def integer_det(a):
 
 def bareiss_solve(a, b):
     """Solve the nonsingular integer system a c = b by fraction-free
-    elimination (``_bareiss``): ``(numerators, det)`` with c = numerators
-    / det."""
-    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    elimination (``_bareiss``), for every column of b (a list of rows) in
+    the one elimination: ``(numerators, det)`` with c = numerators / det,
+    the numerators shaped as b."""
+    m = [list(row) + list(rhs) for row, rhs in zip(a, b)]
     r = len(m)
-    det, nums = _bareiss(m, r), [0] * r
+    det, nums = _bareiss(m, r), [None] * r
     for i in range(r - 1, -1, -1):
         row = m[i]
-        s = det * row[r] - sum(row[c] * nums[c] for c in range(i + 1, r))
-        nums[i] = s // row[i]
+        nums[i] = [
+            (det * row[k] - sum(row[c] * nums[c][k - r] for c in range(i + 1, r))) // row[i]
+            for k in range(r, len(row))
+        ]
     return nums, det
 
 

@@ -1,16 +1,20 @@
+import contextlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from unieq import ProblemInstance, engines, make_yes_instance
+from unieq import ProblemInstance, engines, iter_word_traces, make_yes_instance
 from unieq.engines import BudgetExceededError
 from unieq.cli import main
 from unieq.fileio import (
     InstanceFormatError,
     instance_doc,
     load_instance,
+    load_pair,
     matrix_doc,
     parse_instance_doc,
     save_instance,
@@ -237,6 +241,20 @@ class TestGadgetCmd:
         assert code == 2
 
 
+# the pair (E12, 2 E12) in exact mode
+EXACT_PAIR = {
+    "mode": "exact",
+    "A": [
+        [{"re": "0", "im": "0"}, {"re": "1", "im": "0"}],
+        [{"re": "0", "im": "0"}, {"re": "0", "im": "0"}],
+    ],
+    "B": [
+        [{"re": "0", "im": "0"}, {"re": "2", "im": "0"}],
+        [{"re": "0", "im": "0"}, {"re": "0", "im": "0"}],
+    ],
+}
+
+
 class TestWordsCmd:
     def test_jordan_pair_mismatch_row(self, tmp_path, capsys):
         path = tmp_path / "pair.json"
@@ -268,6 +286,46 @@ class TestWordsCmd:
         assert err == (
             f"error: brute enumeration needs {2**41 - 2} words, budget is {budget}\n"
         )
+
+    @pytest.mark.parametrize("dedup", ["none", "cyclic", "cyclic+star_reversal"])
+    @pytest.mark.parametrize("pair", [JORDAN_PAIR, EXACT_PAIR], ids=["float", "exact"])
+    @pytest.mark.parametrize("length", [0, 3])
+    def test_streamed_table_is_one_dump(self, tmp_path, capsys, pair, dedup, length):
+        """The rows go out as the walk yields them, in the bytes of one
+        key-sorted, indented dump of the whole table."""
+        path = tmp_path / "pair.json"
+        write_json(path, pair)
+        argv = ["words", str(path), "--max-length", str(length), "--dedup", dedup]
+        code, out, _ = run(capsys, argv)
+        a, b = load_pair(path)
+        stream = iter_word_traces([[a, a.adjoint()], [b, b.adjoint()]], length, None, dedup)
+        rows = [
+            {
+                "word": str(word),
+                "trace_a": engines._scalar_json(ta),
+                "trace_b": engines._scalar_json(tb),
+                "match": bool(engines._close(ta, tb, engines.DEFAULT_TOL)),
+            }
+            for word, (ta, tb) in stream
+        ]
+        assert code == 0 and bool(rows) == (length > 0)
+        doc = {"max_length": length, "rows": rows}
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_table_memory_does_not_grow_with_its_rows(self, tmp_path):
+        """32,766 rows: the walk holds O(length) stacked levels, and no row
+        is kept once written (built as one document, the table peaks near
+        59 MB)."""
+        path = tmp_path / "pair.json"
+        write_json(path, JORDAN_PAIR)
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["words", str(path), "--max-length", "14"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and peak < 20e6, peak
 
     def test_budget_counts_capped_words(self, tmp_path, capsys):
         # with runs capped at 1 only the 80 alternating strings remain

@@ -67,7 +67,7 @@ def _spanned(monkeypatch, decide, band=False):
     checked = decide()
     with monkeypatch.context() as m:
         m.setattr(engines, "_aligned_intertwiner", lambda letters, tol: None)
-        m.setattr(engines, "_integer_intertwiner", lambda ints: None)
+        m.setattr(engines, "_integer_intertwiner", lambda ints, image: None)
         spanned = decide()
     if not (band and checked.equivalent):
         assert _signature(checked) == _signature(spanned)
@@ -843,7 +843,7 @@ class TestRealLetters:
 def _step_off(monkeypatch, decide):
     """``decide()`` with the exact intertwiner search switched off."""
     with monkeypatch.context() as m:
-        m.setattr(engines, "_integer_intertwiner", lambda ints: None)
+        m.setattr(engines, "_integer_intertwiner", lambda ints, image: None)
         return decide()
 
 

@@ -9,6 +9,7 @@ Regenerate it with ``PYTHONPATH=src python tests/test_exact_closure.py``
 only when a verdict is meant to change.
 """
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -23,12 +24,16 @@ from unieq import (
     ProblemInstance,
     TraceCertificate,
     algebra_closure,
+    build_congruence_K,
     common_scale,
     decision_letters,
+    engines,
     eval_word,
     simultaneously_unitarily_similar,
     solve_general,
+    unitarily_congruent,
 )
+from unieq.numerics import span_primes
 
 from conftest import rat_matrix
 from test_engines import _spanned
@@ -285,6 +290,120 @@ class TestExactTraces:
         tr = eval_word(cert.word, [ys, ys.adjoint()]).trace()
         assert isinstance(cert.trace_left, GR) and isinstance(cert.trace_right, GR)
         assert cert.trace_left == tl and cert.trace_right == tr and tl != tr
+
+
+def _shift(n):
+    """The cyclic shift with i in place of its first 1: a Gaussian-integer
+    unitary."""
+    rows = [[GR(0)] * n for _ in range(n)]
+    for k in range(n):
+        rows[k][(k + 1) % n] = GR(1)
+    rows[0][1] = GR(0, 1)
+    return Matrix.from_rational(rows)
+
+
+def hard_no(set_id, n):
+    """A pair of family ``set_id``: B with Gaussian-integer entries of parts
+    in [-5, 5], and A its image under the family's relation for U =
+    ``_shift(n)``, with 1/2 added to A[0, 0].  The span on the real letters
+    fills most of its (2n)^2 dimensions before a dependency fails."""
+    rng = np.random.default_rng(0)
+    b = Matrix.from_rational(
+        [[GR(int(rng.integers(-5, 6)), int(rng.integers(-5, 6))) for _ in range(n)]
+         for _ in range(n)]
+    )
+    return _family(n, set_id, [(_bumped(_relation(set_id, _shift(n))(b)), b)])
+
+
+class TestHardNotEquivalent:
+    """Exact NOs decided late in a large span, with the certificate word and
+    dimension that exact elimination over the Gaussian integers gives."""
+
+    @pytest.mark.parametrize(
+        "set_id, n, dimension, word",
+        [
+            (2, 4, 52, "x0* x0 x0* x1"),
+            (3, 4, 52, "x0* x0 x0* x1"),
+            (2, 5, 92, "x0 x0*^3 x1"),
+            (3, 5, 92, "x0 x0*^3 x1"),
+        ],
+    )
+    def test_real_letters(self, set_id, n, dimension, word):
+        inst = hard_no(set_id, n)
+        v = solve_general(inst)
+        assert not v.equivalent and v.dimension == dimension
+        assert isinstance(v.certificate, DependencyCertificate)
+        assert str(v.certificate.word) == word
+        _, left, right = decision_letters(inst)
+        assert v.certificate.recheck(left, right, 1e-8)
+
+    def test_k_gadget(self):
+        x = Matrix.from_rational(
+            [[GR(Fraction(2, 3)), GR(Fraction(-3, 2))], [GR(5, -2), GR(Fraction(-4, 5))]]
+        )
+        y = Matrix.from_rational([[GR(1, 1), GR(Fraction(1, 2))], [GR(3), GR(0, 2)]])
+        v = unitarily_congruent(x, y, use_k_gadget=True)
+        assert not v.equivalent and v.dimension == 64
+        assert str(v.certificate.word) == "s^2 t^2 s t"
+        _, (xs, ys) = common_scale([x, y])
+        ka, kb = build_congruence_K(xs), build_congruence_K(ys)
+        assert v.certificate.recheck([ka, ka.adjoint()], [kb, kb.adjoint()], 1e-8)
+
+
+class TestBlockInvariance:
+    """The exact span decides each word against the rows it would meet if
+    words arrived one at a time, as the float span does
+    (``test_engines.TestBlockInvariance``), so the block size changes no
+    verdict JSON."""
+
+    @staticmethod
+    def _docs(monkeypatch):
+        cases = golden_cases() + [("S2n3hard", hard_no(2, 3)), ("S3n4hard", hard_no(3, 4))]
+        docs = {}
+        for name, inst in cases:
+            doc = _spanned(monkeypatch, lambda: solve_general(inst)).to_json()
+            del doc["elapsed_s"]
+            docs[name] = doc
+        return docs
+
+    def test_block_size_one_agrees(self, monkeypatch):
+        blocked = self._docs(monkeypatch)
+        monkeypatch.setattr(engines, "_BLOCK", 1)
+        assert self._docs(monkeypatch) == blocked
+        kinds = {doc["certificate"]["kind"] for doc in blocked.values() if doc["certificate"]}
+        assert kinds == {"dependency", "trace"}
+        assert sum(doc.get("dimension", 0) >= 16 for doc in blocked.values()) >= 10
+
+
+class TestBadPrimes:
+    """Mod a small prime many words independent over Q(i) look dependent and
+    many nonzero defects vanish.  The exact checks of the verdict catch every
+    such step and send the span on to the next prime, so the verdicts stay
+    the golden ones and every certificate holds."""
+
+    @pytest.mark.parametrize("search", [True, False], ids=["search", "spanned"])
+    @pytest.mark.parametrize("start", [(5, 2), (13, 5)], ids=["p5", "p13"])
+    def test_golden_results_from_a_small_first_prime(self, monkeypatch, start, search):
+        drawn = []  # the primes each exact span ran mod
+
+        def primes():
+            drawn.append([])
+            for p, root in itertools.chain([start], span_primes()):
+                drawn[-1].append(p)
+                yield p, root
+
+        monkeypatch.setattr(engines, "span_primes", primes)
+        if not search:  # every YES reaches the span and its exact check
+            monkeypatch.setattr(engines, "_integer_intertwiner", lambda ints, image: None)
+        golden = json.loads(GOLDEN.read_text())
+        for name, inst in golden_cases():
+            v = solve_general(inst)
+            assert v.result == golden[name]["result"], name
+            if v.certificate is not None:
+                _, left, right = decision_letters(inst)
+                assert v.certificate.recheck(left, right, 1e-8), name
+        assert drawn and all(d[0] == start[0] for d in drawn)
+        assert any(len(d) > 1 for d in drawn)  # some check sent the span on
 
 
 if __name__ == "__main__":

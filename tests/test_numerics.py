@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,12 +24,14 @@ from unieq.numerics import (
     clear_denominators,
     exact_nullspace,
     gaussian_matmul,
+    gaussian_residues,
     independent_rows_mod_p,
     integer_det,
     integer_nullspace,
     intertwiner_operator,
     nullspace,
     power_traces_differ_mod_p,
+    span_primes,
 )
 
 from conftest import rand_matrix, rat_matrix
@@ -285,19 +288,46 @@ class TestIntegerKernels:
             assert got == want
 
     def test_bareiss_solve_matches_fractions(self, rng):
-        assert bareiss_solve([[3]], [2]) == ([2], 3)
+        assert bareiss_solve([[3]], [[2]]) == ([[2]], 3)
         for r in (2, 3, 5):
             while True:
                 a = rng.integers(-4, 5, (r, r)).tolist()
                 a[0][0] = 0  # the first column needs a row swap
                 if Matrix.from_rational(a).det():
                     break
-            b = rng.integers(-9, 10, r).tolist()
+            b = rng.integers(-9, 10, (r, 1)).tolist()
             nums, det = bareiss_solve(a, b)
-            c = [Fraction(v, det) for v in nums]
-            for row, rhs in zip(a, b):
+            c = [Fraction(v, det) for (v,) in nums]
+            for row, (rhs,) in zip(a, b):
                 assert sum(x * y for x, y in zip(row, c)) == rhs
 
+
+    def test_bareiss_solve_takes_several_right_hand_sides(self, rng):
+        a = [[0, 2, 1], [3, 1, -1], [1, -2, 4]]
+        b = rng.integers(-9, 10, (3, 4)).tolist()
+        nums, det = bareiss_solve(a, b)
+        for k in range(4):  # column k solves as it does alone
+            one, one_det = bareiss_solve(a, [[row[k]] for row in b])
+            assert [Fraction(row[k], det) for row in nums] == [
+                Fraction(v, one_det) for (v,) in one
+            ]
+
+    def test_span_primes(self):
+        primes = [p for p, _ in itertools.islice(span_primes(), 6)]
+        assert primes[0] == PRIME and primes == sorted(primes, reverse=True)
+        for p, root in itertools.islice(span_primes(), 6):
+            assert p % 4 == 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+            assert root * root % p == p - 1
+        assert next(span_primes()) == (PRIME, SQRT_MINUS_ONE)
+
+    def test_gaussian_residues_are_a_ring_map(self, rng):
+        x, y = rat_matrix(rng, 3), rat_matrix(rng, 3)
+        denom, ints = clear_denominators([x, y, x @ y])
+        for p, root in itertools.islice(span_primes(), 2):
+            rx, ry, rxy = gaussian_residues(ints, p, root)
+            assert rx.dtype == np.int64
+            # (D x)(D y) = D (D x y)
+            assert np.array_equal(rx @ ry % p, rxy * (denom % p) % p)
 
     def test_integer_det_matches_exact_det(self, rng):
         assert integer_det([[0, 1], [1, 0]]) == -1
