@@ -33,8 +33,11 @@ Two interchangeable engines decide unitary similarity of a pair:
   searched for an invertible integer intertwiner
   (``_integer_intertwiner``): arithmetic mod a prime only rules one out,
   by the spectra of the letters, which an invertible intertwiner keeps,
-  and then by the rank of the stacked linear system; else up to three
-  fixed combinations of an integer nullspace basis are tried, and one
+  and then by the rank of the stacked linear system over the integers.
+  Else the rows that rank step reduced mod the prime give, for up to
+  three fixed values of the free unknowns, the others mod the prime, and
+  rational reconstruction lifts them to R; only when that lift fails or
+  its R misses a letter is R solved by fraction-free elimination.  An R
   that maps every letter exactly and has a nonzero determinant answers
   Equivalent with no span.
 
@@ -78,6 +81,7 @@ from .numerics import (
     integer_nullspace,
     intertwiner_operator,
     power_traces_differ_mod_p,
+    rational_reconstruction,
     span_primes,
 )
 from .words import (
@@ -482,19 +486,57 @@ def _aligned_intertwiner(letters, tol: float):
     return _accepted((v[1] * np.array(d)) @ vh[0], letters, tol)
 
 
-# draw t combines a nullspace basis v as sum_j c_j v_j, c_j = t^((j + 1)^2)
-# mod 1009: small, and with no pattern such as t^j, which over the standard
-# basis of a full matrix space gives a rank-one R
+# draw t sets the j-th free unknown of R to t^((j + 1)^2) mod 1009: small,
+# and with no pattern such as t^j, which over the standard basis of a full
+# matrix space gives a rank-one R
 _DRAWS = (2, 3, 5)
 
 
-def _maps(r, x, y) -> bool:
-    """Whether R x = y R for Gaussian-integer matrices in the layout of
-    ``clear_denominators``."""
-    left, right = np.empty_like(r), np.empty_like(r)
-    gaussian_matmul(r, x, left)
-    gaussian_matmul(y, r, right)
-    return bool((left == right).all())
+def _real_system(ints):
+    """The equations L'_k R - R L_k = 0 of two stacked Gaussian-integer
+    letter lists (2, a, parts, N, N), in the layout of
+    ``clear_denominators``, as the rows of one matrix, parts N^2 of them
+    per letter: on vec R for real letters, and on [vec X; vec Y], each
+    equation's real part then its imaginary part, for R = X + iY over
+    complex ones."""
+    a, parts, size = ints.shape[1:4]
+    flat = ints.reshape(2, a * parts, size, size)
+    ops = intertwiner_operator(flat[1], flat[0]).reshape((a, parts) + (size * size,) * 2)
+    if parts == 2:
+        re, im = ops[:, 0], ops[:, 1]
+        ops = np.stack([np.concatenate(h, axis=-1) for h in ((re, -im), (im, re))], axis=2)
+    return ops.reshape(-1, parts * size * size)
+
+
+def _lifted(reduced, pivots, free, values):
+    """The integer vector, as Python ints, on which the rows ``reduced``
+    (reduced mod ``PRIME``, 1 at their ``pivots``) vanish mod p and whose
+    entries at the columns ``free`` are proportional to ``values``: each
+    pivot entry is read mod p off its row and lifted to a fraction by
+    ``rational_reconstruction``, and the vector is cleared of their
+    denominators.  None if an entry has no lift."""
+    at_pivots = -(reduced[:, free] @ np.asarray(values, dtype=np.int64)) % PRIME
+    fractions = [rational_reconstruction(int(u), PRIME) for u in at_pivots]
+    if None in fractions:
+        return None
+    lead = math.lcm(*(b for _, b in fractions))
+    vec = np.zeros(reduced.shape[1], dtype=object)
+    vec[free] = [lead * c for c in values]
+    vec[pivots] = [num * (lead // b) for num, b in fractions]
+    return vec
+
+
+def _mapping(vec, ints):
+    """The matrix R of an integer vector on vec R, or on [vec X; vec Y] for
+    R = X + iY, as parts (parts, N, N), if R L_k = L'_k R holds exactly on
+    every letter of ``ints`` (one stacked product per side); else None."""
+    parts, size = ints.shape[2:4]
+    r = vec.reshape(parts, size, size).swapaxes(1, 2)  # vec is column-major
+    # entry (k, p, q): the product of part p of one factor by part q of the other
+    d = r[None, :, None] @ ints[0][:, None] - ints[1][:, :, None] @ r[None, None]
+    if parts == 2:  # (X + iY)(A + iB) = XA - YB + i(XB + YA)
+        d = np.stack([d[:, 0, 0] - d[:, 1, 1], d[:, 0, 1] + d[:, 1, 0]])
+    return None if d.any() else r
 
 
 def _integer_intertwiner(ints, image):
@@ -515,41 +557,47 @@ def _integer_intertwiner(ints, image):
        differs from its partner's (``power_traces_differ_mod_p``), the
        answer is None.  This covers the letters whose spectra are
        disjoint, where only R = 0 maps one to the other (Sylvester).
-    2. Else if the stacked maps R -> L'_k R - R L_k
-       (``intertwiner_operator``) have full column rank mod p
-       (``independent_rows_mod_p``), None too.  A trace or minor that is
-       nonzero mod p is nonzero over the Gaussian integers, so p only ever
-       rules an R out.
-    3. Else the rows independent mod p, which are independent over Q(i),
-       give an integer basis v of the nullspace (``integer_nullspace``) of
-       their equations over the integers: on vec R for real letters, and
-       on [vec X; vec Y], the real and imaginary parts of each equation,
-       for R = X + iY over complex ones.  R is a fixed combination of v
-       for each t in ``_DRAWS`` (one draw if v has one vector), returned at
-       the first draw that maps every letter exactly and whose
-       determinant, of [[X, -Y], [Y, X]] over complex letters, is nonzero
-       (``integer_det``).
+    2. Else the equations over the integers (``_real_system``): on vec R
+       for real letters, and on [vec X; vec Y], the real and imaginary
+       parts of each equation, for R = X + iY over complex ones.  If they
+       have full column rank mod p (``independent_rows_mod_p``), None too.
+       A minor that is nonzero mod p is nonzero over the integers, so p
+       only ever rules an R out.
+    3. Else the rows independent mod p, which are independent over Q, are
+       kept in reduced form mod p with their pivot columns.  For each t in
+       ``_DRAWS`` (one draw if one column is free), the free unknowns,
+       taken in column order, are fixed to small integers, and the pivot
+       unknowns are read mod p off the reduced rows and lifted by rational
+       reconstruction (``_lifted``).  When the lift fails or its R does not
+       map every letter, which happens when R's entries are large, the same
+       R comes from an integer nullspace basis of the kept rows
+       (``integer_nullspace``), by fraction-free elimination.  The first R
+       that maps every letter exactly and whose determinant, of [[X, -Y],
+       [Y, X]] over complex letters, is nonzero (``integer_det``) is
+       returned.
     """
-    a, parts, size = ints.shape[1:4]
     if power_traces_differ_mod_p(image):
         return None
-    taken = independent_rows_mod_p(intertwiner_operator(image[1], image[0]))
-    if taken is None:
+    kept = independent_rows_mod_p(_real_system(np.asarray(ints % PRIME, dtype=np.int64)))
+    if kept is None:
         return None
-    flat = ints.reshape(2, a * parts, size, size)
-    ops = intertwiner_operator(flat[1], flat[0]).reshape((a, parts) + (size * size,) * 2)
-    if parts == 2:  # each equation's real and imaginary part on [vec X; vec Y]
-        re, im = ops[:, 0], ops[:, 1]
-        ops = np.stack([np.concatenate(h, axis=-1) for h in ((re, -im), (im, re))], axis=1)
-    rows = ops[[k for k, _ in taken], :, [i for _, i in taken]]
-    null = integer_nullspace(rows.reshape(-1, ops.shape[-1]))
-    left, right = ints
-    for t in _DRAWS if len(null) > 1 else _DRAWS[:1]:
-        r = sum(pow(t, (j + 1) ** 2, 1009) * v for j, v in enumerate(null))
-        r = r.reshape(parts, size, size).swapaxes(1, 2)  # vec is column-major
-        square = r[0] if parts == 1 else np.block([[r[0], -r[1]], [r[1], r[0]]])
-        if all(_maps(r, x, y) for x, y in zip(left, right)) and integer_det(square):
-            return r
+    taken, reduced, pivots = kept
+    free = sorted(set(range(reduced.shape[1])) - set(pivots))
+    null = None
+    for t in _DRAWS if len(free) > 1 else _DRAWS[:1]:
+        values = [pow(t, (j + 1) ** 2, 1009) for j in range(len(free))]
+        vec = _lifted(reduced, pivots, free, values)
+        r = None if vec is None else _mapping(vec, ints)
+        if r is None:  # no small lift: the fraction-free solve
+            if null is None:
+                null = integer_nullspace(_real_system(ints)[taken])
+            r = _mapping(sum(c * v for c, v in zip(values, null)), ints)
+        if r is not None:
+            square = r[0]
+            if len(r) == 2:  # R = X + iY as the real [[X, -Y], [Y, X]]
+                square = np.vstack([np.hstack([r[0], -r[1]]), np.hstack([r[1], r[0]])])
+            if integer_det(square):
+                return r
     return None
 
 

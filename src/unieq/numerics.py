@@ -602,35 +602,60 @@ def power_traces_differ_mod_p(x) -> bool:
     return False
 
 
-def independent_rows_mod_p(blocks):
-    """Rows of the integer blocks (k, rows, cols), taken block by block,
-    that are independent mod ``PRIME`` and span all the rows mod it, as
-    ``(block, row)`` pairs; None as soon as the rows taken reach rank cols,
-    for a nonzero minor mod p is nonzero, so the integers have full column
-    rank too.  Rows independent mod p are independent over Q."""
-    cols = blocks.shape[-1]
-    basis = np.empty((cols, cols), dtype=np.int64)  # 1 at its pivot, 0 at the others
-    pivots, taken = [], []
-    for k, block in enumerate(blocks):
-        x = np.asarray(block % PRIME, dtype=np.int64)
-        r = len(pivots)
-        if r:
-            x = (x - x[:, pivots] @ basis[:r]) % PRIME
-        while True:
-            rows, cs = np.nonzero(x)
-            if not len(rows):
-                break
-            i, c = int(rows[0]), int(cs[0])
-            row = x[i] * pow(int(x[i, c]), -1, PRIME) % PRIME
-            x = (x - np.outer(x[:, c], row)) % PRIME
-            basis[:r] = (basis[:r] - np.outer(basis[:r, c], row)) % PRIME
-            basis[r] = row
-            pivots.append(c)
-            taken.append((k, i))
-            r += 1
-            if r == cols:
-                return None
-    return taken
+def independent_rows_mod_p(rows):
+    """Rows of the integer matrix ``rows``, taken in order, that are
+    independent mod ``PRIME`` and span all the rows mod it: ``(taken,
+    reduced, pivots)``, the indices of the rows taken, and their span mod p
+    in reduced row echelon form with its pivot columns, in the order taken.
+    Each reduced row is 1 at its pivot, 0 before it and at the other
+    pivots, so the pivots are those of column-order elimination.  None as
+    soon as the rows taken reach rank cols, for a nonzero minor mod p is
+    nonzero, so the integers have full column rank too.  Rows independent
+    mod p are independent over Q."""
+    m, cols = rows.shape
+    # the rows, then a slot per reduced row.  Rows are reduced mod p only
+    # when searched, 8 at a time: between, each of at most cols steps
+    # subtracts less than p^2 < 2^46, so int64 holds every entry while cols
+    # < 2^17, far more columns than an intertwiner system fits in memory
+    w = np.zeros((m + cols, cols), dtype=np.int64)
+    w[:m] = rows % PRIME
+    pivots, taken, i = [], [], 0
+    while i < m:
+        x = w[i : min(i + 8, m)] % PRIME
+        at, cs = x.nonzero()
+        if not len(at):
+            i += 8
+            continue
+        skip, c = int(at[0]), int(cs[0])
+        i += skip
+        row = x[skip] * pow(int(x[skip, c]), -1, PRIME) % PRIME
+        tail = w[i + 1 :]  # the rows before i are 0 mod p
+        tail -= tail[:, c, None] % PRIME * row
+        w[m + len(pivots)] = row
+        pivots.append(c)
+        taken.append(i)
+        if len(pivots) == cols:
+            return None
+        i += 1
+    return taken, w[m : m + len(pivots)] % PRIME, pivots
+
+
+def rational_reconstruction(u: int, m: int):
+    """The fraction a / b = u mod m with |a|, b <= sqrt(m / 2), as ``(a, b)``
+    with b > 0 and gcd(a, b) = 1; None if there is none.  Such a fraction
+    is unique, so a rational whose numerator and denominator are within
+    that bound comes back from its residue (Wang 1981; von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, 5.10): the extended Euclidean
+    algorithm on (m, u), stopped at the first remainder within the bound.
+    The gcd test fails only when m is composite."""
+    bound = math.isqrt((m - 1) // 2)
+    r0, r1, s0, s1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def integer_nullspace(rows):

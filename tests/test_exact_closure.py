@@ -4,7 +4,9 @@ that denominator clearing and content division must get right.
 ``tests/data/exact_verdicts.json`` holds the verdict JSON (without
 ``elapsed_s``) of a fixed set of Gaussian-rational instances: one pair of
 S1, S2, S3 or S4 at n = 1 and 2 with an exact unitary witness (YES), the
-same with 1/2 added to one entry of A (NO), and two S1 pairs at n = 3.
+same with 1/2 added to one entry of A (NO), two S1 pairs at n = 3, and
+one S2 pair at n = 3 whose intertwiner is too large to lift from its
+residues (``givens_pair``), with its NO twin.
 Regenerate it with ``PYTHONPATH=src python tests/test_exact_closure.py``
 only when a verdict is meant to change.
 """
@@ -36,7 +38,7 @@ from unieq import (
 from unieq.numerics import span_primes
 
 from conftest import rat_matrix
-from test_engines import _spanned
+from test_engines import _spanned, spy_solves
 
 GR = GaussianRational
 GOLDEN = Path(__file__).parent / "data" / "exact_verdicts.json"
@@ -108,6 +110,46 @@ def _family(n, set_id, pairs):
     return ProblemInstance(n, *families)
 
 
+# (c, s) of the rotations [[c, -conj(s)], [s, conj(c)]] of givens_unitary
+_ROTATIONS = (
+    (GR(Fraction(3, 5)), GR(Fraction(4, 5))),
+    (GR(Fraction(5, 13)), GR(0, Fraction(12, 13))),
+    (GR(Fraction(8, 17)), GR(Fraction(15, 17))),
+)
+
+
+def givens_unitary(n):
+    """diag(1, i, -1, -i, ...) times 2n Givens rotations, the k-th on the
+    coordinates j = k mod (n - 1) and j + 1, with (c, s) taken cyclically
+    from ``_ROTATIONS``: a Gaussian-rational unitary whose denominators,
+    and so the cleared letters' entries, grow with n."""
+    phases = (GR(1), GR(0, 1), GR(-1), GR(0, -1))
+    u = Matrix.from_rational(
+        [[phases[i % 4] if i == j else GR(0) for j in range(n)] for i in range(n)]
+    )
+    for k in range(2 * n):
+        (c, s), j = _ROTATIONS[k % 3], k % (n - 1)
+        g = np.array([[GR(int(a == b)) for b in range(n)] for a in range(n)], dtype=object)
+        g[j : j + 2, j : j + 2] = [[c, -s.conjugate()], [s, c.conjugate()]]
+        u = u @ Matrix(g, "exact")
+    return u
+
+
+def givens_pair(n, bump=False):
+    """An S2 pair (U B U^T, B) for U = ``givens_unitary(n)`` and B with
+    Gaussian-integer entries of parts in [-5, 5]; ``bump`` adds 1/2 to
+    A[0, 0], its NO twin.  The integer intertwiner of its letters has
+    entries too large to lift from their residues, so the search takes its
+    fraction-free solve."""
+    rng = np.random.default_rng(0)
+    b = Matrix.from_rational(
+        [[GR(int(rng.integers(-5, 6)), int(rng.integers(-5, 6))) for _ in range(n)]
+         for _ in range(n)]
+    )
+    a = _relation(2, givens_unitary(n))(b)
+    return _family(n, 2, [(_bumped(a) if bump else a, b)])
+
+
 def golden_cases():
     """``(name, instance)`` for every pinned verdict, from fixed seeds."""
     cases = []
@@ -128,6 +170,8 @@ def golden_cases():
         cases.append((f"S1n3pairs-yes{k}", _family(3, 1, list(pairs))))
         pairs[0] = (_bumped(pairs[0][0]), pairs[0][1])
         cases.append((f"S1n3pairs-no{k}", _family(3, 1, pairs)))
+    cases.append(("S2n3givens-yes", givens_pair(3)))
+    cases.append(("S2n3givens-no", givens_pair(3, bump=True)))
     return cases
 
 
@@ -348,6 +392,21 @@ class TestHardNotEquivalent:
         _, (xs, ys) = common_scale([x, y])
         ka, kb = build_congruence_K(xs), build_congruence_K(ys)
         assert v.certificate.recheck([ka, ka.adjoint()], [kb, kb.adjoint()], 1e-8)
+
+
+class TestLiftFallback:
+    """The integer intertwiner is lifted from its residues mod p when its
+    entries are small; the S2 YES of ``givens_pair(3)`` has larger ones, so
+    its search takes the fraction-free solve and still answers Equivalent
+    with no span."""
+
+    def test_large_entries_take_the_fraction_free_solve(self, monkeypatch):
+        seen = spy_solves(monkeypatch)
+        v = solve_general(givens_pair(3))
+        assert v.equivalent and v.dimension is None
+        assert "dimension" not in v.to_json()
+        assert seen[:2] == ["_lifted", "integer_nullspace"]
+        assert seen.count("integer_nullspace") == 1
 
 
 class TestBlockInvariance:

@@ -31,6 +31,7 @@ from unieq.numerics import (
     intertwiner_operator,
     nullspace,
     power_traces_differ_mod_p,
+    rational_reconstruction,
     span_primes,
 )
 
@@ -365,17 +366,101 @@ class TestIntegerKernels:
         for cols in (3, 5, 8):
             for rank in range(cols):
                 rows = rng.integers(-3, 4, (rank, cols)) @ rng.integers(-3, 4, (cols, cols))
-                blocks = np.concatenate([rows, rows[::-1] * 2]).reshape(2, rank, cols)
-                taken = independent_rows_mod_p(blocks.astype(object))
+                rows[:, 0] = 0  # a zero column, so that a pivot is skipped
+                stacked = np.concatenate([rows, rows[::-1] * 2])
+                kept = independent_rows_mod_p(stacked.astype(object))
                 r = np.linalg.matrix_rank(rows)
-                assert taken is not None and len(taken) == r
-                basis = integer_nullspace(blocks[tuple(np.array(taken, dtype=int).reshape(-1, 2).T)])
+                assert kept is not None and len(kept[0]) == r
+                taken, reduced, pivots = kept
+                basis = integer_nullspace(stacked[taken])
                 assert len(basis) == cols - r
                 for v in basis:
                     assert not (rows.astype(object) @ v).any()
-            full = rng.integers(-3, 4, (1, cols + 1, cols))
-            if np.linalg.matrix_rank(full[0]) == cols:
+                    # the reduced rows span the rows mod p
+                    assert not (reduced @ (v % PRIME) % PRIME).any()
+                # reduced row echelon form: 1 at its pivot, 0 before it and at
+                # the other pivots, so the free columns are those of the
+                # column-order elimination of integer_nullspace
+                assert np.array_equal(reduced[:, pivots], np.identity(r, dtype=np.int64))
+                for row, c in zip(reduced, pivots):
+                    assert not row[:c].any()
+                free = [c for c in range(cols) if c not in pivots]
+                for v, c in zip(basis, free):
+                    assert [e for e in v[free]] == [v[c] if f == c else 0 for f in free]
+            full = rng.integers(-3, 4, (cols + 1, cols))
+            if np.linalg.matrix_rank(full) == cols:
                 assert independent_rows_mod_p(full) is None
+
+
+def _reduced_mod_p(rows):
+    """Column-order Gauss-Jordan elimination mod PRIME over Python ints, row
+    by row: the reference for ``independent_rows_mod_p``."""
+    basis, pivots, taken = [], [], []
+    for i, row in enumerate(rows.tolist()):
+        row = [e % PRIME for e in row]
+        for b, c in zip(basis, pivots):
+            row = [(e - row[c] * f) % PRIME for e, f in zip(row, b)]
+        c = next((c for c, e in enumerate(row) if e), None)
+        if c is None:
+            continue
+        inv = pow(row[c], -1, PRIME)
+        row = [e * inv % PRIME for e in row]
+        basis = [[(e - b[c] * f) % PRIME for e, f in zip(b, row)] for b in basis]
+        basis.append(row)
+        pivots.append(c)
+        taken.append(i)
+    return taken, basis, pivots
+
+
+class TestReducedRowsReference:
+    @pytest.mark.parametrize("rank, cols", [(2, 5), (12, 16), (40, 72), (3, 5)])
+    def test_matches_python_elimination(self, rng, rank, cols):
+        """Entries of every size up to p, so that the int64 elimination, which
+        reduces its rows mod p only when it searches them, meets its largest
+        intermediate values; rows 1 and 4 are off the span of the others,
+        which gives full column rank in the last case."""
+        left = rng.integers(0, PRIME, (3 * rank, rank)).astype(object)
+        rows = left @ rng.integers(0, PRIME, (rank, cols)).astype(object) % PRIME
+        rows[[1, 4]] = rng.integers(0, PRIME, (2, cols))
+        want = _reduced_mod_p(rows)
+        got = independent_rows_mod_p(rows)
+        if len(want[2]) == cols:
+            assert got is None and rank + 2 == cols
+        else:
+            assert len(want[2]) == rank + 2
+            assert got[0] == want[0] and got[2] == want[2]
+            assert got[1].tolist() == want[1]
+
+
+class TestRationalReconstruction:
+    BOUND = math.isqrt(PRIME // 2)
+
+    @pytest.mark.parametrize(
+        "a, b", [(1, 1), (3, 7), (-5, 12), (0, 1), (-2047, 2046), (2047, 1), (1, 2047)]
+    )
+    def test_round_trip_within_the_bound(self, a, b):
+        assert abs(a) <= self.BOUND and b <= self.BOUND
+        u = a * pow(b, -1, PRIME) % PRIME
+        assert rational_reconstruction(u, PRIME) == (a, b)
+
+    def test_every_small_fraction_comes_back(self, rng):
+        for a, b in rng.integers(-self.BOUND, self.BOUND + 1, (200, 2)):
+            b = abs(int(b)) or 1
+            g = math.gcd(int(a), b)
+            u = int(a) * pow(b, -1, PRIME) % PRIME
+            assert rational_reconstruction(u, PRIME) == (int(a) // g, b // g)
+
+    def test_past_the_bound(self):
+        assert rational_reconstruction(self.BOUND + 1, PRIME) is None
+        assert rational_reconstruction(pow(self.BOUND + 1, -1, PRIME), PRIME) is None
+        assert rational_reconstruction(3000 * pow(4001, -1, PRIME) % PRIME, PRIME) is None
+
+    def test_non_coprime_result(self):
+        """Mod 100 the Euclidean remainders stop at 4 / -6 for 16, which is
+        no fraction in lowest terms: 16 = a / b with b prime to 100 and |a|,
+        b <= 7 has no solution."""
+        assert rational_reconstruction(16, 100) is None
+        assert rational_reconstruction(3 * pow(7, -1, 100) % 100, 100) == (3, 7)
 
 
 class TestNullspaceKernels:
