@@ -175,7 +175,7 @@ def _cmd_words(args) -> int:
     engines._check_tol(args.tol)
     a, b = fileio.load_pair(args.pair)
     engines._check_budget(
-        args.max_length, args.max_exponent, engines.DEFAULT_BUDGET
+        args.max_length, args.max_exponent, engines.DEFAULT_BUDGET, args.dedup
     )
     stream = words.iter_word_traces(
         [[a, a.adjoint()], [b, b.adjoint()]],

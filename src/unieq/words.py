@@ -8,12 +8,17 @@ star-reversal duplicates (both are trace-preserving, which is what the
 decision engines compare).
 
 ``enumerate_words`` filters every capped string and is the reference.  The
-traced walk ``iter_word_traces`` yields the same stream one length at a
-time: the prefixes of one length (only necklace prefixes when it
-deduplicates) carry their products stacked, the next length's products are
-one stacked matrix product, and each word's trace is read off its parent's
-product in O(n^2) instead of building the word's product.  Past a level of
-``_WIDTH`` prefixes it goes on chunk by chunk, so its memory stays bounded.
+traced walk ``_trace_levels`` gives the same words one length at a time:
+the prefixes of one length (only necklace prefixes when it deduplicates)
+carry their products stacked, the next length's products are one stacked
+matrix product, and each word's trace is read off its parent's product in
+O(n^2) instead of building the word's product.  Past a level of ``_WIDTH``
+prefixes it goes on chunk by chunk, so its memory stays bounded.  It
+yields each level as its words' letter bytes and one array of their
+traces, with no ``Word`` and no Python number per trace: the brute engine
+compares a level's traces at once, and ``iter_word_traces`` turns the
+levels into the stream of ``(Word, traces)`` rows.  ``word_count`` bounds
+the words a walk yields, so callers can refuse a walk before it starts.
 """
 
 from __future__ import annotations
@@ -146,17 +151,38 @@ def _is_canonical(seq: tuple, dedup: str) -> bool:
     if dedup == DEDUP_NONE:
         return True
     n = len(seq)
-    for i in range(1, n):
-        if seq[i:] + seq[:i] < seq:
-            return False
-    return dedup != DEDUP_CYCLIC_STAR or _star_least(seq)
+    rotations = [seq[i:] + seq[:i] for i in range(n)]
+    if dedup == DEDUP_CYCLIC_STAR:
+        star = tuple(x ^ 1 for x in reversed(seq))
+        rotations += [star[i:] + star[:i] for i in range(n)]
+    return min(rotations) == seq
 
 
-def _star_least(seq: tuple) -> bool:
-    """True when no rotation of seq's star-reversal is less than seq."""
+# one byte per letter: its bytes object, and the table swapping 2j and 2j+1
+_LETTER = [bytes((c,)) for c in range(256)]
+_SWAP = bytes(c ^ 1 for c in range(256))
+
+
+def _star_least(seq: bytes) -> bool:
+    """True when no rotation of seq's star-reversal is less than seq.
+
+    A rotation that starts with a letter below seq[0] is less than seq.
+    With no such letter, a rotation less than seq begins with seq's leading
+    run of seq[0], so only the rotations that begin with that run are
+    compared in full.
+    """
     n = len(seq)
-    twice = tuple(x ^ 1 for x in reversed(seq)) * 2
-    return all(twice[i:i + n] >= seq for i in range(n))
+    star = seq[::-1].translate(_SWAP)
+    if seq[0] and min(star) < seq[0]:
+        return False
+    twice = star * 2
+    head = seq[: n - len(seq.lstrip(seq[:1]))]
+    i = twice.find(head)
+    while 0 <= i < n:
+        if twice[i:i + n] < seq:
+            return False
+        i = twice.find(head, i + 1)
+    return True
 
 
 def _check_exponent(max_exponent):
@@ -196,8 +222,8 @@ def enumerate_words(
     the stream is deterministic and certificate tie-breaking is reproducible.
     With deduplication only the least representative of each class appears.
     This is the unpruned reference: it tests every capped string with
-    ``_is_canonical``, and the pruned walk in ``iter_word_traces`` is
-    checked against it.
+    ``_is_canonical``, and the pruned walk of ``_trace_levels`` is checked
+    against it.
     """
     if alphabet_size < 1:
         raise ValueError("alphabet_size must be positive")
@@ -209,14 +235,38 @@ def enumerate_words(
                 yield Word.from_letters(seq, alphabet_size)
 
 
-def word_count(alphabet_size: int, max_length: int, max_exponent=None) -> int:
-    """Number of words of length 1..max_length with runs capped (no dedup)."""
+def _necklaces(alphabet_size: int, length: int) -> int:
+    """Necklaces of one length, (1/L) sum over d | L of phi(d) a^(L/d)."""
+    total = 0
+    for d in range(1, length + 1):
+        if length % d == 0:
+            phi = sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+            total += phi * alphabet_size ** (length // d)
+    return total // length
+
+
+def word_count(
+    alphabet_size: int,
+    max_length: int,
+    max_exponent: int | None = None,
+    dedup: str = DEDUP_NONE,
+) -> int:
+    """Number of words of length 1..max_length with runs capped, at least
+    as many as ``enumerate_words`` yields.
+
+    Without dedup it is their exact count.  With cyclic or star-reversal
+    dedup each length counts its necklaces (Moebius inversion), capped by
+    that length's raw count; a star class holds one or two necklaces, so
+    this bounds both modes.
+    """
     _check_exponent(max_exponent)
+    _check_dedup(dedup, alphabet_size)
     if max_length < 1:
         return 0
     cap = max_exponent if max_exponent is not None else max_length
     # v[L] counts capped strings of length L whose first letter is fixed
     v = [0] * (max_length + 1)
+    count = 0
     for length in range(1, max_length + 1):
         total = 0
         for e in range(1, min(cap, length) + 1):
@@ -225,7 +275,11 @@ def word_count(alphabet_size: int, max_length: int, max_exponent=None) -> int:
             else:
                 total += (alphabet_size - 1) * v[length - e]
         v[length] = total
-    return alphabet_size * sum(v[1:])
+        raw = alphabet_size * total
+        if dedup != DEDUP_NONE:
+            raw = min(raw, _necklaces(alphabet_size, length))
+        count += raw
+    return count
 
 
 # --------------------------------------------------------------------------
@@ -261,29 +315,27 @@ def eval_word(w: Word, letters) -> Matrix:
     return result
 
 
-def iter_word_traces(
-    letter_sets,
-    max_length: int,
-    max_exponent: int | None = None,
-    dedup: str = DEDUP_NONE,
-):
-    """Stream ``(word, traces)`` over every enumerated word.
+def _trace_levels(letters, max_length: int, max_exponent, dedup: str):
+    """Walk the words of ``enumerate_words`` and yield them with their
+    traces one level (or one chunk of a level) at a time.
 
-    ``letter_sets`` is a list of letter assignments (each one matrix per
-    letter), or one array (sets, letters, n, n) of their entries; ``traces``
-    holds the trace of the word's product under each assignment, in order.
-    The stream is the one ``enumerate_words`` gives.
+    ``letters`` is one array (sets, letters, n, n) of letter assignments.
+    Each item is ``(seqs, traces)``: ``seqs`` the words' letter sequences,
+    one byte per letter, in stream order, and ``traces`` an array (words,
+    sets) of the trace of each word's product under each assignment.  Per
+    word the walk makes only its prefix tuple and its byte string: no
+    ``Word`` and no Python number per trace.
 
-    The walk goes one level at a time.  A level is the list of prefixes of
-    one length, in lexicographic order, with their products stacked as
-    (prefixes, sets, n, n); the next level's products are one ``matmul`` of
-    the gathered parent products and the gathered letters.  When
-    deduplicating, a level holds only prenecklaces (Fredricksen-Kessler-
-    Maiorana; every prefix of a necklace is one), a string of the target
-    length is kept only when it is a necklace, and the star-reversal test
-    runs on those necklaces alone.  The traces of one length's words are
-    read off their parents' products in one product-and-sum, ``tr(P M) =
-    sum(P * M.T)``, so no leaf product is built.
+    A level is the list of prefixes of one length, in lexicographic order,
+    with their products stacked as (prefixes, sets, n, n); the next level's
+    products are one ``matmul`` of the gathered parent products and the
+    gathered letters.  When deduplicating, a level holds only prenecklaces
+    (Fredricksen-Kessler-Maiorana; every prefix of a necklace is one), a
+    string of the target length is kept only when it is a necklace, and the
+    star-reversal test runs on those necklaces alone.  The traces of one
+    length's words are read off their parents' products in one
+    product-and-sum, ``tr(P M) = sum(P * M.T)``, so no leaf product is
+    built.
 
     The stored level advances only while its next level has at most
     ``_WIDTH`` prefixes.  Longer words are reached from it in chunks of at
@@ -293,18 +345,11 @@ def iter_word_traces(
     is O(``_WIDTH`` * length) products and prefixes, however many words the
     walk yields.
     """
-    letters = letter_sets
-    if not isinstance(letters, np.ndarray):
-        if not letter_sets:
-            raise ValueError("need at least one letter set")
-        for ls in letter_sets:
-            if len(ls) != len(letter_sets[0]):
-                raise ValueError("letter sets must share one alphabet size")
-            _check_letters(ls, len(ls))
-        letters = np.array([[m.data for m in ls] for ls in letter_sets])
     nsets, alphabet_size, n = letters.shape[:3]
     _check_exponent(max_exponent)
     _check_dedup(dedup, alphabet_size)
+    if alphabet_size > len(_LETTER):
+        raise ValueError(f"the walk takes at most {len(_LETTER)} letters")
 
     # letter-major stacks (letters, sets, n, n) and their transposes, flat
     stacks = np.ascontiguousarray(letters.swapaxes(0, 1))
@@ -312,11 +357,12 @@ def iter_word_traces(
     mode = EXACT if letters.dtype == object else FLOAT
     necklaces = dedup != DEDUP_NONE
     star = dedup == DEDUP_CYCLIC_STAR
-    cap = max_exponent
+    cap = max_exponent if max_exponent is not None else max_length
 
     # A prefix is (parent, letters, period, run): parent is the index of
-    # its own prefix in the level above, period the length of its longest
-    # Lyndon prefix (the FKM period p) and run the length of its last run.
+    # its own prefix in the level above, letters its bytes, period the
+    # length of its longest Lyndon prefix (the FKM period p) and run the
+    # length of its last run.
 
     def children(prefixes):
         kids = []
@@ -325,11 +371,11 @@ def iter_word_traces(
             last = seq[-1] if seq else -1
             low = seq[depth - period] if necklaces and seq else 0
             for letter in range(low, alphabet_size):
-                if letter == last and cap is not None and run >= cap:
+                if letter == last and run >= cap:
                     continue
                 kids.append((
                     parent,
-                    (*seq, letter),
+                    seq + _LETTER[letter],
                     period if letter == low else depth + 1,
                     run + 1 if letter == last else 1,
                 ))
@@ -345,14 +391,14 @@ def iter_word_traces(
         """The words among ``kids``, with their traces."""
         if necklaces:
             kids = [k for k in kids if length % k[2] == 0]
+        if star:
+            kids = [k for k in kids if _star_least(k[1])]
+        if not kids:
+            return
         parent = [k[0] for k in kids]
         letter = [k[1][-1] for k in kids]
         flat = prods.reshape(-1, nsets, n * n)[parent]
-        traces = (flat * flips[letter]).sum(axis=2).tolist()
-        for (_, seq, _, _), row in zip(kids, traces):
-            if star and not _star_least(seq):
-                continue
-            yield Word.from_letters(seq, alphabet_size), tuple(row)
+        yield [k[1] for k in kids], (flat * flips[letter]).sum(axis=2)
 
     def descend(prefixes, prods, depth, length):
         """The words of ``length`` below one level, chunk by chunk."""
@@ -365,7 +411,7 @@ def iter_word_traces(
             yield from descend(chunk, extend(prods, chunk), depth + 1, length)
 
     eye = np.stack([identity(n, mode).data] * nsets)
-    prefixes, prods, depth = [(0, (), 1, 0)], eye[None], 0
+    prefixes, prods, depth = [(0, b"", 1, 0)], eye[None], 0
     for length in range(1, max_length + 1):
         if depth < length - 1:
             yield from descend(prefixes, prods, depth, length)
@@ -374,6 +420,37 @@ def iter_word_traces(
         yield from words(prods, kids, length)
         if length < max_length and len(kids) <= _WIDTH:
             prefixes, prods, depth = kids, extend(prods, kids), length
+
+
+def iter_word_traces(
+    letter_sets,
+    max_length: int,
+    max_exponent: int | None = None,
+    dedup: str = DEDUP_NONE,
+):
+    """Stream ``(word, traces)`` over every enumerated word.
+
+    ``letter_sets`` is a list of letter assignments (each one matrix per
+    letter), or one array (sets, letters, n, n) of their entries; ``traces``
+    holds the trace of the word's product under each assignment, in order.
+    The stream is the one ``enumerate_words`` gives, read off the level
+    walk ``_trace_levels``; this wrapper makes the ``Word`` and the tuple
+    of each row, which callers that only compare traces can skip by
+    reading the levels.
+    """
+    letters = letter_sets
+    if not isinstance(letters, np.ndarray):
+        if not letter_sets:
+            raise ValueError("need at least one letter set")
+        for ls in letter_sets:
+            if len(ls) != len(letter_sets[0]):
+                raise ValueError("letter sets must share one alphabet size")
+            _check_letters(ls, len(ls))
+        letters = np.array([[m.data for m in ls] for ls in letter_sets])
+    alphabet_size = letters.shape[1]
+    for seqs, traces in _trace_levels(letters, max_length, max_exponent, dedup):
+        for seq, row in zip(seqs, traces.tolist()):
+            yield Word.from_letters(seq, alphabet_size), tuple(row)
 
 
 def word_trace_spectrum(

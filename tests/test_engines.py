@@ -1,12 +1,14 @@
 import gc
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from unieq import engines
+from unieq import engines, words
 from unieq import (
+    DEDUP_CYCLIC_STAR,
     BudgetExceededError,
     DependencyCertificate,
     GaussianRational,
@@ -25,6 +27,7 @@ from unieq import (
     eval_word,
     floor_length_bound,
     identity,
+    iter_word_traces,
     make_yes_instance,
     perturb_to_no,
     random_unitary,
@@ -133,6 +136,75 @@ class TestSpechtBrute:
         w = specht_brute(a, b, 5)
         if not w.equivalent:
             assert isinstance(w.certificate, TraceCertificate)
+
+
+def _stream_failure(letters, max_length, tol):
+    """The first word of the per-word stream whose traces are not close,
+    with its traces, or None."""
+    for word, (tl, tr) in iter_word_traces(letters, max_length, None, DEDUP_CYCLIC_STAR):
+        if not engines._close(tl, tr, tol):
+            return str(word), tl, tr
+    return None
+
+
+def _failing_chunk(letters, max_length, tol):
+    """(length, index among that length's chunks) of the level chunk that
+    holds the first failing word."""
+    chunks = {}
+    levels = words._trace_levels(letters, max_length, None, DEDUP_CYCLIC_STAR)
+    for seqs, traces in levels:
+        length = len(seqs[0])
+        chunks[length] = chunks.get(length, -1) + 1
+        if engines._far(traces[:, 0], traces[:, 1], tol).any():
+            return length, chunks[length]
+    return None
+
+
+class TestBruteLevels:
+    """``_brute`` reads the walk a level at a time and compares each
+    level's traces at once; its verdict must be the per-word stream's,
+    certificate word and traces included."""
+
+    def check(self, a, b, max_length, tol=engines.DEFAULT_TOL):
+        _, letters = engines._decision(ProblemInstance(a.rows, [(a, b)]))
+        verdict = engines._brute(letters, max_length, None, tol, engines.DEFAULT_BUDGET)
+        failure = _stream_failure(letters, max_length, tol)
+        assert failure is not None and not verdict.equivalent
+        cert = verdict.certificate
+        assert (str(cert.word), cert.trace_left, cert.trace_right) == failure
+        return letters, verdict
+
+    def test_float_mismatch_past_a_chunk_boundary(self, monkeypatch):
+        # (B, B^T) agree on every word up to length 5; with one stored
+        # prefix per chunk, the length-6 words come in many chunks, and
+        # the first failing one is not in the first
+        monkeypatch.setattr(words, "_WIDTH", 1)
+        b = rand_matrix(np.random.default_rng(4), 4)
+        letters, verdict = self.check(b, b.transpose(), 8)
+        assert len(verdict.certificate.word.letters()) == 6
+        length, chunk = _failing_chunk(letters, 8, engines.DEFAULT_TOL)
+        assert length == 6 and chunk > 0
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_exact_pair(self, monkeypatch, chunked):
+        if chunked:
+            monkeypatch.setattr(words, "_WIDTH", 1)
+        b = rat_matrix(np.random.default_rng(5), 3)
+        _, verdict = self.check(b, b.transpose(), 8)
+        assert verdict.tolerance is None
+        assert isinstance(verdict.certificate.trace_left, GaussianRational)
+
+    def test_far_is_not_close(self):
+        nan, inf = float("nan"), float("inf")
+        values = [0.0, 1.0, 1.0 + 1e-9, 1.0 + 1e-7, 1j, nan, complex(0, nan), inf, -inf]
+        a, b = (np.array(v, dtype=complex) for v in zip(*product(values, repeat=2)))
+        want = [not engines._close(x, y, 1e-8) for x, y in zip(a.tolist(), b.tolist())]
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python
+            assert engines._far(a, b, 1e-8).tolist() == want
+        exact = [GR(0), GR(1), GR(Fraction(1, 3), 2)]
+        a, b = (np.array(v, dtype=object) for v in zip(*product(exact, repeat=2)))
+        want = [not engines._close(x, y, 1e-8) for x, y in zip(a.tolist(), b.tolist())]
+        assert engines._far(a, b, 1e-8).tolist() == want
 
 
 class TestAlgebraClosure:
@@ -519,6 +591,22 @@ class TestUnitarilySimilar:
         v = unitarily_similar(a, b, engine="brute")
         assert v.equivalent
         assert floor_length_bound(2) == 4
+
+    def test_brute_decides_n6_at_full_bound(self):
+        # length 23: 766,671 necklaces fit the default budget (16,777,214
+        # raw words would not); the walk takes about 2 s
+        a, b = similar_pair(6, seed=6)
+        assert floor_length_bound(6) == 23
+        assert unitarily_similar(a, b, engine="brute").equivalent
+
+    def test_brute_refuses_n7_before_walking(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(engines, "_trace_levels", walk)
+        a, b = similar_pair(7, seed=7)
+        with pytest.raises(BudgetExceededError, match="needs 74253543 words"):
+            unitarily_similar(a, b, engine="brute")
 
     def test_fastpath_agrees_with_closure(self, rng):
         for n in (2, 3):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unieq import words as words_module
 from unieq import (
     DEDUP_CYCLIC,
     DEDUP_CYCLIC_STAR,
@@ -97,6 +98,50 @@ class TestEnumeration:
                 len(brute_strings(3, L, cap)) for L in range(1, 6)
             )
             assert word_count(3, 5, cap) == expect
+
+    # a = 4 stops at length 8: its 1.4 million strings of length 10 take
+    # the reference enumeration seconds per cap
+    @pytest.mark.parametrize("alphabet,top", [(2, 10), (3, 10), (4, 8)])
+    @pytest.mark.parametrize("dedup", [DEDUP_NONE, DEDUP_CYCLIC, DEDUP_CYCLIC_STAR])
+    @pytest.mark.parametrize("cap", [None, 1, 2, 3])
+    def test_word_count_bounds_enumeration(self, alphabet, top, dedup, cap):
+        """The count for each dedup mode is never below the words
+        enumerate_words yields, and is their number without dedup."""
+        if alphabet % 2 and dedup == DEDUP_CYCLIC_STAR:
+            with pytest.raises(ValueError, match="even alphabet"):
+                word_count(alphabet, top, cap, dedup)
+            return
+        per_length = [0] * (top + 1)
+        for w in enumerate_words(alphabet, top, cap, dedup):
+            per_length[w.length] += 1
+        for max_length in range(1, top + 1):
+            yielded = sum(per_length[: max_length + 1])
+            count = word_count(alphabet, max_length, cap, dedup)
+            assert count == yielded if dedup == DEDUP_NONE else count >= yielded
+
+    def test_necklace_counts(self):
+        # OEIS A000031 (binary necklaces) and A001867 (ternary)
+        assert [words_module._necklaces(2, L) for L in range(1, 11)] == [
+            2, 3, 4, 6, 8, 14, 20, 36, 60, 108,
+        ]
+        assert [words_module._necklaces(3, L) for L in range(1, 7)] == [
+            3, 6, 11, 24, 51, 130,
+        ]
+        assert word_count(2, 23, None, DEDUP_CYCLIC_STAR) == 766_671
+        # runs capped at 1: each length's 2 raw strings are fewer than its
+        # 2, 3 and 4 necklaces (the walk yields s, t and s t)
+        assert word_count(2, 3, 1, DEDUP_CYCLIC) == 2 + 2 + 2
+
+    def test_star_least_matches_its_definition(self):
+        """The walk's star-reversal test on bytes, against every rotation
+        of the reversed, letter-swapped string, on all strings (not only
+        necklaces)."""
+        for alphabet, top in ((2, 10), (4, 5)):
+            for length in range(1, top + 1):
+                for seq in product(range(alphabet), repeat=length):
+                    star = tuple(x ^ 1 for x in reversed(seq))
+                    want = all(star[i:] + star[:i] >= seq for i in range(length))
+                    assert words_module._star_least(bytes(seq)) == want, seq
 
     def test_canonical_run_form_stable(self):
         for w in enumerate_words(2, 6, max_exponent=4):
@@ -253,6 +298,13 @@ class TestSpectrum:
             next(iter_word_traces([[a, a.adjoint()]], 3, max_exponent=0))
         with pytest.raises(ValueError, match="max_exponent"):
             word_count(2, 3, 0)
+
+    def test_rejects_more_than_256_letters(self):
+        # the walk holds one byte per letter
+        letters = np.zeros((1, 257, 1, 1), dtype=complex)
+        with pytest.raises(ValueError, match="at most 256 letters"):
+            next(iter_word_traces(letters, 1))
+        assert len(list(iter_word_traces(letters[:, :256], 1))) == 256
 
 
 class TestStreamMatchesEnumeration:
