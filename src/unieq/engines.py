@@ -18,7 +18,7 @@ Two interchangeable engines decide unitary similarity of a pair:
   span, trace check and certificate solve, and both take the breadth-first
   frontier in blocks of up to ``_BLOCK`` words: float Gram-Schmidt
   (``_MappedSpan``), real when the letters are, and, in exact mode, row
-  reduction over the integers mod a prime after one denominator clearing
+  reduction over the integers mod a prime of the Gaussian-integer letters
   (``_ModularSpan``), with exact Gaussian-integer arithmetic only for the
   verdict, which is checked exactly and run again mod the next prime if
   the check contradicts it.  Verdicts, certificate words and dimensions
@@ -29,17 +29,17 @@ Two interchangeable engines decide unitary similarity of a pair:
   combination of each side's letters, real letters included, matched up
   to one unit phase each, with no phase carried along an edge within the
   tolerance.  When it finds one, the answer is Equivalent with no span.
-  Before an exact span is built, the letters cleared of denominators are
+  Before an exact span is built, the Gaussian-integer letters are
   searched for an invertible integer intertwiner
   (``_integer_intertwiner``): arithmetic mod a prime only rules one out,
   by the spectra of the letters, which an invertible intertwiner keeps,
   and then by the rank of the stacked linear system over the integers.
   Else the rows that rank step reduced mod the prime give, for up to
   three fixed values of the free unknowns, the others mod the prime, and
-  rational reconstruction lifts them to R; only when that lift fails or
-  its R misses a letter is R solved by fraction-free elimination.  An R
-  that maps every letter exactly and has a nonzero determinant answers
-  Equivalent with no span.
+  rational reconstruction lifts them to R; when that lift fails or its R
+  misses a letter, the same rows reduced mod more primes join it by the
+  Chinese remainder theorem.  An R that maps every letter exactly and
+  has a nonzero determinant answers Equivalent with no span.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
@@ -51,6 +51,11 @@ of the brute engine and of ``use_k_gadget``.
 A decision's letters are built once, right after its one scaling, as one
 array (2, a, N, N), side on axis 0, that the closure, its eigenbasis check
 and its span read as it is; ``decision_letters`` gives rechecks views of it.
+Exact letters are Gaussian integers over one denominator D from the input
+on (``_Cleared``): the input's denominators are cleared once, and the
+scaling and the letter build work on its integers, so no Gaussian
+rational is made on the way; the brute walk and ``decision_letters``
+divide by D once (``_values``).
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,14 +80,15 @@ from .numerics import (
     clear_denominators,
     common_scale,
     gaussian_matmul,
+    gaussian_rationals,
     gaussian_residues,
     identity,
     independent_rows_mod_p,
     integer_det,
-    integer_nullspace,
     intertwiner_operator,
     power_traces_differ_mod_p,
     rational_reconstruction,
+    scale_exponent,
     span_primes,
 )
 # iter_word_traces is not called here; bench/tracing.py wraps it by this name
@@ -287,11 +294,32 @@ def _scaled(verdict: Verdict, t0: float, scale) -> Verdict:
     Every relation is homogeneous: U realizes it for (A, B) exactly when it
     does for (cA, cB).  So each public decision checks its arguments, scales
     all its matrices once by ``common_scale`` or
-    ``ProblemInstance.scaled_common``, and hands them to scale-free private
+    ``ProblemInstance.scaled_common`` (exact letters by the same factor, on
+    their integers: ``_decision``), and hands them to scale-free private
     routes, which never call a public decision."""
     verdict.elapsed_s = time.perf_counter() - t0
     verdict.scale = float(scale)
     return verdict
+
+
+class _Cleared(NamedTuple):
+    """Exact letters (2, a, N, N) cleared of denominators: the Gaussian
+    integers ``ints`` (2, a, parts, N, N), in the layout of
+    ``clear_denominators``, over one D, the lcm of the letters'
+    denominators.  ``shape`` is the letters'."""
+
+    denom: int
+    ints: np.ndarray
+
+    @property
+    def shape(self):
+        return self.ints.shape[:2] + self.ints.shape[3:]
+
+
+def _values(letters):
+    """The letters as one array (2, a, N, N): float letters as they are,
+    cleared ones as Gaussian rationals, divided by their D once."""
+    return gaussian_rationals(*letters) if isinstance(letters, _Cleared) else letters
 
 
 # --------------------------------------------------------------------------
@@ -378,6 +406,7 @@ def _brute(letters, max_length, max_exponent, tol, budget) -> Verdict:
     if max_length < 1:
         raise ValueError(f"max_length must be at least 1, got {max_length}")
     _check_budget(max_length, max_exponent, budget, DEDUP_CYCLIC_STAR)
+    letters = _values(letters)
     levels = _trace_levels(letters, max_length, max_exponent, DEDUP_CYCLIC_STAR)
     mismatches = (
         (Word.from_letters(seqs[i], letters.shape[1]), traces[i].tolist())
@@ -510,6 +539,9 @@ def _aligned_intertwiner(letters, tol: float):
 # and with no pattern such as t^j, which over the standard basis of a full
 # matrix space gives a rank-one R
 _DRAWS = (2, 3, 5)
+# most primes whose residues one lift joins, for R's entries of up to about
+# 90 bits; the Givens S2 YES at n = 3-5 and the 2x2 K-gadget YES need 2
+_LIFT_PRIMES = 8
 
 
 def _real_system(ints):
@@ -528,19 +560,28 @@ def _real_system(ints):
     return ops.reshape(-1, parts * size * size)
 
 
-def _lifted(reduced, pivots, free, values):
-    """The integer vector, as Python ints, on which the rows ``reduced``
-    (reduced mod ``PRIME``, 1 at their ``pivots``) vanish mod p and whose
-    entries at the columns ``free`` are proportional to ``values``: each
-    pivot entry is read mod p off its row and lifted to a fraction by
-    ``rational_reconstruction``, and the vector is cleared of their
-    denominators.  None if an entry has no lift."""
-    at_pivots = -(reduced[:, free] @ np.asarray(values, dtype=np.int64)) % PRIME
-    fractions = [rational_reconstruction(int(u), PRIME) for u in at_pivots]
+def _lifted(reductions, pivots, free, values):
+    """The integer vector, as Python ints, on which the rows of each ``(p,
+    reduced)`` of ``reductions``, one set of rows reduced mod the prime p
+    (1 at their ``pivots``), vanish mod p, and whose entries at the columns
+    ``free`` are proportional to ``values``: each pivot entry is read mod
+    each p off its row, the residues are joined by the Chinese remainder
+    theorem, the result is lifted to a fraction by
+    ``rational_reconstruction`` modulo the product of the primes, and the
+    vector is cleared of their denominators.  None if an entry has no
+    lift."""
+    draw = np.asarray(values, dtype=np.int64)
+    u, m = [0] * len(pivots), 1
+    for p, reduced in reductions:
+        residues = (-(reduced[:, free] @ draw) % p).tolist()
+        step = pow(m, -1, p)
+        u = [x + m * ((y - x) * step % p) for x, y in zip(u, residues)]
+        m *= p
+    fractions = [rational_reconstruction(x, m) for x in u]
     if None in fractions:
         return None
     lead = math.lcm(*(b for _, b in fractions))
-    vec = np.zeros(reduced.shape[1], dtype=object)
+    vec = np.zeros(reductions[0][1].shape[1], dtype=object)
     vec[free] = [lead * c for c in values]
     vec[pivots] = [num * (lead // b) for num, b in fractions]
     return vec
@@ -557,6 +598,18 @@ def _mapping(vec, ints):
     if parts == 2:  # (X + iY)(A + iB) = XA - YB + i(XB + YA)
         d = np.stack([d[:, 0, 0] - d[:, 1, 1], d[:, 0, 1] + d[:, 1, 0]])
     return None if d.any() else r
+
+
+def _reductions(ints, taken, pivots):
+    """``(p, reduced)`` for each prime p of ``span_primes`` but ``PRIME``
+    mod which the equations ``taken`` of ``_real_system(ints)`` reduce to
+    rows with the given pivots (``independent_rows_mod_p``)."""
+    for p, _ in span_primes():
+        if p != PRIME:
+            rows = _real_system(np.asarray(ints % p, dtype=np.int64))[taken]
+            _, reduced, at = independent_rows_mod_p(rows, p)
+            if at == pivots:
+                yield p, reduced
 
 
 def _integer_intertwiner(ints, image):
@@ -589,29 +642,34 @@ def _integer_intertwiner(ints, image):
        taken in column order, are fixed to small integers, and the pivot
        unknowns are read mod p off the reduced rows and lifted by rational
        reconstruction (``_lifted``).  When the lift fails or its R does not
-       map every letter, which happens when R's entries are large, the same
-       R comes from an integer nullspace basis of the kept rows
-       (``integer_nullspace``), by fraction-free elimination.  The first R
-       that maps every letter exactly and whose determinant, of [[X, -Y],
-       [Y, X]] over complex letters, is nonzero (``integer_det``) is
-       returned.
+       map every letter, which happens when R's entries pass sqrt(p / 2),
+       the same rows are reduced mod the next primes of ``span_primes``
+       (``_reductions``; a prime whose pivots differ is skipped), one more
+       each time, up to ``_LIFT_PRIMES`` in all, and the lift runs modulo
+       their product.  The first R that maps every letter exactly and whose
+       determinant, of [[X, -Y], [Y, X]] over complex letters, is nonzero
+       (``integer_det``) is returned.
     """
     if power_traces_differ_mod_p(image):
         return None
-    kept = independent_rows_mod_p(_real_system(np.asarray(ints % PRIME, dtype=np.int64)))
+    # over real letters the residues are the image's
+    residues = image[:, :, None] if ints.shape[2] == 1 else ints % PRIME
+    kept = independent_rows_mod_p(_real_system(np.asarray(residues, dtype=np.int64)))
     if kept is None:
         return None
     taken, reduced, pivots = kept
     free = sorted(set(range(reduced.shape[1])) - set(pivots))
-    null = None
+    reductions, more = [(PRIME, reduced)], _reductions(ints, taken, pivots)
     for t in _DRAWS if len(free) > 1 else _DRAWS[:1]:
         values = [pow(t, (j + 1) ** 2, 1009) for j in range(len(free))]
-        vec = _lifted(reduced, pivots, free, values)
-        r = None if vec is None else _mapping(vec, ints)
-        if r is None:  # no small lift: the fraction-free solve
-            if null is None:
-                null = integer_nullspace(_real_system(ints)[taken])
-            r = _mapping(sum(c * v for c, v in zip(values, null)), ints)
+        r = None
+        for count in range(1, _LIFT_PRIMES + 1):
+            if count > len(reductions):  # skips only primes dividing a minor
+                reductions.append(next(more))
+            vec = _lifted(reductions[:count], pivots, free, values)
+            r = None if vec is None else _mapping(vec, ints)
+            if r is not None:
+                break
         if r is not None:
             square = r[0]
             if len(r) == 2:  # R = X + iY as the real [[X, -Y], [Y, X]]
@@ -1047,9 +1105,10 @@ def _span_verdict(spans) -> Verdict:
 
 def _closure_verdict(letters, tol) -> Verdict:
     """Span the algebras generated by the two sides' letters, stacked (2,
-    a, N, N), in lockstep: exact over Gaussian rationals (``_ModularSpan``),
-    else in floats (``_MappedSpan``), real when no letter has an imaginary
-    part, else complex.
+    a, N, N), in lockstep: exact over Gaussian integers over one D, as
+    ``_Cleared`` letters (``_ModularSpan``), else in floats
+    (``_MappedSpan``), real when no letter has an imaginary part, else
+    complex.
 
     A span divides each word's product by a factor carried in ``nu`` (the
     exact span only the products it builds for its verdict), so nu times a
@@ -1065,24 +1124,22 @@ def _closure_verdict(letters, tol) -> Verdict:
     TraceCertificate).
 
     Float letters are first handed to ``_aligned_intertwiner``, and exact
-    letters, once cleared of denominators, to ``_integer_intertwiner``: if
-    either finds an intertwiner, the verdict is Equivalent with no span
-    built, so its ``dimension`` is None.  Both can only answer Equivalent,
-    and otherwise the span decides as above.  The exact span runs mod a
-    prime and checks its verdict exactly; when that check contradicts it,
-    it runs again mod the next prime of ``span_primes``, whose first is the
-    ``PRIME`` of the intertwiner search, so the letters' residues mod it
-    are built once for both.
+    letters, as they come, to ``_integer_intertwiner``: if either finds an
+    intertwiner, the verdict is Equivalent with no span built, so its
+    ``dimension`` is None.  Both can only answer Equivalent, and otherwise
+    the span decides as above.  The exact span runs mod a prime and checks
+    its verdict exactly; when that check contradicts it, it runs again mod
+    the next prime of ``span_primes``, whose first is the ``PRIME`` of the
+    intertwiner search, so the letters' residues mod it are built once for
+    both.
     """
-    if letters.dtype != object:
+    if not isinstance(letters, _Cleared):
         if np.iscomplexobj(letters) and not letters.imag.any():
             letters = np.ascontiguousarray(letters.real)  # a real algebra
         if _aligned_intertwiner(letters, tol) is not None:
             return Verdict(True, ENGINE_CLOSURE, tolerance=tol)
         return _span_verdict(_MappedSpan(letters, tol))
-    a, n = letters.shape[1], letters.shape[-1]
-    denom, ints = clear_denominators(as_matrices(letters.reshape(2 * a, n, n)))
-    ints = ints.reshape((2, a) + ints.shape[1:])
+    denom, ints = letters
     image = gaussian_residues(ints, PRIME, SQRT_MINUS_ONE)
     if _integer_intertwiner(ints, image) is not None:
         return Verdict(True, ENGINE_CLOSURE, tolerance=None)
@@ -1140,11 +1197,11 @@ _N3_WORDS = (
 
 
 def _fastpath(letters, words, tag: str, tol: float) -> Verdict:
-    lx, ly = (as_matrices(side) for side in letters)
+    lx, ly = (as_matrices(side) for side in _values(letters))
     stream = (
         (w, (eval_word(w, lx).trace(), eval_word(w, ly).trace())) for w in words
     )
-    return _trace_verdict(stream, tag, letters.dtype == object, tol)
+    return _trace_verdict(stream, tag, isinstance(letters, _Cleared), tol)
 
 
 def unitarily_similar(
@@ -1195,11 +1252,28 @@ def _similar(letters, engine, tol, budget, max_length, max_exponent=None) -> Ver
 
 def _pairs_letters(stack):
     """The letters [A, A*] of each pair, interleaved and stacked (2, 2 m,
-    n, n), from the m pairs' entries stacked as ``stack_pairs`` does."""
+    n, n), from the m pairs' entries stacked as ``stack_pairs`` does; or,
+    from Gaussian integers stacked (2, m, parts, n, n) in the layout of
+    ``clear_denominators``, the letters' Gaussian integers (2, 2 m, parts,
+    n, n)."""
     letters = np.empty((2, 2 * stack.shape[1]) + stack.shape[2:], dtype=stack.dtype)
     letters[:, 0::2] = stack
-    letters[:, 1::2] = np.conj(stack).swapaxes(-1, -2)
+    if stack.dtype == object:
+        letters[:, 1::2] = stack.swapaxes(-1, -2)
+        letters[:, 1::2, 1:] *= -1  # the imaginary parts, if any
+    else:
+        letters[:, 1::2] = np.conj(stack).swapaxes(-1, -2)
     return letters
+
+
+def _pairs_of(pairs):
+    """The letters [A, A*] of matrix pairs, such as gadget pairs: float, or
+    exact and cleared of their denominators once."""
+    stack = stack_pairs(pairs)
+    if stack.dtype != object:
+        return _pairs_letters(stack)
+    denom, ints = clear_denominators(stack)
+    return _Cleared(denom, _pairs_letters(ints))
 
 
 def simultaneously_unitarily_similar(
@@ -1239,11 +1313,11 @@ def _pairs(letters, engine, tol, budget, max_length) -> Verdict:
         inner = _similar(letters, engine, tol, budget, max_length)
         return _finish(inner, t0, "pairs")
     if engine == ENGINE_BRUTE:
-        pairs = zip(*(as_matrices(side[0::2]) for side in letters))
+        pairs = zip(*(as_matrices(side[0::2]) for side in _values(letters)))
         ga, gb = build_similarity_gadget(pairs, letters.shape[-1])
         length = floor_length_bound(ga.M.rows) if max_length is None else max_length
         # exponent cap k - 1: the gadgets are nilpotent of index k
-        gadget_letters = _pairs_letters(stack_pairs([(ga.M, gb.M)]))
+        gadget_letters = _pairs_of([(ga.M, gb.M)])
         inner = _brute(gadget_letters, length, ga.layout.k - 1, tol, budget)
         return _finish(inner, t0, "pairs:gadget")
     return _finish(_closure_verdict(letters, tol), t0, "pairs:closure")
@@ -1304,13 +1378,13 @@ def _congruent(A, B, engine, tol, budget, max_length, use_k_gadget) -> Verdict:
     t0 = time.perf_counter()
     if use_k_gadget:
         ka, kb = build_congruence_K(A), build_congruence_K(B)
-        letters = _pairs_letters(stack_pairs([(ka, kb)]))
+        letters = _pairs_of([(ka, kb)])
         inner = _similar(letters, engine, tol, budget, max_length, max_exponent=3)
         return _finish(inner, t0, "congruence:K")
     triple = congruence_triple(A, B)
     if _nonsingular(A) or _nonsingular(B):
         triple = triple[:2]  # A or B nonsingular: the first two pairs suffice
-    letters = _pairs_letters(stack_pairs(triple))
+    letters = _pairs_of(triple)
     inner = _pairs(letters, engine, tol, budget, max_length)
     return _finish(inner, t0, "congruence:triple")
 
@@ -1379,11 +1453,29 @@ def solve_general(
 def _decision(inst: ProblemInstance):
     """The common scale and the letters of an instance's default decision,
     in one stacked pass, which ``decision_letters`` views: [A, A*] of each
-    pair of a pure-S1 instance, else the real 2n letters."""
-    scale, stack = common_scale(stack_pairs(p[2:] for p in inst.pairs()))
-    if inst.counts[1:] == (0, 0, 0):
-        return scale, _pairs_letters(stack)
-    return scale, real_letter_stack(stack, inst.counts)
+    pair of a pure-S1 instance, else the real 2n letters.
+
+    Exact letters come as Gaussian integers over one D (``_Cleared``),
+    built from the instance's own: its denominators are cleared once, the
+    scaling by 2^-e (``common_scale``'s factor, from ``scale_exponent``)
+    multiplies D by 2^e, the halves of the real letters a factor 2 more,
+    and D and the letters are divided by the gcd of D and every entry, so
+    that D is the lcm of the letters' denominators, as clearing the
+    Gaussian-rational letters would give it."""
+    stack = stack_pairs(p[2:] for p in inst.pairs())
+    s1 = inst.counts[1:] == (0, 0, 0)
+    if stack.dtype != object:
+        scale, stack = common_scale(stack)
+        return scale, _pairs_letters(stack) if s1 else real_letter_stack(stack, inst.counts)
+    denom, ints = clear_denominators(stack)
+    e = scale_exponent(denom, ints)
+    denom <<= e
+    if s1:
+        letters = _pairs_letters(ints)
+    else:
+        letters, denom = real_letter_stack(ints, inst.counts, denom), 2 * denom
+    g = math.gcd(denom, *letters.flat)
+    return Fraction(1, 1 << e), _Cleared(denom // g, letters // g if g > 1 else letters)
 
 
 def decision_letters(inst: ProblemInstance):
@@ -1396,7 +1488,7 @@ def decision_letters(inst: ProblemInstance):
     if inst.total_pairs == 0:
         raise ValueError("instance has no pairs")
     scale, letters = _decision(inst)
-    return (scale, *(as_matrices(side) for side in letters))
+    return (scale, *(as_matrices(side) for side in _values(letters)))
 
 
 def verify_witness(inst: ProblemInstance, U: Matrix, tol: float = DEFAULT_TOL) -> bool:

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .numerics import (
-    EXACT,
     FLOAT,
     Matrix,
     as_matrices,
     block,
+    clear_denominators,
     common_scale,
+    gaussian_rationals,
     identity,
     zeros,
 )
@@ -275,55 +275,64 @@ def stack_pairs(pairs):
     return np.array([[m.data for m in side] for side in zip(*pairs)])
 
 
-def _halves(x):
-    """The real and the imaginary part of x / 2: Gaussian rationals, or
-    floats whose zeros are all +0.0."""
-    if x.dtype == object:
-        return (h.data for h in Matrix(x, EXACT).scale(Fraction(1, 2)).re_im())
-    return x.real * 0.5 + 0.0, x.imag * 0.5 + 0.0
-
-
-def real_letter_stack(stack, counts):
+def real_letter_stack(stack, counts, denom=None):
     """The real 2n-by-2n letters, whose simultaneous unitary similarity is
     equivalent to the whole instance, built once for all m pairs as one
-    array (2, 4 m + 1, 2n, 2n) of float64 or Gaussian rationals, side on
-    axis 0.  ``stack`` holds the pairs as ``stack_pairs`` stacks them, in
-    family order, ``counts[s - 1]`` of family s; a decision passes them
-    right after its single scaling (``engines._decision``).
+    array (2, 4 m + 1, 2n, 2n) of float64, side on axis 0.  ``stack`` holds
+    the pairs as ``stack_pairs`` stacks them, in family order, ``counts[s -
+    1]`` of family s; a decision passes them right after its single scaling
+    (``engines._decision``).  Given ``denom``, ``stack`` holds instead
+    Gaussian integers over denom, in the layout (2, m, parts, n, n) of
+    ``clear_denominators``, and the letters come as Gaussian integers (2, 4
+    m + 1, 1, 2n, 2n) over 2 denom.
 
     Each pair matrix sits at its family's block of a 2n-by-2n zero matrix
     L.  With S = [[I, iI], [I, -iI]] = sqrt(2) T, the real and imaginary
     parts of T* L T = S* L S / 2, each followed by its transpose, are
-    letters, assembled from the parts of B / 2 by the closed form of S* L S
-    (``_REAL_SIGNS``), with no matrix product.  The last letter is Im(T* E
-    T) = [[0, I], [-I, 0]] / 2 for E = diag(I, 0).  ``solve_general``
-    proves the equivalence.
+    letters, the parts P, Q of B / 2 placed with signs by the closed form of
+    S* L S (``_letter_plan``), with no matrix product and one gather; over
+    2 denom, P and Q are the parts of the integers themselves.  The last
+    letter is Im(T* E T) = [[0, I], [-I, 0]] / 2 for E = diag(I, 0).
+    ``solve_general`` proves the equivalence.
     """
-    m, n = stack.shape[1], stack.shape[-1]
-    p, q = _halves(stack)
-    mp, mq = -p, -q
+    if denom is None:
+        p, q = stack.real * 0.5 + 0.0, stack.imag * 0.5 + 0.0  # zeros all +0.0
+        half = [0.5, 0.0]
+    else:
+        p = stack[:, :, 0]
+        q = stack[:, :, 1] if stack.shape[2] == 2 else np.zeros_like(p)
+        half = [denom, 0]
+    values = np.concatenate([p.ravel(), q.ravel(), half])
+    plan = _letter_plan(tuple(counts), stack.shape[-1])
+    letters = np.concatenate([[0], values, -values[::-1]])[plan]
+    return letters if denom is None else letters[:, :, None]
+
+
+@functools.lru_cache(maxsize=64)
+def _letter_plan(counts, n: int):
+    """Where each entry of ``real_letter_stack``'s letters comes from: k for
+    the k-th of the entries of P and Q, flattened in turn, then the diagonal
+    and the other entries of I / 2 (k from 1), -k for its negative, and 0
+    for an entry 0.  The off-diagonal zeros of the block -I / 2 are the
+    negatives of those of I / 2, -0.0 in floats."""
+    m = sum(counts)
+    p = np.arange(1, 2 * m * n * n + 1).reshape(2, m, n, n)
+    q = p + p.size
+    half = np.where(np.identity(n, dtype=bool), 2 * p.size + 1, 2 * p.size + 2)
     s12, s21, s22 = np.repeat(_POSITIVE, counts, axis=0).T[:, :, None, None]
-    out = np.empty((2, 4 * m + 1, 2 * n, 2 * n), dtype=p.dtype)
+    out = np.empty((2, 4 * m + 1, 2 * n, 2 * n), dtype=np.intp)
     # (side, pair, real | imaginary part, letter | transpose)
     parts = out[:, :-1].reshape(2, m, 2, 2, 2 * n, 2 * n)
     re, im = parts[:, :, 0, 0], parts[:, :, 1, 0]
     # B / 2 = P + iQ, so Re(s iB / 2) = -s Q and Im(s iB / 2) = s P
     re[..., :n, :n], im[..., :n, :n] = p, q
-    re[..., :n, n:], im[..., :n, n:] = np.where(s12, mq, q), np.where(s12, p, mp)
-    re[..., n:, :n], im[..., n:, :n] = np.where(s21, mq, q), np.where(s21, p, mp)
-    re[..., n:, n:], im[..., n:, n:] = np.where(s22, p, mp), np.where(s22, q, mq)
+    re[..., :n, n:], im[..., :n, n:] = np.where(s12, -q, q), np.where(s12, p, -p)
+    re[..., n:, :n], im[..., n:, :n] = np.where(s21, -q, q), np.where(s21, p, -p)
+    re[..., n:, n:], im[..., n:, n:] = np.where(s22, p, -p), np.where(s22, q, -q)
     parts[:, :, :, 1] = parts[:, :, :, 0].swapaxes(-1, -2)
-    out[:, -1] = _last_letter(n, p.dtype == object)
+    out[:, -1] = np.block([[0 * half, half], [-half, 0 * half]])
+    out.flags.writeable = False  # one plan for every call
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _last_letter(n: int, exact: bool):
-    """Im(T* E T) = [[0, I], [-I, 0]] / 2, from the parts of I / 2."""
-    half, zero = _halves(identity(n, EXACT if exact else FLOAT).data)
-    e = np.block([[zero, half], [-half, zero]])
-    e.flags.writeable = False  # one array for every call
-    return e
 
 
 def build_real_letters(inst: ProblemInstance):
@@ -331,7 +340,12 @@ def build_real_letters(inst: ProblemInstance):
     lists of Matrix views of that one array."""
     if inst.total_pairs == 0:
         raise ValueError("instance has no pairs")
-    letters = real_letter_stack(stack_pairs(p[2:] for p in inst.pairs()), inst.counts)
+    stack = stack_pairs(p[2:] for p in inst.pairs())
+    if stack.dtype == object:
+        denom, ints = clear_denominators(stack)
+        letters = gaussian_rationals(2 * denom, real_letter_stack(ints, inst.counts, denom))
+    else:
+        letters = real_letter_stack(stack, inst.counts)
     return as_matrices(letters[0]), as_matrices(letters[1])
 
 

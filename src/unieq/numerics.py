@@ -182,16 +182,29 @@ class GaussianRational:
 def clear_denominators(matrices):
     """Exact matrices of one shape as Gaussian integers with one common
     denominator: ``(D, parts)``, where D is the lcm of every entry's
-    denominator and ``parts[k]`` holds D times matrix k as Python ints,
-    shaped (2, rows, cols) for its real and imaginary parts, or (1, rows,
-    cols) for the real part alone when every imaginary part is 0."""
-    flat = [e for m in matrices for e in m.data.flat]
+    denominator and ``parts`` holds D times the matrices as Python ints,
+    shaped (..., 2, rows, cols) for their real and imaginary parts, or (...,
+    1, rows, cols) for the real parts alone when every imaginary part is 0.
+    ``matrices`` are Matrix objects, or one object array stacking their
+    entries on its leading axes (...)."""
+    data = matrices if isinstance(matrices, np.ndarray) else np.array([m.data for m in matrices])
+    flat = data.ravel().tolist()
     denom = math.lcm(*(e._d for e in flat))
     re = [e._a * (denom // e._d) for e in flat]
     im = [e._b * (denom // e._d) for e in flat]
     parts = np.array([re, im] if any(im) else [re], dtype=object)
-    parts = parts.reshape((len(parts), len(matrices)) + matrices[0].shape)
-    return denom, parts.transpose(1, 0, 2, 3)
+    last = data.ndim  # the parts' axis goes before the rows and columns
+    axes = (*range(1, last - 1), 0, last - 1, last)
+    return denom, parts.reshape((len(parts),) + data.shape).transpose(axes)
+
+
+def gaussian_rationals(denom, ints):
+    """The Gaussian rationals ints / D of Gaussian integers in the layout of
+    ``clear_denominators``, stacked (..., parts, rows, cols), as one object
+    array (..., rows, cols)."""
+    re = ints[..., 0, :, :]
+    im = ints[..., 1, :, :] if ints.shape[-3] == 2 else np.zeros(re.shape, dtype=object)
+    return np.frompyfunc(GaussianRational._raw, 3, 1)(re, im, denom)
 
 
 def gaussian_matmul(x, y, out):
@@ -602,42 +615,42 @@ def power_traces_differ_mod_p(x) -> bool:
     return False
 
 
-def independent_rows_mod_p(rows):
+def independent_rows_mod_p(rows, p: int = PRIME):
     """Rows of the integer matrix ``rows``, taken in order, that are
-    independent mod ``PRIME`` and span all the rows mod it: ``(taken,
-    reduced, pivots)``, the indices of the rows taken, and their span mod p
-    in reduced row echelon form with its pivot columns, in the order taken.
-    Each reduced row is 1 at its pivot, 0 before it and at the other
-    pivots, so the pivots are those of column-order elimination.  None as
-    soon as the rows taken reach rank cols, for a nonzero minor mod p is
-    nonzero, so the integers have full column rank too.  Rows independent
-    mod p are independent over Q."""
+    independent mod the prime p (at most ``PRIME``) and span all the rows
+    mod it: ``(taken, reduced, pivots)``, the indices of the rows taken,
+    and their span mod p in reduced row echelon form with its pivot
+    columns, in the order taken.  Each reduced row is 1 at its pivot, 0
+    before it and at the other pivots, so the pivots are those of
+    column-order elimination.  None as soon as the rows taken reach rank
+    cols, for a nonzero minor mod p is nonzero, so the integers have full
+    column rank too.  Rows independent mod p are independent over Q."""
     m, cols = rows.shape
     # the rows, then a slot per reduced row.  Rows are reduced mod p only
     # when searched, 8 at a time: between, each of at most cols steps
     # subtracts less than p^2 < 2^46, so int64 holds every entry while cols
     # < 2^17, far more columns than an intertwiner system fits in memory
     w = np.zeros((m + cols, cols), dtype=np.int64)
-    w[:m] = rows % PRIME
+    w[:m] = rows % p
     pivots, taken, i = [], [], 0
     while i < m:
-        x = w[i : min(i + 8, m)] % PRIME
+        x = w[i : min(i + 8, m)] % p
         at, cs = x.nonzero()
         if not len(at):
             i += 8
             continue
         skip, c = int(at[0]), int(cs[0])
         i += skip
-        row = x[skip] * pow(int(x[skip, c]), -1, PRIME) % PRIME
+        row = x[skip] * pow(int(x[skip, c]), -1, p) % p
         tail = w[i + 1 :]  # the rows before i are 0 mod p
-        tail -= tail[:, c, None] % PRIME * row
+        tail -= tail[:, c, None] % p * row
         w[m + len(pivots)] = row
         pivots.append(c)
         taken.append(i)
         if len(pivots) == cols:
             return None
         i += 1
-    return taken, w[m : m + len(pivots)] % PRIME, pivots
+    return taken, w[m : m + len(pivots)] % p, pivots
 
 
 def rational_reconstruction(u: int, m: int):
@@ -656,42 +669,6 @@ def rational_reconstruction(u: int, m: int):
     if abs(s1) > bound or math.gcd(r1, s1) != 1:
         return None
     return (r1, s1) if s1 > 0 else (-r1, -s1)
-
-
-def integer_nullspace(rows):
-    """Integer vectors spanning the rational nullspace of the integer rows
-    (an object array), by fraction-free Gauss-Jordan elimination, x <- p x
-    - f row, each changed row divided by its content: one vector per free
-    column, the lcm L of the pivots there and -L row[free] / pivot at each
-    pivot column."""
-    x = np.array(rows, dtype=object)
-    m, cols = x.shape
-    pivots = []
-    for c in range(cols):
-        k = len(pivots)
-        if k == m:
-            break
-        i = next((i for i in range(k, m) if x[i, c]), None)
-        if i is None:
-            continue
-        x[[k, i]] = x[[i, k]]
-        others = [j for j in range(m) if j != k and x[j, c]]
-        if others:
-            x[others] = x[k, c] * x[others] - np.outer(x[others, c], x[k])
-            for j in others:
-                g = math.gcd(*x[j])
-                if g > 1:
-                    x[j] //= g
-        pivots.append(c)
-    lead = math.lcm(*(x[k, c] for k, c in enumerate(pivots)))
-    basis = []
-    for free in sorted(set(range(cols)) - set(pivots)):
-        v = np.zeros(cols, dtype=object)
-        v[free] = lead
-        for k, c in enumerate(pivots):
-            v[c] = -x[k, free] * (lead // x[k, c])
-        basis.append(v)
-    return basis
 
 
 def _bareiss(m, r: int):
@@ -764,6 +741,17 @@ def _largest_norm(mats) -> float:
     return biggest
 
 
+def scale_exponent(denom, ints) -> int:
+    """The least e >= 0 for which 2^e bounds the Frobenius norm of every
+    matrix of the Gaussian integers ``ints`` over ``denom``, in the layout
+    (..., parts, rows, cols) of ``clear_denominators``: the exponent of
+    ``common_scale``'s exact factor 2^-e."""
+    top, bound, e = max((ints * ints).sum(axis=(-3, -2, -1)).flat), denom * denom, 0
+    while top > bound << 2 * e:
+        e += 1
+    return e
+
+
 def common_scale(matrices):
     """One factor making the largest Frobenius norm at most 1.
 
@@ -786,16 +774,13 @@ def common_scale(matrices):
             mats[0]._check_mode(m)
         factor, data = common_scale(np.array([m.data for m in mats]))
         return factor, as_matrices(data)
-    mats = matrices.reshape((-1,) + matrices.shape[-2:])
     if matrices.dtype == object:
-        biggest_sq = max(m.norm_fro_sq() for m in as_matrices(mats))
-        if biggest_sq <= 1:
+        e = scale_exponent(*clear_denominators(matrices))
+        if not e:
             return Fraction(1), matrices
-        e = 0
-        while biggest_sq > 4**e:
-            e += 1
         factor = Fraction(1, 2**e)
         return factor, matrices * _as_exact(factor)
+    mats = matrices.reshape((-1,) + matrices.shape[-2:])
     with np.errstate(over="ignore"):  # an overflow is taken again below
         norms = np.sqrt(np.sum(np.abs(mats) ** 2, axis=(1, 2)))
     biggest = float(norms.max())

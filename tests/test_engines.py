@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from unieq import engines, words
+from unieq.numerics import bareiss_solve, independent_rows_mod_p
 from unieq import (
     DEDUP_CYCLIC_STAR,
     BudgetExceededError,
@@ -168,6 +169,7 @@ class TestBruteLevels:
     def check(self, a, b, max_length, tol=engines.DEFAULT_TOL):
         _, letters = engines._decision(ProblemInstance(a.rows, [(a, b)]))
         verdict = engines._brute(letters, max_length, None, tol, engines.DEFAULT_BUDGET)
+        letters = engines._values(letters)  # exact letters as Gaussian rationals
         failure = _stream_failure(letters, max_length, tol)
         assert failure is not None and not verdict.equivalent
         cert = verdict.certificate
@@ -940,16 +942,15 @@ def _refuse(*args):
 
 
 def spy_solves(monkeypatch):
-    """Spy on both solves of the intertwiner search, the lift of the reduced
-    rows (``_lifted``) and the fraction-free nullspace
-    (``integer_nullspace``), recorded in one list by name, and on
-    ``integer_det``, recorded as ("integer_det", determinant)."""
+    """Spy on the lifts of the intertwiner search's reduced rows
+    (``_lifted``), recorded by name with the number of primes they join,
+    and on ``integer_det``, recorded as ("integer_det", determinant)."""
     seen = []
-    for name in ("_lifted", "integer_nullspace", "integer_det"):
+    for name in ("_lifted", "integer_det"):
 
         def spy(*args, _name=name, _inner=getattr(engines, name)):
             out = _inner(*args)
-            seen.append((_name, out) if _name == "integer_det" else _name)
+            seen.append((_name, out if _name == "integer_det" else len(args[0])))
             return out
 
         monkeypatch.setattr(engines, name, spy)
@@ -999,7 +1000,7 @@ class TestIntegerIntertwiner:
         )
         v = algebra_closure(x, y)
         assert not v.equivalent and v.dimension is not None
-        assert seen == ["_lifted", ("integer_det", 0)] * len(engines._DRAWS)
+        assert seen == [("_lifted", 1), ("integer_det", 0)] * len(engines._DRAWS)
 
     def test_singular_draws_fall_back_to_the_closure(self, monkeypatch):
         inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, False)
@@ -1016,13 +1017,13 @@ class TestIntegerIntertwiner:
 
     def test_draws_are_checked_exactly(self, monkeypatch):
         """Rows that miss some equation, as a rank drop mod p would leave,
-        give a nullspace of non-intertwiners; the exact check refuses
-        them, both lifted and from the fraction-free nullspace."""
+        give a nullspace of non-intertwiners; the exact check refuses every
+        lift of every draw, from one prime up to ``_LIFT_PRIMES``."""
         inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, True)
         inner = engines.independent_rows_mod_p
 
-        def first_row(rows):
-            kept = inner(rows[:1])
+        def first_row(rows, p=engines.PRIME):
+            kept = inner(rows[:1], p)
             assert kept[0] == [0]
             return kept
 
@@ -1031,54 +1032,68 @@ class TestIntegerIntertwiner:
         seen = spy_solves(monkeypatch)
         v = solve_general(inst)
         assert not v.equivalent and v.dimension is not None
-        assert "_lifted" in seen and "integer_nullspace" in seen
-        assert not any(isinstance(e, tuple) for e in seen)  # no draw mapped
+        primes = range(1, engines._LIFT_PRIMES + 1)
+        assert seen == [("_lifted", k) for k in primes] * len(engines._DRAWS)
 
-    def test_wrong_lift_is_refused_and_the_nullspace_answers(self, monkeypatch):
-        """A lift that returns a vector off the nullspace: the exact check
-        refuses it, and the fraction-free solve gives the R of that draw."""
+    def test_wrong_lift_is_refused_and_the_span_answers(self, monkeypatch):
+        """A lift that returns a vector off the nullspace, from any number
+        of primes: the exact check refuses each, and the span answers as it
+        does with the search switched off."""
         inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, False)
-        right = solve_general(inst)
+        right = _step_off(monkeypatch, lambda: solve_general(inst))
         inner = engines._lifted
         monkeypatch.setattr(engines, "_lifted", lambda *args: inner(*args) + 1)
         seen = spy_solves(monkeypatch)
         v = solve_general(inst)
-        assert v.equivalent and v.dimension is None
+        assert v.equivalent and v.dimension == right.dimension == 16
         assert v.to_json() | {"elapsed_s": 0} == right.to_json() | {"elapsed_s": 0}
-        assert seen[:2] == ["_lifted", "integer_nullspace"]
-        assert seen[-1][0] == "integer_det" and seen[-1][1] != 0
+        assert seen == [("_lifted", k) for k in range(1, engines._LIFT_PRIMES + 1)]
 
     def test_lift_gives_the_nullspace_draw(self, monkeypatch):
-        """On every YES of a small grid the lift succeeds, and its R is the
-        fraction-free R of the same draw times a positive factor."""
+        """On every YES of a small grid the lift succeeds from one prime,
+        and its R is the exact solution of the kept equations with the free
+        unknowns fixed to the first draw (``bareiss_solve`` on the pivot
+        columns) times a positive factor."""
         search, lifts = engines._integer_intertwiner, []
 
-        def both(ints, image):
-            del seen[:]
-            r = search(ints, image)
-            assert "integer_nullspace" not in seen
-            with monkeypatch.context() as m:
-                m.setattr(engines, "_lifted", lambda *args: None)
-                lifts.append((r, search(ints, image)))
-            return r
+        def spy(ints, image):
+            lifts.append((ints, search(ints, image)))
+            return lifts[-1][1]
 
-        seen = spy_solves(monkeypatch)
-        monkeypatch.setattr(engines, "_integer_intertwiner", both)
+        def no_second_prime(*args):
+            raise AssertionError("a lift needed a second prime")
+            yield
+
+        monkeypatch.setattr(engines, "_integer_intertwiner", spy)
+        monkeypatch.setattr(engines, "_reductions", no_second_prime)
         rng = np.random.default_rng(808)
         for shape in ROADMAP_SHAPES:
             for n in (1, 2):
                 assert solve_general(_exact_instance(rng, n, shape, n, False)).equivalent
         assert len(lifts) == 2 * len(ROADMAP_SHAPES)
-        for lifted, solved in lifts:
-            k = next(i for i, e in enumerate(solved.flat) if e)
-            factor = Fraction(int(solved.flat[k]), int(lifted.flat[k]))
+        for ints, r in lifts:
+            rows = engines._real_system(ints)
+            taken, _, pivots = independent_rows_mod_p(rows)
+            free = [c for c in range(rows.shape[1]) if c not in pivots]
+            values = [pow(2, (j + 1) ** 2, 1009) for j in range(len(free))]
+            kept = rows[taken]
+            nums, det = bareiss_solve(
+                kept[:, pivots].tolist(), (-(kept[:, free] @ values))[:, None].tolist()
+            )
+            solved = np.zeros(rows.shape[1], dtype=object)
+            solved[free] = [det * c for c in values]
+            solved[pivots] = [x for (x,) in nums]
+            solved *= 1 if det > 0 else -1  # free entries positive multiples of the draw
+            lifted = r.swapaxes(1, 2).ravel()  # vec R, column-major per part
+            k = next(i for i, e in enumerate(solved) if e)
+            factor = Fraction(int(solved[k]), int(lifted[k]))
             assert factor > 0 and (lifted * factor == solved).all()
 
     def test_spectrum_exit_skips_the_nullspace(self, monkeypatch):
         """A perturbed instance, and diag(1, 2) against diag(3, 4), whose
         spectra are disjoint (Sylvester's case: only R = 0 maps them)."""
         inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, True)
-        for name in ("independent_rows_mod_p", "_lifted", "integer_nullspace"):
+        for name in ("independent_rows_mod_p", "_lifted"):
             monkeypatch.setattr(engines, name, _refuse)
         assert not solve_general(inst).equivalent
         x, y = (Matrix.from_rational([[GR(d), GR(0)], [GR(0), GR(d + 1)]]) for d in (1, 3))
@@ -1088,15 +1103,15 @@ class TestIntegerIntertwiner:
         """J and 2 J have one spectrum, and so have J* and 2 J*, but only R
         = 0 maps [J, J*] to [2 J, 2 J*]."""
         k = Matrix.from_rational([[GR(0), GR(1)], [GR(0), GR(0)]])
-        for name in ("_lifted", "integer_nullspace"):
-            monkeypatch.setattr(engines, name, _refuse)
+        monkeypatch.setattr(engines, "_lifted", _refuse)
         assert not algebra_closure(k, k.scale(2)).equivalent
 
 
 class TestDecisionLetters:
     """Each decision scales its matrices and builds its letters once, as one
-    stacked array (``engines._decision``): the closure of ``solve_general``
-    reads that array, and ``decision_letters`` gives Matrix views of it."""
+    stacked array (``engines._decision``), of Gaussian integers over one D
+    in exact mode: the closure of ``solve_general`` reads that array, and
+    ``decision_letters`` gives Matrix views of it, divided by D."""
 
     @staticmethod
     def _closure_input(monkeypatch, inst):
@@ -1134,7 +1149,7 @@ class TestDecisionLetters:
     )
     def test_recheck_letters_are_the_closure_letters(self, monkeypatch, case):
         inst, dtype = self._cases()[case]
-        letters = self._closure_input(monkeypatch, inst)
+        letters = engines._values(self._closure_input(monkeypatch, inst))
         assert letters.dtype == dtype
         scale, left, right = decision_letters(inst)
         assert scale == solve_general(inst).scale
@@ -1154,6 +1169,7 @@ class TestDecisionLetters:
         else:
             inst = make_yes_instance(3, 2, 0, 0, 0, seed=4).inst
         scale, letters = engines._decision(inst)
+        letters = engines._values(letters)
         n = inst.n
         assert letters.shape == (2, 4, n, n)
         assert letters.dtype == (object if exact else np.complex128)
@@ -1171,6 +1187,7 @@ class TestDecisionLetters:
         else:
             inst = make_yes_instance(2, 1, 1, 1, 1, seed=8).inst
         scale, letters = engines._decision(inst)
+        letters = engines._values(letters)
         assert letters.shape == (2, 4 * 4 + 1, 4, 4)
         assert letters.dtype == (object if exact else np.float64)
         _, sinst = inst.scaled_common()

@@ -13,6 +13,8 @@ only when a verdict is meant to change.
 
 import itertools
 import json
+import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,14 +33,17 @@ from unieq import (
     decision_letters,
     engines,
     eval_word,
+    make_yes_instance,
+    perturb_to_no,
     simultaneously_unitarily_similar,
     solve_general,
     unitarily_congruent,
 )
-from unieq.numerics import span_primes
+from unieq.numerics import gaussian_rationals, span_primes
 
+import test_engines
 from conftest import rat_matrix
-from test_engines import _spanned, spy_solves
+from test_engines import ROADMAP_SHAPES, _exact_instance, _spanned, spy_solves
 
 GR = GaussianRational
 GOLDEN = Path(__file__).parent / "data" / "exact_verdicts.json"
@@ -394,19 +399,185 @@ class TestHardNotEquivalent:
         assert v.certificate.recheck([ka, ka.adjoint()], [kb, kb.adjoint()], 1e-8)
 
 
-class TestLiftFallback:
-    """The integer intertwiner is lifted from its residues mod p when its
-    entries are small; the S2 YES of ``givens_pair(3)`` has larger ones, so
-    its search takes the fraction-free solve and still answers Equivalent
-    with no span."""
+def _mutations(cert, letters):
+    """Tampered copies of a NotEquivalent certificate, by name, each of
+    which its ``recheck`` must refuse.  A dependency loses or doubles its
+    largest term on the dependent side, or has its side swapped; a trace
+    certificate has 1 added to a trace."""
+    if isinstance(cert, TraceCertificate):
+        return {
+            "trace_left": replace(cert, trace_left=cert.trace_left + 1),
+            "trace_right": replace(cert, trace_right=cert.trace_right + 1),
+        }
+    dep = letters[0 if cert.side == "left" else 1]
+    terms = [
+        eval_word(w, dep).scale(c).norm_fro()
+        for w, c in zip(cert.basis_words, cert.coefficients)
+    ]
+    k = max(range(len(terms)), key=terms.__getitem__)
+    assert terms[k] > 0
 
-    def test_large_entries_take_the_fraction_free_solve(self, monkeypatch):
+    def without(xs):
+        return xs[:k] + xs[k + 1 :]
+
+    doubled = list(cert.coefficients)
+    doubled[k] = 2 * doubled[k]
+    return {
+        "coefficient": replace(cert, coefficients=tuple(doubled)),
+        "side": replace(cert, side="right" if cert.side == "left" else "left"),
+        "dropped": replace(
+            cert, basis_words=without(cert.basis_words), coefficients=without(cert.coefficients)
+        ),
+    }
+
+
+def _float_nos():
+    """Float NOs: a dependency certificate over a basis of many words
+    (four families at n = 3), one over a short basis (S2 at n = 2), and a
+    trace certificate (S1 at n = 2)."""
+    cases = ((3, (1, 1, 1, 1), 3), (2, (0, 1, 0, 0), 0), (2, (1, 0, 0, 0), 0))
+    return {
+        f"float-{shape}": perturb_to_no(make_yes_instance(n, *shape, seed=seed), 0.1, seed + 1).inst
+        for n, shape, seed in cases
+    }
+
+
+class TestRecheckMutations:
+    """Every NO of the golden file in exact mode, and float NOs of both
+    certificate kinds: the certificate passes its ``recheck``, and every
+    tampered copy of it (``_mutations``) fails it."""
+
+    def test_tampered_certificates_fail(self):
+        golden = json.loads(GOLDEN.read_text())
+        cases = [(name, inst) for name, inst in golden_cases() if golden[name]["certificate"]]
+        cases += list(_float_nos().items())
+        kinds = set()
+        for name, inst in cases:
+            cert = solve_general(inst).certificate
+            _, left, right = decision_letters(inst)
+            assert cert.recheck(left, right, 1e-8), name
+            for what, tampered in _mutations(cert, (left, right)).items():
+                assert not tampered.recheck(left, right, 1e-8), (name, what)
+            kinds.add((left[0].mode, type(cert).__name__))
+        assert len(cases) == 19 + 3  # the golden NOs and the float ones
+        assert kinds == {
+            (mode, kind)
+            for mode in ("exact", "float")
+            for kind in ("DependencyCertificate", "TraceCertificate")
+        }
+
+
+def _reference_letters(inst):
+    """The letters of an exact instance's default decision by plain Matrix
+    arithmetic: its scale 2^-e, e the least with every squared norm at most
+    4^e, and [A, A*] of each scaled pair of a pure-S1 instance, else the
+    parts of T* L T (``TestRealLetters._product_form``)."""
+    mats = [m for _, _, a, b in inst.pairs() for m in (a, b)]
+    top, e = max(m.norm_fro_sq() for m in mats), 0
+    while top > 4**e:
+        e += 1
+    scale = Fraction(1, 2**e)
+    families = [[(a.scale(scale), b.scale(scale)) for a, b in inst.family(s)] for s in (1, 2, 3, 4)]
+    scaled = ProblemInstance(inst.n, *families)
+    if inst.counts[1:] == (0, 0, 0):
+        return scale, tuple(
+            [m for pair in scaled.S1 for m in (pair[side], pair[side].adjoint())] for side in (0, 1)
+        )
+    return scale, test_engines.TestRealLetters._product_form(scaled)
+
+
+class TestIntegerLetters:
+    """An exact decision carries its letters as Gaussian integers over one
+    D from its input on (``engines._decision``): divided by D they are the
+    scaled instance's letters formed by Matrix products, and D is the lcm
+    of those letters' denominators, as clearing them would give it."""
+
+    @staticmethod
+    def _cases():
+        cases = golden_cases()
+        rng = np.random.default_rng(4242)
+        for n in (1, 2, 3):
+            for shape in ROADMAP_SHAPES + [(2, 0, 0, 0)]:
+                perturb = bool(rng.integers(2))
+                inst = _exact_instance(rng, n, shape, int(rng.integers(2)), perturb)
+                cases.append((f"{shape}n{n}", inst))
+        return cases
+
+    def test_integer_letters_are_the_product_letters(self):
+        for name, inst in self._cases():
+            scale, (denom, ints) = engines._decision(inst)
+            want_scale, reference = _reference_letters(inst)
+            assert scale == want_scale, name
+            entries = [e for side in reference for m in side for e in m.data.flat]
+            assert ints.shape[2] == (2 if any(e.im for e in entries) else 1), name
+            assert denom == math.lcm(*(x.denominator for e in entries for x in (e.re, e.im)))
+            got = gaussian_rationals(denom, ints)
+            for side, want in zip(got, reference):
+                assert [Matrix(x, "exact") for x in side] == list(want), name
+
+    def test_exact_yes_builds_no_gaussian_rational(self, monkeypatch):
+        """An exact S3 YES at n = 1 through ``solve_general``, from the
+        cleared input to the integer intertwiner, constructs no
+        ``GaussianRational``; ``decision_letters``, which divides by D,
+        does."""
+        inst = dict(golden_cases())["S3n1yes0"]
+        made = []
+        init, raw = GR.__init__, GR._raw.__func__
+
+        def counted_init(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        def counted_raw(cls, *args):
+            made.append(args)
+            return raw(cls, *args)
+
+        monkeypatch.setattr(GR, "__init__", counted_init)
+        monkeypatch.setattr(GR, "_raw", classmethod(counted_raw))
+        v = solve_general(inst)
+        assert v.equivalent and v.dimension is None
+        assert not made
+        decision_letters(inst)
+        assert made
+
+
+def _k_gadget_x():
+    return Matrix.from_rational(
+        [[GR(Fraction(2, 3)), GR(Fraction(-3, 2))], [GR(5, -2), GR(Fraction(-4, 5))]]
+    )
+
+
+class TestLiftFallback:
+    """The integer intertwiner is lifted from its residues mod one prime
+    when its entries are small.  The S2 YES of ``givens_pair(n)`` and the
+    K-gadget YES of a 2-by-2 pair (X, X^T) have larger ones, so their lifts
+    join the residues mod several primes of ``span_primes``; each answers
+    Equivalent with no span, and no fraction-free solve is left."""
+
+    CASES = {
+        "givens3": lambda: solve_general(givens_pair(3)),
+        "givens4": lambda: solve_general(givens_pair(4)),
+        "givens5": lambda: solve_general(givens_pair(5)),
+        "k-gadget": lambda: unitarily_congruent(
+            _k_gadget_x(), _k_gadget_x().transpose(), use_k_gadget=True
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_large_entries_lift_over_several_primes(self, monkeypatch, case):
         seen = spy_solves(monkeypatch)
-        v = solve_general(givens_pair(3))
+        monkeypatch.setattr(engines, "_span_verdict", _no_span)
+        v = self.CASES[case]()
         assert v.equivalent and v.dimension is None
         assert "dimension" not in v.to_json()
-        assert seen[:2] == ["_lifted", "integer_nullspace"]
-        assert seen.count("integer_nullspace") == 1
+        primes = [k for name, k in seen if name == "_lifted"]
+        assert primes[0] == 1 and max(primes) > 1, seen
+        assert seen[-1][0] == "integer_det" and seen[-1][1] != 0
+        assert not hasattr(engines, "integer_nullspace")
+
+
+def _no_span(spans):
+    raise AssertionError("a span was built")
 
 
 class TestBlockInvariance:

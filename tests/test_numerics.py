@@ -27,7 +27,6 @@ from unieq.numerics import (
     gaussian_residues,
     independent_rows_mod_p,
     integer_det,
-    integer_nullspace,
     intertwiner_operator,
     nullspace,
     power_traces_differ_mod_p,
@@ -362,31 +361,34 @@ class TestIntegerKernels:
                     assert power_traces_differ_mod_p(pairs)
                     assert power_traces_differ_mod_p(pairs[:, 1:])
 
-    def test_independent_rows_and_integer_nullspace(self, rng):
+    def test_independent_rows_span_every_row(self, rng):
+        second = list(itertools.islice(span_primes(), 2))[1][0]
         for cols in (3, 5, 8):
             for rank in range(cols):
                 rows = rng.integers(-3, 4, (rank, cols)) @ rng.integers(-3, 4, (cols, cols))
                 rows[:, 0] = 0  # a zero column, so that a pivot is skipped
                 stacked = np.concatenate([rows, rows[::-1] * 2])
-                kept = independent_rows_mod_p(stacked.astype(object))
                 r = np.linalg.matrix_rank(rows)
-                assert kept is not None and len(kept[0]) == r
-                taken, reduced, pivots = kept
-                basis = integer_nullspace(stacked[taken])
-                assert len(basis) == cols - r
-                for v in basis:
-                    assert not (rows.astype(object) @ v).any()
-                    # the reduced rows span the rows mod p
-                    assert not (reduced @ (v % PRIME) % PRIME).any()
-                # reduced row echelon form: 1 at its pivot, 0 before it and at
-                # the other pivots, so the free columns are those of the
-                # column-order elimination of integer_nullspace
-                assert np.array_equal(reduced[:, pivots], np.identity(r, dtype=np.int64))
-                for row, c in zip(reduced, pivots):
-                    assert not row[:c].any()
-                free = [c for c in range(cols) if c not in pivots]
-                for v, c in zip(basis, free):
-                    assert [e for e in v[free]] == [v[c] if f == c else 0 for f in free]
+                for p in (PRIME, second):
+                    kept = independent_rows_mod_p(stacked.astype(object), p)
+                    assert kept is not None and len(kept[0]) == r
+                    taken, reduced, pivots = kept
+                    if p == PRIME:
+                        first = taken, pivots
+                    assert (taken, pivots) == first  # no minor of these rows is 0 mod p
+                    # reduced row echelon form: 1 at its pivot, 0 before it
+                    # and at the other pivots
+                    assert np.array_equal(reduced[:, pivots], np.identity(r, dtype=np.int64))
+                    for row, c in zip(reduced, pivots):
+                        assert not row[:c].any()
+                    # one vector per free column, 1 there and 0 at the other
+                    # free columns, vanishes on every row mod p: the reduced
+                    # rows span the rows mod p
+                    for f in (c for c in range(cols) if c not in pivots):
+                        v = np.zeros(cols, dtype=object)
+                        v[f] = 1
+                        v[pivots] = [-x for x in reduced[:, f].tolist()]
+                        assert not (stacked.astype(object) @ v % p).any()
             full = rng.integers(-3, 4, (cols + 1, cols))
             if np.linalg.matrix_rank(full) == cols:
                 assert independent_rows_mod_p(full) is None
