@@ -37,9 +37,10 @@ Two interchangeable engines decide unitary similarity of a pair:
   Else the rows that rank step reduced mod the prime give, for up to
   three fixed values of the free unknowns, the others mod the prime, and
   rational reconstruction lifts them to R; when that lift fails or its R
-  misses a letter, the same rows reduced mod more primes join it by the
-  Chinese remainder theorem.  An R that maps every letter exactly and
-  has a nonzero determinant answers Equivalent with no span.
+  misses a letter, the same rows reduced on the same pivots mod more
+  primes join it by the Chinese remainder theorem, until an R maps every
+  letter or two lifts in a row agree.  An R that maps every letter
+  exactly and has a nonzero determinant answers Equivalent with no span.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
@@ -54,8 +55,9 @@ and its span read as it is; ``decision_letters`` gives rechecks views of it.
 Exact letters are Gaussian integers over one denominator D from the input
 on (``_Cleared``): the input's denominators are cleared once, and the
 scaling and the letter build work on its integers, so no Gaussian
-rational is made on the way; the brute walk and ``decision_letters``
-divide by D once (``_values``).
+rational is made on the way; the brute walk, the fast path and
+``decision_letters`` divide by D once (``_values``).  The gadget routes
+build Gaussian-rational letters, which the closure clears if it gets them.
 """
 
 from __future__ import annotations
@@ -317,8 +319,9 @@ class _Cleared(NamedTuple):
 
 
 def _values(letters):
-    """The letters as one array (2, a, N, N): float letters as they are,
-    cleared ones as Gaussian rationals, divided by their D once."""
+    """The letters as one array (2, a, N, N): float and Gaussian-rational
+    letters as they are, cleared ones as Gaussian rationals, divided by
+    their D once."""
     return gaussian_rationals(*letters) if isinstance(letters, _Cleared) else letters
 
 
@@ -539,9 +542,6 @@ def _aligned_intertwiner(letters, tol: float):
 # and with no pattern such as t^j, which over the standard basis of a full
 # matrix space gives a rank-one R
 _DRAWS = (2, 3, 5)
-# most primes whose residues one lift joins, for R's entries of up to about
-# 90 bits; the Givens S2 YES at n = 3-5 and the 2x2 K-gadget YES need 2
-_LIFT_PRIMES = 8
 
 
 def _real_system(ints):
@@ -600,16 +600,35 @@ def _mapping(vec, ints):
     return None if d.any() else r
 
 
-def _reductions(ints, taken, pivots):
-    """``(p, reduced)`` for each prime p of ``span_primes`` but ``PRIME``
-    mod which the equations ``taken`` of ``_real_system(ints)`` reduce to
-    rows with the given pivots (``independent_rows_mod_p``)."""
+def _same(vec, last) -> bool:
+    """Whether two lifts, over one set of primes and over it and one more,
+    are one vector.  Then it is, but for a rare coincidence, the rational
+    solution of the rows lifted, and if it misses a letter, those rows,
+    independent mod ``PRIME``, do not span the equations over Q: ``PRIME``
+    divides a minor, and no more primes give a lift that maps every
+    letter.  A coincidence only leaves the decision to the span."""
+    return vec is not None and last is not None and (vec == last).all()
+
+
+def _reductions(ints, taken, pivots, free):
+    """``(p, reduced)`` for the primes p but ``PRIME`` of ``span_primes``:
+    the equations ``taken`` of ``_real_system(ints)`` mod p in reduced row
+    echelon form on the columns ``pivots``, row j 1 at pivots[j], as
+    ``_lifted`` reads them.  With those columns put first, column-order
+    elimination (``independent_rows_mod_p``) pivots on them unless their
+    minor vanishes mod p, and such a p is skipped.  The minor is nonzero
+    mod ``PRIME``, so over the integers, and only its prime factors are
+    skipped, whatever pivots the rows would take mod p."""
+    k, order = len(pivots), pivots + free
     for p, _ in span_primes():
-        if p != PRIME:
-            rows = _real_system(np.asarray(ints % p, dtype=np.int64))[taken]
-            _, reduced, at = independent_rows_mod_p(rows, p)
-            if at == pivots:
-                yield p, reduced
+        if p == PRIME:
+            continue
+        rows = _real_system(np.asarray(ints % p, dtype=np.int64))[taken][:, order]
+        _, echelon, at = independent_rows_mod_p(rows, p)
+        if sorted(at) == list(range(k)):  # each pivot among the first k
+            reduced = np.empty_like(echelon)
+            reduced[np.ix_(at, order)] = echelon
+            yield p, reduced
 
 
 def _integer_intertwiner(ints, image):
@@ -643,12 +662,15 @@ def _integer_intertwiner(ints, image):
        unknowns are read mod p off the reduced rows and lifted by rational
        reconstruction (``_lifted``).  When the lift fails or its R does not
        map every letter, which happens when R's entries pass sqrt(p / 2),
-       the same rows are reduced mod the next primes of ``span_primes``
-       (``_reductions``; a prime whose pivots differ is skipped), one more
-       each time, up to ``_LIFT_PRIMES`` in all, and the lift runs modulo
-       their product.  The first R that maps every letter exactly and whose
-       determinant, of [[X, -Y], [Y, X]] over complex letters, is nonzero
-       (``integer_det``) is returned.
+       the same rows are reduced on the same pivots mod the next primes of
+       ``span_primes`` (``_reductions``), one more each time, and the lift
+       runs modulo their product.  Once the modulus passes twice the square
+       of the solution's numerators and denominators, two lifts in a row
+       agree (``_same``); if they miss a letter, the rows kept do not span
+       the equations over Q, and the answer is None.  A later draw starts
+       from as many primes as the last one ended with.  The first R that
+       maps every letter exactly and whose determinant, of [[X, -Y], [Y,
+       X]] over complex letters, is nonzero (``integer_det``) is returned.
     """
     if power_traces_differ_mod_p(image):
         return None
@@ -659,23 +681,30 @@ def _integer_intertwiner(ints, image):
         return None
     taken, reduced, pivots = kept
     free = sorted(set(range(reduced.shape[1])) - set(pivots))
-    reductions, more = [(PRIME, reduced)], _reductions(ints, taken, pivots)
+    reductions, more = [(PRIME, reduced)], _reductions(ints, taken, pivots, free)
+    count = 1  # primes joined; a later draw starts where the last one ended
     for t in _DRAWS if len(free) > 1 else _DRAWS[:1]:
         values = [pow(t, (j + 1) ** 2, 1009) for j in range(len(free))]
-        r = None
-        for count in range(1, _LIFT_PRIMES + 1):
-            if count > len(reductions):  # skips only primes dividing a minor
-                reductions.append(next(more))
+        last = None
+        while True:
             vec = _lifted(reductions[:count], pivots, free, values)
+            if _same(vec, last):
+                return None
             r = None if vec is None else _mapping(vec, ints)
             if r is not None:
                 break
-        if r is not None:
-            square = r[0]
-            if len(r) == 2:  # R = X + iY as the real [[X, -Y], [Y, X]]
-                square = np.vstack([np.hstack([r[0], -r[1]]), np.hstack([r[1], r[0]])])
-            if integer_det(square):
-                return r
+            last = vec
+            if count == len(reductions):
+                step = next(more, None)
+                if step is None:
+                    return None
+                reductions.append(step)
+            count += 1
+        square = r[0]
+        if len(r) == 2:  # R = X + iY as the real [[X, -Y], [Y, X]]
+            square = np.vstack([np.hstack([r[0], -r[1]]), np.hstack([r[1], r[0]])])
+        if integer_det(square):
+            return r
     return None
 
 
@@ -1105,8 +1134,9 @@ def _span_verdict(spans) -> Verdict:
 
 def _closure_verdict(letters, tol) -> Verdict:
     """Span the algebras generated by the two sides' letters, stacked (2,
-    a, N, N), in lockstep: exact over Gaussian integers over one D, as
-    ``_Cleared`` letters (``_ModularSpan``), else in floats
+    a, N, N), in lockstep: exact over Gaussian integers over one D
+    (``_ModularSpan``), from ``_Cleared`` letters or from Gaussian-rational
+    ones, as the gadget routes build them, cleared here, else in floats
     (``_MappedSpan``), real when no letter has an imaginary part, else
     complex.
 
@@ -1124,7 +1154,7 @@ def _closure_verdict(letters, tol) -> Verdict:
     TraceCertificate).
 
     Float letters are first handed to ``_aligned_intertwiner``, and exact
-    letters, as they come, to ``_integer_intertwiner``: if either finds an
+    letters, cleared, to ``_integer_intertwiner``: if either finds an
     intertwiner, the verdict is Equivalent with no span built, so its
     ``dimension`` is None.  Both can only answer Equivalent, and otherwise
     the span decides as above.  The exact span runs mod a prime and checks
@@ -1133,6 +1163,8 @@ def _closure_verdict(letters, tol) -> Verdict:
     intertwiner search, so the letters' residues mod it are built once for
     both.
     """
+    if isinstance(letters, np.ndarray) and letters.dtype == object:
+        letters = _Cleared(*clear_denominators(letters))  # a gadget's letters
     if not isinstance(letters, _Cleared):
         if np.iscomplexobj(letters) and not letters.imag.any():
             letters = np.ascontiguousarray(letters.real)  # a real algebra
@@ -1258,22 +1290,12 @@ def _pairs_letters(stack):
     n, n)."""
     letters = np.empty((2, 2 * stack.shape[1]) + stack.shape[2:], dtype=stack.dtype)
     letters[:, 0::2] = stack
-    if stack.dtype == object:
+    if stack.ndim == 5:  # Gaussian integers, one axis for the parts
         letters[:, 1::2] = stack.swapaxes(-1, -2)
         letters[:, 1::2, 1:] *= -1  # the imaginary parts, if any
     else:
         letters[:, 1::2] = np.conj(stack).swapaxes(-1, -2)
     return letters
-
-
-def _pairs_of(pairs):
-    """The letters [A, A*] of matrix pairs, such as gadget pairs: float, or
-    exact and cleared of their denominators once."""
-    stack = stack_pairs(pairs)
-    if stack.dtype != object:
-        return _pairs_letters(stack)
-    denom, ints = clear_denominators(stack)
-    return _Cleared(denom, _pairs_letters(ints))
 
 
 def simultaneously_unitarily_similar(
@@ -1317,7 +1339,7 @@ def _pairs(letters, engine, tol, budget, max_length) -> Verdict:
         ga, gb = build_similarity_gadget(pairs, letters.shape[-1])
         length = floor_length_bound(ga.M.rows) if max_length is None else max_length
         # exponent cap k - 1: the gadgets are nilpotent of index k
-        gadget_letters = _pairs_of([(ga.M, gb.M)])
+        gadget_letters = _pairs_letters(stack_pairs([(ga.M, gb.M)]))
         inner = _brute(gadget_letters, length, ga.layout.k - 1, tol, budget)
         return _finish(inner, t0, "pairs:gadget")
     return _finish(_closure_verdict(letters, tol), t0, "pairs:closure")
@@ -1356,10 +1378,11 @@ def unitarily_congruent(
     builds the 4n-by-4n nilpotent gadgets and tests their unitary
     similarity with word exponents capped at 3.  In exact mode that
     route's YES is quick, since the exact intertwiner search settles it
-    with no span (0.09 s for a 2-by-2 Gaussian-rational pair (X, X^T)), but
-    a NO still fills a 64-dimensional span on the 8-by-8 gadgets: about 2
-    s, nearly all of it the exact solve of its certificate, against at most
-    0.02 s on the default route (single calls on a 2-core machine).
+    with no span, lifted mod two primes (about 8 ms for a 2-by-2
+    Gaussian-rational pair (X, X^T)), but a NO still fills a 64-dimensional
+    span on the 8-by-8 gadgets: about 2 s, nearly all of it the exact solve
+    of its certificate, against at most 0.02 s on the default route (single
+    calls on a 2-core machine).
     """
     t0 = time.perf_counter()
     _check_pair(A, B)
@@ -1378,13 +1401,13 @@ def _congruent(A, B, engine, tol, budget, max_length, use_k_gadget) -> Verdict:
     t0 = time.perf_counter()
     if use_k_gadget:
         ka, kb = build_congruence_K(A), build_congruence_K(B)
-        letters = _pairs_of([(ka, kb)])
+        letters = _pairs_letters(stack_pairs([(ka, kb)]))
         inner = _similar(letters, engine, tol, budget, max_length, max_exponent=3)
         return _finish(inner, t0, "congruence:K")
     triple = congruence_triple(A, B)
     if _nonsingular(A) or _nonsingular(B):
         triple = triple[:2]  # A or B nonsingular: the first two pairs suffice
-    letters = _pairs_of(triple)
+    letters = _pairs_letters(stack_pairs(triple))
     inner = _pairs(letters, engine, tol, budget, max_length)
     return _finish(inner, t0, "congruence:triple")
 

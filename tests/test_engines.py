@@ -1,7 +1,7 @@
 import gc
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -1017,8 +1017,10 @@ class TestIntegerIntertwiner:
 
     def test_draws_are_checked_exactly(self, monkeypatch):
         """Rows that miss some equation, as a rank drop mod p would leave,
-        give a nullspace of non-intertwiners; the exact check refuses every
-        lift of every draw, from one prime up to ``_LIFT_PRIMES``."""
+        give a nullspace of non-intertwiners: the exact check refuses the
+        first draw's lifts until two in a row agree, here over two and three
+        primes (the one row's solution has numerators past sqrt(PRIME /
+        2)); then no number of primes helps, and the span answers."""
         inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, True)
         inner = engines.independent_rows_mod_p
 
@@ -1032,13 +1034,12 @@ class TestIntegerIntertwiner:
         seen = spy_solves(monkeypatch)
         v = solve_general(inst)
         assert not v.equivalent and v.dimension is not None
-        primes = range(1, engines._LIFT_PRIMES + 1)
-        assert seen == [("_lifted", k) for k in primes] * len(engines._DRAWS)
+        assert seen == [("_lifted", 1), ("_lifted", 2), ("_lifted", 3)]
 
     def test_wrong_lift_is_refused_and_the_span_answers(self, monkeypatch):
-        """A lift that returns a vector off the nullspace, from any number
-        of primes: the exact check refuses each, and the span answers as it
-        does with the search switched off."""
+        """A lift that returns a vector off the nullspace: the exact check
+        refuses it, the lift over a second prime is the same vector, and the
+        span answers as it does with the search switched off."""
         inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, False)
         right = _step_off(monkeypatch, lambda: solve_general(inst))
         inner = engines._lifted
@@ -1047,7 +1048,39 @@ class TestIntegerIntertwiner:
         v = solve_general(inst)
         assert v.equivalent and v.dimension == right.dimension == 16
         assert v.to_json() | {"elapsed_s": 0} == right.to_json() | {"elapsed_s": 0}
-        assert seen == [("_lifted", k) for k in range(1, engines._LIFT_PRIMES + 1)]
+        assert seen == [("_lifted", 1), ("_lifted", 2)]
+
+    def test_an_entry_equal_to_the_prime(self, monkeypatch):
+        """A = [[1, PRIME], [0, 2]] against itself.  Mod ``PRIME`` A is
+        diagonal, so its equations keep two rows, pivoting on the entries
+        r12 and r21 of R; over Q only scalars commute with A and A*, and
+        mod any other prime the second row pivots on r11.  The other primes
+        still reduce the rows on PRIME's pivots (``_reductions``); the lifts
+        miss a letter until two in a row agree, and the span answers."""
+        a = Matrix.from_rational([[GR(1), GR(engines.PRIME)], [GR(0), GR(2)]])
+        _, letters = engines._decision(ProblemInstance(2, [(a, a)]))
+        rows = engines._real_system(letters.ints)
+        taken, _, pivots = independent_rows_mod_p(rows)
+        assert pivots == [1, 2]
+        free = [0, 3]
+        for p, reduced in islice(engines._reductions(letters.ints, taken, pivots, free), 3):
+            assert independent_rows_mod_p(rows[taken], p)[2] == [1, 0]
+            assert (reduced[:, pivots] == np.identity(2, dtype=np.int64)).all()
+            assert (rows[taken] % p == rows[taken][:, pivots] @ reduced % p).all()
+        seen = spy_solves(monkeypatch)
+        for v in (
+            algebra_closure(a, a),
+            unitarily_similar(a, a, engine="closure"),
+            solve_general(ProblemInstance(2, [], [(a, a)])),
+        ):
+            assert v.equivalent
+        assert seen[:4] == [("_lifted", k) for k in (1, 2, 3, 4)]
+        # I mod PRIME: no equation is kept, and the lifts over one and two
+        # primes agree at once
+        seen.clear()
+        j = Matrix.from_rational([[GR(1), GR(engines.PRIME)], [GR(0), GR(1)]])
+        assert algebra_closure(j, j).equivalent
+        assert seen == [("_lifted", 1), ("_lifted", 2)]
 
     def test_lift_gives_the_nullspace_draw(self, monkeypatch):
         """On every YES of a small grid the lift succeeds from one prime,

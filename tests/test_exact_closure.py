@@ -144,8 +144,8 @@ def givens_pair(n, bump=False):
     """An S2 pair (U B U^T, B) for U = ``givens_unitary(n)`` and B with
     Gaussian-integer entries of parts in [-5, 5]; ``bump`` adds 1/2 to
     A[0, 0], its NO twin.  The integer intertwiner of its letters has
-    entries too large to lift from their residues, so the search takes its
-    fraction-free solve."""
+    entries too large to lift from their residues mod one prime, so the
+    search lifts it mod two primes of ``span_primes``."""
     rng = np.random.default_rng(0)
     b = Matrix.from_rational(
         [[GR(int(rng.integers(-5, 6)), int(rng.integers(-5, 6))) for _ in range(n)]
