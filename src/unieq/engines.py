@@ -20,10 +20,11 @@ Two interchangeable engines decide unitary similarity of a pair:
   (``_MappedSpan``), real when the letters are, and, in exact mode, row
   reduction over the integers mod a prime of the Gaussian-integer letters
   (``_ModularSpan``), with exact Gaussian-integer arithmetic only for the
-  verdict, which is checked exactly and run again mod the next prime if
-  the check contradicts it.  Verdicts, certificate words and dimensions
-  are those of taking words one at a time, and in exact mode those of
-  exact elimination.  Before a float span is built, one eigenbasis
+  verdict: its coordinates are lifted p-adically from the span's own
+  inverse mod p and checked exactly, and the span runs again mod the next
+  prime if the check contradicts them.  Verdicts, certificate words and
+  dimensions are those of taking words one at a time, and in exact mode
+  those of exact elimination.  Before a float span is built, one eigenbasis
   alignment of the letters looks for a unitary intertwiner
   (``_aligned_intertwiner``): the eigenvectors of one complex Hermitian
   combination of each side's letters, real letters included, matched up
@@ -78,7 +79,6 @@ from .numerics import (
     GaussianRational,
     Matrix,
     as_matrices,
-    bareiss_solve,
     clear_denominators,
     common_scale,
     gaussian_matmul,
@@ -88,6 +88,7 @@ from .numerics import (
     independent_rows_mod_p,
     integer_det,
     intertwiner_operator,
+    inverse_mod_p,
     power_traces_differ_mod_p,
     rational_reconstruction,
     scale_exponent,
@@ -852,45 +853,54 @@ class _MappedSpan:
 
 
 _SIDES = np.arange(2)[:, None]  # indexes axis 0 beside per-side indices
+_ZERO = GaussianRational(0)
 
 
 class _Unconfirmed(Exception):
-    """An exact check contradicted the span mod p: the prime is bad for
-    this instance."""
+    """An exact check contradicted the span mod p, or p divides a minor the
+    check needs: the prime is bad for this instance."""
 
 
-def _solved(basis, targets, cols):
-    """Exact coordinates of the Gaussian-integer vectors ``targets`` over
-    the ``basis`` vectors, both stacked (vectors, parts, entries) in the
-    parts layout of ``clear_denominators``, read off the entries ``cols``
-    alone, on which the basis has a nonsingular minor M: ``(nums, det)``,
-    coordinate k of target t being (nums[k, 0, t] + i nums[k, 1, t]) / det.
-    Over complex parts the unknowns are each coordinate's real and
-    imaginary part, and the equations each column's, a real minor of
-    determinant |det M|^2 (``bareiss_solve``)."""
-    d, parts = basis.shape[:2]
-    m = basis[:, :, cols]
-    if parts == 1:
-        a = m[:, 0].T
-    else:
-        re, im = m[:, 0].T, m[:, 1].T
-        a = np.empty((2 * d, 2 * d), dtype=object)
-        a[0::2, 0::2], a[0::2, 1::2] = re, -im
-        a[1::2, 0::2], a[1::2, 1::2] = im, re
-    b = targets[:, :, cols].transpose(2, 1, 0).reshape(parts * d, len(targets))
-    nums, det = bareiss_solve(a.tolist(), b.tolist())
-    return np.array(nums, dtype=object).reshape(d, parts, len(targets)), det
+def _combined(coords, basis):
+    """sum_k coords_k basis_k over the Gaussian integers, one combination
+    per row of ``coords`` (t, parts, vectors) of the ``basis`` (..., vectors,
+    parts, entries): (..., t, parts, entries)."""
+    xr, yr = coords[:, 0], basis[..., 0, :]
+    if basis.shape[-2] == 1:
+        return (xr @ yr)[..., None, :]
+    xi, yi = coords[:, 1], basis[..., 1, :]
+    return np.stack([xr @ yr - xi @ yi, xr @ yi + xi @ yr], axis=-2)
 
 
-def _combined(nums, basis):
-    """sum_k nums_k basis_k over the Gaussian integers, one combination per
-    column of ``nums`` (vectors, parts, t) of the ``basis`` (vectors, parts,
-    entries): (t, parts, entries)."""
-    xr, yr = nums[:, 0].T, basis[:, 0]
-    if basis.shape[1] == 1:
-        return (xr @ yr)[:, None]
-    xi, yi = nums[:, 1].T, basis[:, 1]
-    return np.stack([xr @ yr - xi @ yi, xr @ yi + xi @ yr], axis=1)
+def _reconstructed(residues, q: int):
+    """The rationals whose residues mod q are ``residues`` (t, parts,
+    vectors), by ``rational_reconstruction``, each row over one common
+    denominator: ``(nums, dens)``, ``nums`` an object array shaped as
+    ``residues``; None if an entry has no lift.  Each residue is multiplied
+    by its row's denominator so far before it is lifted, so later entries
+    mostly lift with denominator 1, and every lift is right once q passes
+    twice the product of a bound on the row's numerators over their common
+    denominator and a bound on that denominator."""
+    nums, dens = [], []
+    for row in residues.reshape(len(residues), -1).tolist():
+        den, out = 1, []
+        for u in row:
+            lift = rational_reconstruction(u * den % q, q)
+            if lift is None:
+                return None
+            a, b = lift
+            if b > 1:
+                out = [x * b for x in out]
+                den *= b
+            out.append(a)
+        nums.append(out)
+        dens.append(den)
+    return np.array(nums, dtype=object).reshape(residues.shape), dens
+
+
+def _norm_bits(rows):
+    """The bit lengths of the squared Euclidean norms of integer rows."""
+    return [sum(e * e for e in row).bit_length() for row in rows.tolist()]
 
 
 class _ModularSpan:
@@ -904,15 +914,18 @@ class _ModularSpan:
     no trace equality), and reduced mod p with i -> a square root of -1 mod
     p.  That is a ring map, so a word's residues are the products of its
     letters', one stacked int64 matmul per block of up to ``_BLOCK`` words.
-    Each side keeps its [self | other] rows, a word's vector joined to its
-    mirror, the other side's, in reduced echelon form mod p: 1 at its own
-    pivot column and 0 at every other row's.  A block is then reduced by
-    one product, x - x[pivots] B, against the rows as the block started,
-    and ``reduce`` clears from each word, in order, the rows added earlier
-    in its block.  A word depends on a side's rows when its self half is
-    zero, and its dependency transfers when its mirror half is zero too.
-    Complex letters need no i x rows: the residues span the image of the
-    words' complex span, so the dimension is the number of basis words.
+    Each side keeps its [self | other | T] rows in reduced echelon form mod
+    p: a word's vector joined to its mirror, the other side's, and to T,
+    its combination of the basis words' residues, 1 at its own pivot column
+    and 0 at every other row's.  So T is the inverse mod p of the basis'
+    minor on the pivot columns.  A block is then reduced by one product, x -
+    x[pivots] B, against the rows as the block started, and ``reduce``
+    clears from each word, in order, the rows added earlier in its block.  A
+    word depends on a side's rows when its self half is zero, its
+    coordinates mod p are then minus its T part, and its dependency
+    transfers when its mirror half is zero too.  Complex letters need no i
+    x rows: the residues span the image of the words' complex span, so the
+    dimension is the number of basis words.
 
     A residue or a minor that is nonzero mod p is nonzero over the
     Gaussian integers, so rows independent mod p are independent over
@@ -922,17 +935,19 @@ class _ModularSpan:
     the words involved, built along their prefix tree from the cleared
     letters and each divided by its joint content g, with nu = nu_parent g
     / D, so nu times a product is the word's value (no basis word has
-    content 0, for its residues are not all 0):
+    content 0, for its residues are not all 0).  Exact coordinates come
+    from the ones mod p, and ``_transferred`` accepts them only if they
+    give the word exactly on their side:
 
     * ``mismatch``: the coefficients of the first word dependent on a side
-      whose mirror half is not zero solve the pivot columns that the span
-      chose (``_solved``), and the combination must give the word exactly
-      on the dependent side and miss it on the other.
+      whose mirror half is not zero must give the word exactly on the
+      dependent side and miss it on the other.  Over real letters they are
+      first lifted from their residues alone, which needs the exact
+      products of only the words they use.
     * ``trace_mismatch``: the basis words' traces are compared exactly;
-      when all agree, every child of the basis must have the same
-      coordinates on both sides, from one exact solve against the left
-      pivot block, which proves both spans closed under the letters and
-      every dependency transferred.
+      when all agree, every child of the basis that is not a basis word
+      must have the same coordinates on both sides, which proves both spans
+      closed under the letters and every dependency transferred.
 
     An exact check that contradicts the span raises ``_Unconfirmed``, and
     the closure runs the span again mod the next prime.  With a good prime
@@ -944,16 +959,17 @@ class _ModularSpan:
 
     tol = None  # exact: verdicts carry no tolerance
 
-    def __init__(self, ints, denom, residues, p: int):
+    def __init__(self, ints, denom, residues, p: int, root: int):
         n = ints.shape[-1]
-        self.ints, self.denom, self.p = ints, denom, p
+        self.ints, self.denom, self.p, self.root = ints, denom, p, root
         self.dim, self.d = n * n, 0
         self.letters = residues
         self.eye = np.broadcast_to(np.eye(n, dtype=np.int64), (2, 1, n, n))
         self.prods = residues[:, :0]  # each basis word's residues
-        self.rows = np.empty((2, 0, 2 * self.dim), dtype=np.int64)
+        self.rows = np.empty((2, 0, 3 * self.dim), dtype=np.int64)
         self.pivots = np.empty((2, 0), dtype=np.int64)
         self.sources = []  # each basis word's (parent, letter)
+        self._exacts = None  # the basis words' exact products, once built
 
     def project(self, origin):
         """Start a block: the residues of the entries ``origin``, each
@@ -969,8 +985,9 @@ class _ModularSpan:
         self.prods = _grown(self.prods, d + b, dim)
         self.rows = _grown(self.rows, d + b, dim)
         self.pivots = _grown(self.pivots, d + b, dim)
-        v = block.reshape(2, b, dim)
-        x = np.concatenate((v, v[::-1]), axis=2)  # [self | other]
+        x = np.zeros((2, b, 3 * dim), dtype=np.int64)  # [self | other | T]
+        x[:, :, :dim] = block.reshape(2, b, dim)
+        x[:, :, dim : 2 * dim] = x[::-1, :, :dim]
         if d:  # x[pivots] B, the gather (2, d, words) transposed
             at = x[_SIDES, :, self.pivots[:, :d]].transpose(0, 2, 1)
             x = (x - at @ self.rows[:, :d]) % p
@@ -990,10 +1007,12 @@ class _ModularSpan:
         return [not x[0, : self.dim].any(), not x[1, : self.dim].any()]
 
     def add(self, j: int):
-        """Add row j on both sides: scaled to 1 at its first nonzero entry,
-        its pivot, which is cleared from the other rows."""
+        """Add row j on both sides as basis word d, 1 in its T part: scaled
+        to 1 at its first nonzero entry, its pivot, which is cleared from
+        the other rows."""
         p, d = self.p, self.d
         x = self._x[:, j]
+        x[:, 2 * self.dim + d] = 1
         c = (x[:, : self.dim] != 0).argmax(axis=1)
         inv = [pow(int(x[s, c[s]]), -1, p) for s in (0, 1)]
         row = x * np.array(inv)[:, None] % p
@@ -1006,72 +1025,185 @@ class _ModularSpan:
         self.sources.append(self._origin[j])
         self.d = d + 1
 
-    def _exact(self, sources):
-        """The exact products of the words ``sources``, each ``(parent,
-        letter)`` with the parent an earlier index, or None for the empty
-        word, stacked (2, words, parts, n * n) and each divided by its joint
-        content g, with their nu = nu_parent g / D."""
-        ints, parts, n = self.ints, self.ints.shape[2], self.ints.shape[-1]
-        prods = np.empty((2, len(sources), parts, n, n), dtype=object)
-        nus = []
-        for w, source in enumerate(sources):
-            if source is None:
-                prods[:, w] = 0
-                prods[:, w, 0] = np.eye(n, dtype=object)
-                nus.append(Fraction(1))
-                continue
-            parent, k = source
-            gaussian_matmul(prods[:, parent], ints[:, k], prods[:, w])
-            g = math.gcd(*prods[:, w].flat)
-            if g > 1:  # g = 0 only for a child of the basis that vanishes
-                prods[:, w] //= g
-            nus.append(Fraction(nus[parent] * g, self.denom))
-        return prods.reshape(2, len(sources), parts, self.dim), nus
+    def _child(self, source):
+        """The exact product of the word ``source``, ``(parent, letter)``
+        with its parent's built, or None for the empty word, (2, parts, n,
+        n), divided by its joint content g; its nu = nu_parent g / D; and G
+        mod p, the product of the contents g along the word, so that G times
+        the product is the word's residues."""
+        parts, n = self.ints.shape[2], self.ints.shape[-1]
+        prod = np.zeros((2, parts, n, n), dtype=object)
+        if source is None:
+            prod[:, 0] = np.eye(n, dtype=object)
+            return prod, Fraction(1), 1
+        parent, k = source
+        prods, nus, contents = self._exacts
+        gaussian_matmul(prods[:, parent], self.ints[:, k], prod)
+        g = math.gcd(*prod.flat)
+        if g > 1:  # g = 0 only for a child of the basis that vanishes
+            prod //= g
+        return prod, Fraction(nus[parent] * g, self.denom), contents[parent] * g % self.p
 
-    def _transferred(self, prods, side: int):
-        """The exact coordinates ``(nums, det)`` (``_solved``) of the words
-        after the basis in ``prods`` over the basis words on ``side``, from
-        that side's pivot columns, and det times each word minus the same
-        combination on the other side; ``_Unconfirmed`` unless the
-        combination gives each word exactly on ``side``."""
-        d, own, other = self.d, prods[side], prods[1 - side]
-        nums, det = _solved(own[:d], own[d:], self.pivots[side, :d].tolist())
-        if (_combined(nums, own[:d]) != det * own[d:]).any():
-            raise _Unconfirmed("a word independent of the basis looked dependent")
-        return nums, det, det * other[d:] - _combined(nums, other[:d])
+    def _exact(self, words):
+        """Build the exact products (``_child``) of the basis words
+        ``words`` and of their prefixes, those not built yet.  They are
+        built only once the basis is final."""
+        if self._exacts is None:
+            shape = (2, self.d) + self.ints.shape[2:]
+            self._exacts = np.empty(shape, dtype=object), [None] * self.d, [0] * self.d
+        prods, nus, contents = self._exacts
+        todo = set()
+        for k in words:
+            while k not in todo and nus[k] is None:
+                todo.add(k)
+                if self.sources[k] is None:
+                    break
+                k = self.sources[k][0]
+        for k in sorted(todo):
+            prods[:, k], nus[k], contents[k] = self._child(self.sources[k])
+
+    def _coordinates(self, side, targets):
+        """The exact coordinates ``(nums, dens)`` (``_reconstructed``) of
+        the Gaussian-integer vectors ``targets`` (2, t, parts, dim) over all
+        basis words on ``side``, built here, and what they miss on the other
+        side (``_transferred``).  They solve the minor M of the words'
+        products on that side's pivot columns, lifted p-adically (Dixon,
+        *Numer. Math.* 40, 1982) and reconstructed at 1, 2, 4, ... digits
+        until they give the targets exactly on ``side``.  M^-1 mod p, with i
+        -> the root, is that side's T times each word's G.  A real M is its
+        own image with i -> -root; else that image's inverse takes one
+        elimination mod p, and ``_Unconfirmed`` if -i makes M singular mod
+        p.  Past the Hadamard bound the reconstruction is M's solution, so
+        if it still misses a target, that target is independent of the
+        basis: ``_Unconfirmed``."""
+        p, d, parts = self.p, self.d, targets.shape[2]
+        words = list(range(d))
+        self._exact(words)
+        pivots = self.pivots[side, :d]
+        minor = self._exacts[0][side].reshape(d, parts, self.dim)[:, :, pivots]
+        t = self.rows[side, :d, 2 * self.dim : 2 * self.dim + d]
+        inverses = [t * np.array(self._exacts[2], dtype=np.int64) % p]
+        if parts == 2 and minor[:, 1].any():
+            minus = ((minor[:, 0] - self.root * minor[:, 1]) % p).astype(np.int64)
+            inverses.append(inverse_mod_p(minus, p))
+            if inverses[1] is None:
+                raise _Unconfirmed("the pivot minor is singular mod p at -i")
+        goal = targets[side][:, :, pivots]
+        lifted, q, bound = 0, 1, None
+        for k, digit in enumerate(self._digits(goal, minor, inverses), 1):
+            lifted, q = lifted + q * digit, q * p
+            if k & (k - 1) == 0:
+                found = _reconstructed(lifted, q)
+                if found is not None:
+                    missed = self._transferred(side, words, *found, targets)
+                    if missed is not None:
+                        return (*found, missed)
+                if bound is None:
+                    # Cramer: numerators over the common denominator
+                    # |det M|^parts are at most H^parts |target|, H the
+                    # product of M's row norms
+                    norms = _norm_bits(goal.reshape(len(goal), -1))
+                    bound = parts * sum(_norm_bits(minor.reshape(d, -1))) + max(norms) // 2 + 3
+                if q.bit_length() > bound:
+                    raise _Unconfirmed("a word independent of the basis looked dependent")
+
+    def _digits(self, residual, minor, inverses):
+        """The p-adic digits of the solution c of c M = ``residual`` (t,
+        parts, d), M the pivot ``minor``: each the residual times M^-1 mod
+        p, from M's ``inverses`` mod p, one, of a real M, for each part, or
+        those with i -> root and i -> -root, whose half sum and half
+        difference over the root are the real and imaginary parts.  The
+        residual goes on as (residual - digit M) / p, an exact product made
+        only when the next digit is asked for."""
+        p, root = self.p, self.root
+        half = (p + 1) // 2
+        over_root = half * pow(root, -1, p) % p
+        while True:
+            if len(inverses) == 1:
+                digit = (residual % p).astype(np.int64) @ inverses[0] % p
+            else:
+                re = (residual[:, 0] % p).astype(np.int64)
+                im = (residual[:, 1] % p).astype(np.int64)
+                plus = (re + root * im) % p @ inverses[0] % p
+                minus = (re - root * im) % p @ inverses[1] % p
+                parts = (plus + minus) * half % p, (plus - minus) % p * over_root % p
+                digit = np.stack(parts, axis=1)
+            digit = digit.astype(object)
+            yield digit
+            residual = (residual - _combined(digit, minor)) // p
+
+    def _transferred(self, side, words, nums, dens, targets):
+        """Each of ``targets`` (2, t, parts, dim) on the other side times
+        its den, minus the same combination ``nums`` (t, parts, words) of
+        the basis words ``words``, built; None unless the combination gives
+        each target times its den exactly on ``side``."""
+        dim, parts = self.dim, targets.shape[2]
+        prods = self._exacts[0][:, words].reshape(2, len(words), parts, dim)
+        missed = np.array(dens, dtype=object)[:, None, None] * targets - _combined(nums, prods)
+        return None if missed[side].any() else missed[1 - side]
 
     def mismatch(self, j: int, side: int):
         """None if row j's mirror half is zero; else the exact certificate:
         its coefficients over the basis words and its residual, the
         Frobenius norm of the defect on the other side, both times the
-        words' nu."""
-        if not self._x[side, j, self.dim :].any():
+        words' nu.  Over real letters the coefficients are first
+        reconstructed from their residues mod p alone, each word's residue
+        coordinate times its G over the row's G, and only the words with a
+        nonzero one, and their prefixes, are built; if they miss the row,
+        every basis word is built and the coordinates are lifted."""
+        p, d, dim = self.p, self.d, self.dim
+        x = self._x[side, j]
+        if not x[dim : 2 * dim].any():
             return None
-        prods, nus = self._exact(self.sources + [self._origin[j]])
-        nums, det, missed = self._transferred(prods, side)
+        source, parts = self._origin[j], self.ints.shape[2]
+        coords = -x[2 * dim : 2 * dim + d] % p
+        words = np.flatnonzero(coords).tolist() if parts == 1 else list(range(d))
+        self._exact(words + [source[0]])
+        target, nu, g = self._child(source)
+        targets, missed = target.reshape(2, 1, parts, dim), None
+        if parts == 1:  # one digit over the words used
+            contents = np.array([self._exacts[2][k] for k in words], dtype=np.int64)
+            first = coords[words] * contents % p * pow(g, -1, p) % p
+            found = _reconstructed(first.reshape(1, 1, -1), p)
+            if found is not None:
+                nums, dens = found
+                missed = self._transferred(side, words, nums, dens, targets)
+        if missed is None:
+            words = list(range(d))
+            nums, dens, missed = self._coordinates(side, targets)
         if not missed.any():
             raise _Unconfirmed("a dependency that transfers looked as if it failed")
-        resid = math.sqrt(Fraction(sum(e * e for e in missed.flat), det * det))
-        nu, numerators = nus[-1], nums[:, :, 0].tolist()  # (re, im) per word
-        coeffs = [GaussianRational(*(Fraction(c, det) for c in x)) for x in numerators]
-        return tuple(nu * c / b for c, b in zip(coeffs, nus)), float(nu * resid)
+        # the residual from its exact square nu^2 |e|^2 / den^2, rounded
+        # once: |e| / den alone can pass the float range when nu is small
+        squares = nu.numerator**2 * sum(e * e for e in missed.flat)
+        resid = math.sqrt(squares / (nu.denominator * dens[0]) ** 2)
+        coeffs, nus = [_ZERO] * d, self._exacts[1]
+        ims = nums[0, 1] if parts == 2 else [0] * len(words)
+        for k, re, im in zip(words, nums[0, 0].tolist(), list(ims)):
+            a, b = nu.numerator * nus[k].denominator, dens[0] * nu.denominator * nus[k].numerator
+            coeffs[k] = GaussianRational._raw(re * a, im * a, b)
+        return tuple(coeffs), resid
 
     def trace_mismatch(self):
         """The first basis index whose exact traces differ, with both traces
         times its nu as Gaussian rationals.  None if every basis word's are
         equal and every child of the basis has the same coordinates on both
         sides."""
-        d, n = self.d, self.ints.shape[-1]
-        prods, nus = self._exact(self.sources)
+        d, parts, n = self.d, self.ints.shape[2], self.ints.shape[-1]
+        self._exact(range(d))
+        prods, nus, _ = self._exacts
         diagonal = range(0, self.dim, n + 1)
-        tl, tr = prods[:, :, :, diagonal].sum(axis=-1).tolist()
+        tl, tr = prods.reshape(2, d, parts, self.dim)[..., diagonal].sum(axis=-1).tolist()
         i = next((i for i in range(d) if tl[i] != tr[i]), None)
         if i is not None:
             nu = nus[i]
             return i, tuple(GaussianRational(*(nu * part for part in t[i])) for t in (tl, tr))
-        a = self.ints.shape[1]
-        prods, _ = self._exact(self.sources + [(k, x) for k in range(d) for x in range(a)])
-        if self._transferred(prods, 0)[2].any():
+        basis = set(self.sources)
+        children = [(k, x) for k in range(d) for x in range(self.ints.shape[1])]
+        children = [c for c in children if c not in basis]
+        targets = np.stack([self._child(c)[0] for c in children], axis=1)
+        targets = targets.reshape(2, len(children), parts, self.dim)
+        if self._coordinates(0, targets)[2].any():
             raise _Unconfirmed("a child of the basis failed to transfer")
         return None
 
@@ -1158,10 +1290,12 @@ def _closure_verdict(letters, tol) -> Verdict:
     intertwiner, the verdict is Equivalent with no span built, so its
     ``dimension`` is None.  Both can only answer Equivalent, and otherwise
     the span decides as above.  The exact span runs mod a prime and checks
-    its verdict exactly; when that check contradicts it, it runs again mod
-    the next prime of ``span_primes``, whose first is the ``PRIME`` of the
-    intertwiner search, so the letters' residues mod it are built once for
-    both.
+    its verdict exactly, on coordinates lifted p-adically from its own
+    inverse mod p; when that check contradicts it, or the prime divides a
+    minor the lift needs, it runs again mod the next prime of
+    ``span_primes``, with that prime's square root of -1.  The first is
+    the ``PRIME`` of the intertwiner search, so the letters' residues mod
+    it are built once for both.
     """
     if isinstance(letters, np.ndarray) and letters.dtype == object:
         letters = _Cleared(*clear_denominators(letters))  # a gadget's letters
@@ -1178,7 +1312,7 @@ def _closure_verdict(letters, tol) -> Verdict:
     for p, root in span_primes():
         residues = image if p == PRIME else gaussian_residues(ints, p, root)
         try:
-            return _span_verdict(_ModularSpan(ints, denom, residues, p))
+            return _span_verdict(_ModularSpan(ints, denom, residues, p, root))
         except _Unconfirmed:
             pass  # p is bad for these letters: the next prime
 
@@ -1380,9 +1514,9 @@ def unitarily_congruent(
     route's YES is quick, since the exact intertwiner search settles it
     with no span, lifted mod two primes (about 8 ms for a 2-by-2
     Gaussian-rational pair (X, X^T)), but a NO still fills a 64-dimensional
-    span on the 8-by-8 gadgets: about 2 s, nearly all of it the exact solve
-    of its certificate, against at most 0.02 s on the default route (single
-    calls on a 2-core machine).
+    span on the 8-by-8 gadgets: about 0.25 s, nine tenths of it the p-adic
+    lift of its certificate, against at most 0.02 s on the default route
+    (single calls on a 2-core machine).
     """
     t0 = time.perf_counter()
     _check_pair(A, B)

@@ -653,6 +653,20 @@ def independent_rows_mod_p(rows, p: int = PRIME):
     return taken, w[m : m + len(pivots)] % p, pivots
 
 
+def inverse_mod_p(m, p: int):
+    """The inverse mod the prime p (at most ``PRIME``) of the square int64
+    matrix m, None if m is singular mod p: the reduced rows of [m | I]
+    (``independent_rows_mod_p``) are [P | P m^-1] for a permutation P when
+    every pivot falls in m."""
+    d = len(m)
+    _, reduced, pivots = independent_rows_mod_p(np.hstack([m, np.eye(d, dtype=np.int64)]), p)
+    if max(pivots) >= d:
+        return None
+    inverse = np.empty_like(reduced[:, d:])
+    inverse[pivots] = reduced[:, d:]
+    return inverse
+
+
 def rational_reconstruction(u: int, m: int):
     """The fraction a / b = u mod m with |a|, b <= sqrt(m / 2), as ``(a, b)``
     with b > 0 and gcd(a, b) = 1; None if there is none.  Such a fraction
@@ -671,46 +685,23 @@ def rational_reconstruction(u: int, m: int):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _bareiss(m, r: int):
-    """Fraction-free forward elimination of the first r columns of the
-    integer rows m, in place (Bareiss 1968): the determinant of their
-    leading r-by-r block, 0 if it is singular."""
-    prev, sign = 1, 1
-    for k in range(r):
-        swap = next((i for i in range(k, r) if m[i][k]), None)
+def integer_det(a):
+    """The determinant of a square integer matrix, by fraction-free
+    elimination (Bareiss 1968)."""
+    m, prev, sign = [list(row) for row in a], 1, 1
+    for k in range(len(m)):
+        swap = next((i for i in range(k, len(m)) if m[i][k]), None)
         if swap is None:
             return 0
         if swap != k:
             m[k], m[swap], sign = m[swap], m[k], -sign
         pk = m[k][k]
-        for i in range(k + 1, r):
-            mi, f = m[i], m[i][k]
+        for mi in m[k + 1 :]:
+            f = mi[k]
             for c in range(k + 1, len(mi)):
                 mi[c] = (mi[c] * pk - f * m[k][c]) // prev
         prev = pk
     return sign * prev
-
-
-def integer_det(a):
-    """The determinant of a square integer matrix, by ``_bareiss``."""
-    return _bareiss([list(row) for row in a], len(a))
-
-
-def bareiss_solve(a, b):
-    """Solve the nonsingular integer system a c = b by fraction-free
-    elimination (``_bareiss``), for every column of b (a list of rows) in
-    the one elimination: ``(numerators, det)`` with c = numerators / det,
-    the numerators shaped as b."""
-    m = [list(row) + list(rhs) for row, rhs in zip(a, b)]
-    r = len(m)
-    det, nums = _bareiss(m, r), [None] * r
-    for i in range(r - 1, -1, -1):
-        row = m[i]
-        nums[i] = [
-            (det * row[k] - sum(row[c] * nums[c][k - r] for c in range(i + 1, r))) // row[i]
-            for k in range(r, len(row))
-        ]
-    return nums, det
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from unieq import engines, words
-from unieq.numerics import bareiss_solve, independent_rows_mod_p
+from unieq.numerics import independent_rows_mod_p
 from unieq import (
     DEDUP_CYCLIC_STAR,
     BudgetExceededError,
@@ -941,6 +941,20 @@ def _refuse(*args):
     raise AssertionError("the intertwiner search went past its exit")
 
 
+def _fraction_solve(a, b):
+    """The solution x of the nonsingular integer system a x = b, by
+    Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(int(e)) for e in row] + [Fraction(int(r))] for row, r in zip(a, b)]
+    for k in range(len(m)):
+        s = next(i for i in range(k, len(m)) if m[i][k])
+        m[k], m[s] = m[s], m[k]
+        m[k] = [e / m[k][k] for e in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][k]:
+                m[i] = [e - m[i][k] * f for e, f in zip(m[i], m[k])]
+    return [row[-1] for row in m]
+
+
 def spy_solves(monkeypatch):
     """Spy on the lifts of the intertwiner search's reduced rows
     (``_lifted``), recorded by name with the number of primes they join,
@@ -1085,7 +1099,7 @@ class TestIntegerIntertwiner:
     def test_lift_gives_the_nullspace_draw(self, monkeypatch):
         """On every YES of a small grid the lift succeeds from one prime,
         and its R is the exact solution of the kept equations with the free
-        unknowns fixed to the first draw (``bareiss_solve`` on the pivot
+        unknowns fixed to the first draw (``_fraction_solve`` on the pivot
         columns) times a positive factor."""
         search, lifts = engines._integer_intertwiner, []
 
@@ -1110,16 +1124,12 @@ class TestIntegerIntertwiner:
             free = [c for c in range(rows.shape[1]) if c not in pivots]
             values = [pow(2, (j + 1) ** 2, 1009) for j in range(len(free))]
             kept = rows[taken]
-            nums, det = bareiss_solve(
-                kept[:, pivots].tolist(), (-(kept[:, free] @ values))[:, None].tolist()
-            )
             solved = np.zeros(rows.shape[1], dtype=object)
-            solved[free] = [det * c for c in values]
-            solved[pivots] = [x for (x,) in nums]
-            solved *= 1 if det > 0 else -1  # free entries positive multiples of the draw
+            solved[free] = values
+            solved[pivots] = _fraction_solve(kept[:, pivots], -(kept[:, free] @ values))
             lifted = r.swapaxes(1, 2).ravel()  # vec R, column-major per part
             k = next(i for i, e in enumerate(solved) if e)
-            factor = Fraction(int(solved[k]), int(lifted[k]))
+            factor = Fraction(solved[k]) / int(lifted[k])
             assert factor > 0 and (lifted * factor == solved).all()
 
     def test_spectrum_exit_skips_the_nullspace(self, monkeypatch):

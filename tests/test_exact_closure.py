@@ -4,9 +4,11 @@ that denominator clearing and content division must get right.
 ``tests/data/exact_verdicts.json`` holds the verdict JSON (without
 ``elapsed_s``) of a fixed set of Gaussian-rational instances: one pair of
 S1, S2, S3 or S4 at n = 1 and 2 with an exact unitary witness (YES), the
-same with 1/2 added to one entry of A (NO), two S1 pairs at n = 3, and
-one S2 pair at n = 3 whose intertwiner is too large to lift from its
-residues (``givens_pair``), with its NO twin.
+same with 1/2 added to one entry of A (NO), two S1 pairs at n = 3, one
+S2 pair at n = 3 whose intertwiner is too large to lift from its
+residues (``givens_pair``), with its NO twin, and two hard NOs whose
+certificates need many p-adic digits or a large span: the twin at n = 4
+and ``hard_no(3, 5)``.
 Regenerate it with ``PYTHONPATH=src python tests/test_exact_closure.py``
 only when a verdict is meant to change.
 """
@@ -39,7 +41,7 @@ from unieq import (
     solve_general,
     unitarily_congruent,
 )
-from unieq.numerics import gaussian_rationals, span_primes
+from unieq.numerics import PRIME, gaussian_rationals, span_primes
 
 import test_engines
 from conftest import rat_matrix
@@ -123,16 +125,17 @@ _ROTATIONS = (
 )
 
 
-def givens_unitary(n):
-    """diag(1, i, -1, -i, ...) times 2n Givens rotations, the k-th on the
-    coordinates j = k mod (n - 1) and j + 1, with (c, s) taken cyclically
-    from ``_ROTATIONS``: a Gaussian-rational unitary whose denominators,
-    and so the cleared letters' entries, grow with n."""
+def givens_unitary(n, extra=0):
+    """diag(1, i, -1, -i, ...) times 2n + ``extra`` Givens rotations, the
+    k-th on the coordinates j = k mod (n - 1) and j + 1, with (c, s) taken
+    cyclically from ``_ROTATIONS``: a Gaussian-rational unitary whose
+    denominators, and so the cleared letters' entries, grow with n and
+    with the rotations."""
     phases = (GR(1), GR(0, 1), GR(-1), GR(0, -1))
     u = Matrix.from_rational(
         [[phases[i % 4] if i == j else GR(0) for j in range(n)] for i in range(n)]
     )
-    for k in range(2 * n):
+    for k in range(2 * n + extra):
         (c, s), j = _ROTATIONS[k % 3], k % (n - 1)
         g = np.array([[GR(int(a == b)) for b in range(n)] for a in range(n)], dtype=object)
         g[j : j + 2, j : j + 2] = [[c, -s.conjugate()], [s, c.conjugate()]]
@@ -140,9 +143,9 @@ def givens_unitary(n):
     return u
 
 
-def givens_pair(n, bump=False):
-    """An S2 pair (U B U^T, B) for U = ``givens_unitary(n)`` and B with
-    Gaussian-integer entries of parts in [-5, 5]; ``bump`` adds 1/2 to
+def givens_pair(n, bump=False, extra=0):
+    """An S2 pair (U B U^T, B) for U = ``givens_unitary(n, extra)`` and B
+    with Gaussian-integer entries of parts in [-5, 5]; ``bump`` adds 1/2 to
     A[0, 0], its NO twin.  The integer intertwiner of its letters has
     entries too large to lift from their residues mod one prime, so the
     search lifts it mod two primes of ``span_primes``."""
@@ -151,7 +154,7 @@ def givens_pair(n, bump=False):
         [[GR(int(rng.integers(-5, 6)), int(rng.integers(-5, 6))) for _ in range(n)]
          for _ in range(n)]
     )
-    a = _relation(2, givens_unitary(n))(b)
+    a = _relation(2, givens_unitary(n, extra))(b)
     return _family(n, 2, [(_bumped(a) if bump else a, b)])
 
 
@@ -177,6 +180,8 @@ def golden_cases():
         cases.append((f"S1n3pairs-no{k}", _family(3, 1, pairs)))
     cases.append(("S2n3givens-yes", givens_pair(3)))
     cases.append(("S2n3givens-no", givens_pair(3, bump=True)))
+    cases.append(("S2n4givens-no", givens_pair(4, bump=True)))
+    cases.append(("S3n5hard-no", hard_no(3, 5)))
     return cases
 
 
@@ -387,16 +392,40 @@ class TestHardNotEquivalent:
         assert v.certificate.recheck(left, right, 1e-8)
 
     def test_k_gadget(self):
-        x = Matrix.from_rational(
-            [[GR(Fraction(2, 3)), GR(Fraction(-3, 2))], [GR(5, -2), GR(Fraction(-4, 5))]]
-        )
-        y = Matrix.from_rational([[GR(1, 1), GR(Fraction(1, 2))], [GR(3), GR(0, 2)]])
-        v = unitarily_congruent(x, y, use_k_gadget=True)
+        v, (left, right) = k_gadget_no()
         assert not v.equivalent and v.dimension == 64
         assert str(v.certificate.word) == "s^2 t^2 s t"
-        _, (xs, ys) = common_scale([x, y])
-        ka, kb = build_congruence_K(xs), build_congruence_K(ys)
-        assert v.certificate.recheck([ka, ka.adjoint()], [kb, kb.adjoint()], 1e-8)
+        assert v.certificate.recheck(left, right, 1e-8)
+
+    @pytest.mark.parametrize("n, extra", [(2, 60), (3, 48)])
+    def test_residual_of_large_entries(self, n, extra):
+        """Letters with entries of hundreds of bits: the defect over the
+        words' common denominator passes the float range although its
+        value, the residual, does not, so the residual is rounded once from
+        its exact square."""
+        inst = givens_pair(n, bump=True, extra=extra)
+        v = solve_general(inst)
+        assert not v.equivalent
+        cert = v.certificate
+        _, left, right = decision_letters(inst)
+        assert cert.recheck(left, right, 1e-8)
+        other = right if cert.side == "left" else left
+        defect = eval_word(cert.word, other)
+        for w, c in zip(cert.basis_words, cert.coefficients):
+            defect = defect - eval_word(w, other).scale(c)
+        assert cert.residual == math.sqrt(defect.norm_fro_sq()) > 0
+
+
+def k_gadget_no():
+    """The 2-by-2 K-gadget congruence NO of ``_k_gadget_x()`` and a pair
+    with Gaussian-rational entries, decided, and its recheck letters [K,
+    K*] of each scaled side."""
+    x = _k_gadget_x()
+    y = Matrix.from_rational([[GR(1, 1), GR(Fraction(1, 2))], [GR(3), GR(0, 2)]])
+    v = unitarily_congruent(x, y, use_k_gadget=True)
+    _, (xs, ys) = common_scale([x, y])
+    ka, kb = build_congruence_K(xs), build_congruence_K(ys)
+    return v, ([ka, ka.adjoint()], [kb, kb.adjoint()])
 
 
 def _mutations(cert, letters):
@@ -443,23 +472,31 @@ def _float_nos():
 
 
 class TestRecheckMutations:
-    """Every NO of the golden file in exact mode, and float NOs of both
+    """Every NO of the golden file in exact mode, the hard exact NOs (the
+    other ``hard_no`` ones and the K-gadget NO), and float NOs of both
     certificate kinds: the certificate passes its ``recheck``, and every
     tampered copy of it (``_mutations``) fails it."""
+
+    @staticmethod
+    def _decided(inst):
+        _, left, right = decision_letters(inst)
+        return solve_general(inst), (left, right)
 
     def test_tampered_certificates_fail(self):
         golden = json.loads(GOLDEN.read_text())
         cases = [(name, inst) for name, inst in golden_cases() if golden[name]["certificate"]]
+        cases += [(f"S{s}n{n}hard", hard_no(s, n)) for s, n in ((2, 4), (3, 4), (2, 5))]
         cases += list(_float_nos().items())
+        decided = [(name, *self._decided(inst)) for name, inst in cases]
+        decided.append(("k-gadget", *k_gadget_no()))
         kinds = set()
-        for name, inst in cases:
-            cert = solve_general(inst).certificate
-            _, left, right = decision_letters(inst)
+        for name, v, (left, right) in decided:
+            cert = v.certificate
             assert cert.recheck(left, right, 1e-8), name
             for what, tampered in _mutations(cert, (left, right)).items():
                 assert not tampered.recheck(left, right, 1e-8), (name, what)
             kinds.add((left[0].mode, type(cert).__name__))
-        assert len(cases) == 19 + 3  # the golden NOs and the float ones
+        assert len(decided) == 21 + 4 + 3  # the golden NOs, the hard and the float ones
         assert kinds == {
             (mode, kind)
             for mode in ("exact", "float")
@@ -605,6 +642,104 @@ class TestBlockInvariance:
         assert sum(doc.get("dimension", 0) >= 16 for doc in blocked.values()) >= 10
 
 
+def _digits(q, p=PRIME):
+    """k for q = p^k."""
+    k = 0
+    while q > 1:
+        q, k = q // p, k + 1
+    return k
+
+
+def spy_lifts(monkeypatch):
+    """Spy on the exact span's coordinate lifts: the modulus p^k of every
+    reconstruction (``engines._reconstructed``), and the number of exact
+    products built (``_ModularSpan._child``), recorded by name."""
+    seen = {"moduli": [], "built": 0}
+    reconstructed, child = engines._reconstructed, engines._ModularSpan._child
+
+    def spy_reconstructed(residues, q):
+        seen["moduli"].append(q)
+        return reconstructed(residues, q)
+
+    def spy_child(self, source):
+        seen["built"] += 1
+        return child(self, source)
+
+    monkeypatch.setattr(engines, "_reconstructed", spy_reconstructed)
+    monkeypatch.setattr(engines._ModularSpan, "_child", spy_child)
+    return seen
+
+
+class TestLift:
+    """The exact span's certificate coefficients are its coordinates mod p
+    (minus the T part of the dependent word's row), reconstructed from one
+    digit over the words they use, else lifted p-adically over the whole
+    basis (``_ModularSpan._coordinates``); the golden file pins the
+    results."""
+
+    def test_one_digit_builds_only_the_words_used(self, monkeypatch):
+        """S2n2no0: one digit, and fewer exact products than basis words;
+        S2n2no1, whose coefficients have 20-bit numerators, two digits over
+        the whole basis."""
+        cases = dict(golden_cases())
+        seen = spy_lifts(monkeypatch)
+        v = solve_general(cases["S2n2no0"])
+        assert seen["moduli"] == [PRIME] and seen["built"] < v.dimension
+        seen["moduli"].clear()
+        solve_general(cases["S2n2no1"])
+        assert seen["moduli"] == [PRIME, PRIME, PRIME**2]
+
+    @pytest.mark.parametrize(
+        "name, bits, digits", [("S2n3givens-no", 251, 32), ("S2n4givens-no", 1862, 256)]
+    )
+    def test_large_coefficients_take_many_digits(self, monkeypatch, name, bits, digits):
+        seen = spy_lifts(monkeypatch)
+        v = solve_general(dict(golden_cases())[name])
+        coeffs = v.certificate.coefficients
+        top = max(x.bit_length() for c in coeffs for x in (c.re.numerator, c.re.denominator))
+        assert top == bits and _digits(max(seen["moduli"])) == digits
+
+    def test_unchecked_lift_moves_on_to_the_next_prime(self, monkeypatch):
+        """Products patched mod the first prime, so that no lift there
+        gives the word: the lift goes on past the Hadamard bound, raises
+        ``_Unconfirmed``, and the next prime gives the golden verdict."""
+        child, drawn = engines._ModularSpan._child, []
+
+        def patched(self, source):
+            drawn.append(self.p)
+            prod, nu, g = child(self, source)
+            if self.p == PRIME and source is not None:
+                prod = prod.copy()
+                prod[0, 0, 0, 0] += 1
+            return prod, nu, g
+
+        monkeypatch.setattr(engines._ModularSpan, "_child", patched)
+        seen = spy_lifts(monkeypatch)
+        golden = json.loads(GOLDEN.read_text())
+        for name in ("S2n2no1", "S4n2no0", "S1n3pairs-no0"):
+            drawn.clear()
+            doc = _verdict_doc(dict(golden_cases())[name])
+            assert doc == golden[name], name
+            assert drawn[0] == PRIME and drawn[-1] != PRIME, name
+        assert _digits(max(seen["moduli"])) > 2
+
+    def test_minor_singular_at_minus_i_moves_on(self, monkeypatch):
+        """Over complex letters the lift also needs the pivot minor's
+        inverse with i -> -root.  A prime that makes it singular (faked
+        mod the first prime) raises ``_Unconfirmed``, and the next prime
+        gives the golden verdict."""
+        inverse, primes = engines.inverse_mod_p, []
+
+        def singular(m, p):
+            primes.append(p)
+            return None if p == PRIME else inverse(m, p)
+
+        monkeypatch.setattr(engines, "inverse_mod_p", singular)
+        golden = json.loads(GOLDEN.read_text())
+        assert _verdict_doc(dict(golden_cases())["S1n3pairs-no0"]) == golden["S1n3pairs-no0"]
+        assert primes[0] == PRIME and primes[-1] != PRIME
+
+
 class TestBadPrimes:
     """Mod a small prime many words independent over Q(i) look dependent and
     many nonzero defects vanish.  The exact checks of the verdict catch every
@@ -634,6 +769,33 @@ class TestBadPrimes:
                 assert v.certificate.recheck(left, right, 1e-8), name
         assert drawn and all(d[0] == start[0] for d in drawn)
         assert any(len(d) > 1 for d in drawn)  # some check sent the span on
+
+    def test_small_primes_lift_many_digits_and_zero_residues(self, monkeypatch):
+        """Mod 5 and 13 the lifts take many digits, and some certificate
+        coefficient is 0 mod p but not 0, so the one-digit candidate over
+        the words it uses misses and the whole basis is lifted."""
+        transferred, lifts = engines._ModularSpan._transferred, []
+
+        def spy(self, side, words, nums, dens, targets):
+            missed = transferred(self, side, words, nums, dens, targets)
+            if missed is not None:
+                lifts.append((self.p, len(words) == self.d, nums.ravel().tolist()))
+            return missed
+
+        monkeypatch.setattr(engines._ModularSpan, "_transferred", spy)
+        seen = spy_lifts(monkeypatch)
+        for p, root in ((5, 2), (13, 5)):
+            monkeypatch.setattr(
+                engines, "span_primes", lambda s=(p, root): itertools.chain([s], span_primes())
+            )
+            seen["moduli"].clear()
+            lifts.clear()
+            for name, inst in golden_cases():
+                solve_general(inst)
+            assert max(_digits(q, p) for q in seen["moduli"] if q % p == 0) > 1
+            assert any(
+                full and any(x and x % q == 0 for x in nums) for q, full, nums in lifts if q == p
+            ), p
 
 
 if __name__ == "__main__":

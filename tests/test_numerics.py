@@ -20,13 +20,13 @@ from unieq import (
 from unieq.numerics import (
     PRIME,
     SQRT_MINUS_ONE,
-    bareiss_solve,
     clear_denominators,
     exact_nullspace,
     gaussian_matmul,
     gaussian_residues,
     independent_rows_mod_p,
     integer_det,
+    inverse_mod_p,
     intertwiner_operator,
     nullspace,
     power_traces_differ_mod_p,
@@ -287,30 +287,20 @@ class TestIntegerKernels:
             )
             assert got == want
 
-    def test_bareiss_solve_matches_fractions(self, rng):
-        assert bareiss_solve([[3]], [[2]]) == ([[2]], 3)
-        for r in (2, 3, 5):
-            while True:
-                a = rng.integers(-4, 5, (r, r)).tolist()
-                a[0][0] = 0  # the first column needs a row swap
-                if Matrix.from_rational(a).det():
-                    break
-            b = rng.integers(-9, 10, (r, 1)).tolist()
-            nums, det = bareiss_solve(a, b)
-            c = [Fraction(v, det) for (v,) in nums]
-            for row, (rhs,) in zip(a, b):
-                assert sum(x * y for x, y in zip(row, c)) == rhs
-
-
-    def test_bareiss_solve_takes_several_right_hand_sides(self, rng):
-        a = [[0, 2, 1], [3, 1, -1], [1, -2, 4]]
-        b = rng.integers(-9, 10, (3, 4)).tolist()
-        nums, det = bareiss_solve(a, b)
-        for k in range(4):  # column k solves as it does alone
-            one, one_det = bareiss_solve(a, [[row[k]] for row in b])
-            assert [Fraction(row[k], det) for row in nums] == [
-                Fraction(v, one_det) for (v,) in one
-            ]
+    def test_inverse_mod_p(self, rng):
+        for p in (5, 13, PRIME):
+            for d in (1, 2, 4, 7):
+                m = rng.integers(0, p, (d, d)).astype(np.int64)
+                inverse = inverse_mod_p(m, p)
+                det = Matrix.from_rational(m.tolist()).det()
+                if det.re.numerator % p == 0:
+                    assert inverse is None
+                    continue
+                assert ((m @ inverse) % p == np.eye(d, dtype=np.int64)).all()
+                assert ((inverse @ m) % p == np.eye(d, dtype=np.int64)).all()
+        singular = np.array([[1, 2], [2, 4]], dtype=np.int64)
+        assert inverse_mod_p(singular, PRIME) is None
+        assert inverse_mod_p(np.array([[1, 2], [2, 9]], dtype=np.int64), 5) is None
 
     def test_span_primes(self):
         primes = [p for p, _ in itertools.islice(span_primes(), 6)]
