@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "decide through the paper's gadget and its 4n-by-4n K gadget "
             "instead of the real 2n letters; slower in exact mode, where a NO "
             "on one 2x2 pair fills a 64-dimensional span of the K gadget and "
-            "takes about 0.25 s (a YES about 8 ms)"
+            "takes about 0.1 s (a YES about 8 ms)"
         ),
     )
 

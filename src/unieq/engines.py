@@ -853,7 +853,6 @@ class _MappedSpan:
 
 
 _SIDES = np.arange(2)[:, None]  # indexes axis 0 beside per-side indices
-_ZERO = GaussianRational(0)
 
 
 class _Unconfirmed(Exception):
@@ -872,30 +871,58 @@ def _combined(coords, basis):
     return np.stack([xr @ yr - xi @ yi, xr @ yi + xi @ yr], axis=-2)
 
 
+def _limbs(m, shift: int):
+    """The integers of the object array m as int64 arrays, m = sum_j
+    limbs[j] 2^(shift j): limb j is shift bits of |m| from bit shift j on,
+    with m's sign."""
+    mag, sign = np.abs(m), np.where(m < 0, -1, 1)
+    top, mask = int(mag.max()).bit_length(), (1 << shift) - 1
+    return [sign * (mag >> s & mask).astype(np.int64) for s in range(0, max(top, 1), shift)]
+
+
+def _limb_combined(coords, limbs, shift: int):
+    """``_combined`` of the int64 ``coords`` with the integers whose
+    ``_limbs`` are ``limbs``, one int64 product per limb, as Python
+    integers; exact when no limb's product passes 2^63."""
+    out = 0
+    for limb in reversed(limbs):
+        out = (out << shift) + _combined(coords, limb).astype(object)
+    return out
+
+
 def _reconstructed(residues, q: int):
     """The rationals whose residues mod q are ``residues`` (t, parts,
     vectors), by ``rational_reconstruction``, each row over one common
-    denominator: ``(nums, dens)``, ``nums`` an object array shaped as
-    ``residues``; None if an entry has no lift.  Each residue is multiplied
-    by its row's denominator so far before it is lifted, so later entries
-    mostly lift with denominator 1, and every lift is right once q passes
-    twice the product of a bound on the row's numerators over their common
-    denominator and a bound on that denominator."""
-    nums, dens = [], []
+    denominator, for the rows before the first in which an entry has no
+    lift: ``(nums, dens)``, ``nums`` an object array (rows, parts, vectors)
+    and ``dens`` one of Python integers.  Each residue is multiplied by its
+    row's denominator so far before it is lifted, so later entries mostly
+    lift with denominator 1, as the integer within the bound they are
+    congruent to, and every lift is right once q passes twice the product
+    of a bound on the row's numerators over their common denominator and a
+    bound on that denominator."""
+    nums, dens, bound = [], [], math.isqrt((q - 1) // 2)
     for row in residues.reshape(len(residues), -1).tolist():
         den, out = 1, []
         for u in row:
-            lift = rational_reconstruction(u * den % q, q)
+            v = u * den % q
+            if min(v, q - v) <= bound:  # rational_reconstruction's (v, 1)
+                out.append(v if v <= bound else v - q)
+                continue
+            lift = rational_reconstruction(v, q)
             if lift is None:
-                return None
+                break
             a, b = lift
             if b > 1:
                 out = [x * b for x in out]
                 den *= b
             out.append(a)
+        if len(out) < len(row):
+            break
         nums.append(out)
         dens.append(den)
-    return np.array(nums, dtype=object).reshape(residues.shape), dens
+    shape = (len(nums),) + residues.shape[1:]
+    return np.array(nums, dtype=object).reshape(shape), np.array(dens, dtype=object)
 
 
 def _norm_bits(rows):
@@ -921,11 +948,10 @@ class _ModularSpan:
     minor on the pivot columns.  A block is then reduced by one product, x -
     x[pivots] B, against the rows as the block started, and ``reduce``
     clears from each word, in order, the rows added earlier in its block.  A
-    word depends on a side's rows when its self half is zero, its
-    coordinates mod p are then minus its T part, and its dependency
-    transfers when its mirror half is zero too.  Complex letters need no i
-    x rows: the residues span the image of the words' complex span, so the
-    dimension is the number of basis words.
+    word depends on a side's rows when its self half is zero, and its
+    dependency transfers when its mirror half is zero too.  Complex letters
+    need no i x rows: the residues span the image of the words' complex
+    span, so the dimension is the number of basis words.
 
     A residue or a minor that is nonzero mod p is nonzero over the
     Gaussian integers, so rows independent mod p are independent over
@@ -935,15 +961,13 @@ class _ModularSpan:
     the words involved, built along their prefix tree from the cleared
     letters and each divided by its joint content g, with nu = nu_parent g
     / D, so nu times a product is the word's value (no basis word has
-    content 0, for its residues are not all 0).  Exact coordinates come
-    from the ones mod p, and ``_transferred`` accepts them only if they
+    content 0, for its residues are not all 0).  Exact coordinates are
+    lifted from the ones mod p (``_coordinates``) and accepted only if they
     give the word exactly on their side:
 
     * ``mismatch``: the coefficients of the first word dependent on a side
       whose mirror half is not zero must give the word exactly on the
-      dependent side and miss it on the other.  Over real letters they are
-      first lifted from their residues alone, which needs the exact
-      products of only the words they use.
+      dependent side and miss it on the other.
     * ``trace_mismatch``: the basis words' traces are compared exactly;
       when all agree, every child of the basis that is not a basis word
       must have the same coordinates on both sides, which proves both spans
@@ -1025,163 +1049,156 @@ class _ModularSpan:
         self.sources.append(self._origin[j])
         self.d = d + 1
 
-    def _child(self, source):
-        """The exact product of the word ``source``, ``(parent, letter)``
-        with its parent's built, or None for the empty word, (2, parts, n,
-        n), divided by its joint content g; its nu = nu_parent g / D; and G
-        mod p, the product of the contents g along the word, so that G times
-        the product is the word's residues."""
-        parts, n = self.ints.shape[2], self.ints.shape[-1]
-        prod = np.zeros((2, parts, n, n), dtype=object)
-        if source is None:
-            prod[:, 0] = np.eye(n, dtype=object)
-            return prod, Fraction(1), 1
-        parent, k = source
+    def _products(self, sources):
+        """The exact products of the words ``sources``, each ``(parent,
+        letter)`` with its parent's built, stacked (2, words, parts, n, n),
+        one stacked product, and each divided by its joint content g; their
+        nu = nu_parent g / D; and their G mod p, the product of the contents
+        g along the word, so that G times the product is the word's
+        residues."""
         prods, nus, contents = self._exacts
-        gaussian_matmul(prods[:, parent], self.ints[:, k], prod)
-        g = math.gcd(*prod.flat)
-        if g > 1:  # g = 0 only for a child of the basis that vanishes
-            prod //= g
-        return prod, Fraction(nus[parent] * g, self.denom), contents[parent] * g % self.p
+        parents, ks = (list(x) for x in zip(*sources))
+        out = np.empty((2, len(sources)) + self.ints.shape[2:], dtype=object)
+        gaussian_matmul(prods[:, parents], self.ints[:, ks], out)
+        out_nus, out_contents = [], []
+        for w, parent in enumerate(parents):
+            g = math.gcd(*out[:, w].flat)
+            if g > 1:  # g = 0 only for a child of the basis that vanishes
+                out[:, w] //= g
+            nu = nus[parent]
+            out_nus.append(Fraction(nu.numerator * g, nu.denominator * self.denom))
+            out_contents.append(contents[parent] * g % self.p)
+        return out, out_nus, out_contents
 
-    def _exact(self, words):
-        """Build the exact products (``_child``) of the basis words
-        ``words`` and of their prefixes, those not built yet.  They are
-        built only once the basis is final."""
-        if self._exacts is None:
-            shape = (2, self.d) + self.ints.shape[2:]
-            self._exacts = np.empty(shape, dtype=object), [None] * self.d, [0] * self.d
-        prods, nus, contents = self._exacts
-        todo = set()
-        for k in words:
-            while k not in todo and nus[k] is None:
-                todo.add(k)
-                if self.sources[k] is None:
-                    break
-                k = self.sources[k][0]
-        for k in sorted(todo):
-            prods[:, k], nus[k], contents[k] = self._child(self.sources[k])
+    def _exact(self):
+        """Build the exact products (``_products``) of the basis words,
+        once, those whose parents are built at a time, after the empty
+        word's: the basis is final by then."""
+        if self._exacts is not None:
+            return
+        d, n = self.d, self.ints.shape[-1]
+        prods = np.zeros((2, d) + self.ints.shape[2:], dtype=object)
+        prods[:, 0, 0] = np.eye(n, dtype=object)
+        self._exacts = prods, [Fraction(1)] + [None] * (d - 1), [1] + [0] * (d - 1)
+        _, nus, contents = self._exacts
+        start, sources = 1, self.sources
+        for k in range(2, d + 1):
+            if k == d or sources[k][0] >= start:
+                level = self._products(sources[start:k])
+                prods[:, start:k], nus[start:k], contents[start:k] = level
+                start = k
 
     def _coordinates(self, side, targets):
-        """The exact coordinates ``(nums, dens)`` (``_reconstructed``) of
-        the Gaussian-integer vectors ``targets`` (2, t, parts, dim) over all
-        basis words on ``side``, built here, and what they miss on the other
-        side (``_transferred``).  They solve the minor M of the words'
-        products on that side's pivot columns, lifted p-adically (Dixon,
-        *Numer. Math.* 40, 1982) and reconstructed at 1, 2, 4, ... digits
-        until they give the targets exactly on ``side``.  M^-1 mod p, with i
-        -> the root, is that side's T times each word's G.  A real M is its
-        own image with i -> -root; else that image's inverse takes one
-        elimination mod p, and ``_Unconfirmed`` if -i makes M singular mod
-        p.  Past the Hadamard bound the reconstruction is M's solution, so
-        if it still misses a target, that target is independent of the
-        basis: ``_Unconfirmed``."""
+        """Yield the exact coordinates of the Gaussian-integer vectors
+        ``targets`` (2, t, parts, dim) over all basis words on ``side``,
+        built here, as they are found: ``(nums, dens, missed)`` for some of
+        the rows, each over one denominator, and what they miss on the other
+        side times that denominator (``_missed``).  They solve c M = target,
+        M the minor of the words' products on that side's pivot columns,
+        lifted p-adically (Dixon, *Numer. Math.* 40, 1982): each digit is
+        the residual times M^-1 mod p (``_digit``), and the residual goes on
+        as (residual - digit M) / p, one int64 product per limb of M's
+        entries.  At 1, 2, 4, ... digits the rows still lifted are
+        reconstructed in order up to the first with no lift
+        (``_reconstructed``), and a row that gives its target exactly on
+        ``side`` is yielded and lifted no further.  M^-1 mod p, with i ->
+        the root, is that side's T times each word's G.  A real M acts on
+        each part alone; a complex M's inverse with i -> -root takes one
+        elimination mod p, ``_Unconfirmed`` if -i makes M singular mod p,
+        and the two, half summed and half differenced over the root, give
+        the real and imaginary parts of c M^-1 from those of c.  Past a
+        row's Hadamard bound its reconstruction is M's solution, so if a row
+        tried there still misses its target, that target is independent of
+        the basis: ``_Unconfirmed``."""
         p, d, parts = self.p, self.d, targets.shape[2]
-        words = list(range(d))
-        self._exact(words)
+        self._exact()
         pivots = self.pivots[side, :d]
         minor = self._exacts[0][side].reshape(d, parts, self.dim)[:, :, pivots]
         t = self.rows[side, :d, 2 * self.dim : 2 * self.dim + d]
-        inverses = [t * np.array(self._exacts[2], dtype=np.int64) % p]
-        if parts == 2 and minor[:, 1].any():
-            minus = ((minor[:, 0] - self.root * minor[:, 1]) % p).astype(np.int64)
-            inverses.append(inverse_mod_p(minus, p))
-            if inverses[1] is None:
+        inverse = t * np.array(self._exacts[2], dtype=np.int64) % p
+        if parts == 2 and minor[:, 1].any():  # the real block form on (re | im)
+            conj = (minor[:, 0] - self.root * minor[:, 1]) % p
+            minus = inverse_mod_p(conj.astype(np.int64), p)
+            if minus is None:
                 raise _Unconfirmed("the pivot minor is singular mod p at -i")
+            half = (p + 1) // 2
+            mean, gap = (inverse + minus) * half % p, (inverse - minus) % p
+            over, under = pow(2 * self.root, -1, p), self.root * half % p
+            top = np.concatenate((mean, gap * over % p), axis=1)
+            inverse = np.concatenate((top, np.concatenate((gap * under % p, mean), axis=1)))
+        # a digit is below p, so a limb of this many bits keeps a sum of 2d
+        # products below 2^62
+        shift, limbs = 62 - p.bit_length() - (2 * d).bit_length(), None
         goal = targets[side][:, :, pivots]
-        lifted, q, bound = 0, 1, None
-        for k, digit in enumerate(self._digits(goal, minor, inverses), 1):
-            lifted, q = lifted + q * digit, q * p
+        residual, lifted, q, k, bounds = goal, 0, 1, 0, None
+        while True:
+            digit = self._digit(residual, inverse)
+            lifted, q, k = lifted + q * digit.astype(object), q * p, k + 1
             if k & (k - 1) == 0:
-                found = _reconstructed(lifted, q)
-                if found is not None:
-                    missed = self._transferred(side, words, *found, targets)
-                    if missed is not None:
-                        return (*found, missed)
-                if bound is None:
+                found, dens = _reconstructed(lifted, q)
+                missed = self._missed(found, dens, targets[:, : len(dens)])
+                done = ~missed[side].any(axis=(1, 2))
+                if done.all() and len(dens) == len(goal):
+                    yield found, dens, missed[1 - side]
+                    return
+                if done.any():
+                    yield found[done], dens[done], missed[1 - side, done]
+                left = np.ones(len(goal), dtype=bool)
+                left[: len(dens)] = ~done
+                if bounds is None:
                     # Cramer: numerators over the common denominator
                     # |det M|^parts are at most H^parts |target|, H the
                     # product of M's row norms
-                    norms = _norm_bits(goal.reshape(len(goal), -1))
-                    bound = parts * sum(_norm_bits(minor.reshape(d, -1))) + max(norms) // 2 + 3
-                if q.bit_length() > bound:
+                    norms = np.array(_norm_bits(goal.reshape(len(goal), -1)))
+                    bounds = parts * sum(_norm_bits(minor.reshape(d, -1))) + norms // 2 + 3
+                tried = len(dens) + 1  # the rows lifted, and the first not
+                if (q.bit_length() > bounds[:tried][left[:tried]]).any():
                     raise _Unconfirmed("a word independent of the basis looked dependent")
+                targets, goal, bounds = targets[:, left], goal[left], bounds[left]
+                residual, lifted, digit = residual[left], lifted[left], digit[left]
+            if limbs is None:
+                limbs = _limbs(minor, shift)
+            residual = (residual - _limb_combined(digit, limbs, shift)) // p
 
-    def _digits(self, residual, minor, inverses):
-        """The p-adic digits of the solution c of c M = ``residual`` (t,
-        parts, d), M the pivot ``minor``: each the residual times M^-1 mod
-        p, from M's ``inverses`` mod p, one, of a real M, for each part, or
-        those with i -> root and i -> -root, whose half sum and half
-        difference over the root are the real and imaginary parts.  The
-        residual goes on as (residual - digit M) / p, an exact product made
-        only when the next digit is asked for."""
-        p, root = self.p, self.root
-        half = (p + 1) // 2
-        over_root = half * pow(root, -1, p) % p
-        while True:
-            if len(inverses) == 1:
-                digit = (residual % p).astype(np.int64) @ inverses[0] % p
-            else:
-                re = (residual[:, 0] % p).astype(np.int64)
-                im = (residual[:, 1] % p).astype(np.int64)
-                plus = (re + root * im) % p @ inverses[0] % p
-                minus = (re - root * im) % p @ inverses[1] % p
-                parts = (plus + minus) * half % p, (plus - minus) % p * over_root % p
-                digit = np.stack(parts, axis=1)
-            digit = digit.astype(object)
-            yield digit
-            residual = (residual - _combined(digit, minor)) // p
+    def _digit(self, residual, inverse):
+        """The next p-adic digit, int64, of the solution c of c M =
+        ``residual`` (t, parts, d), M the pivot minor: the residual times
+        M^-1 mod p, ``inverse`` that of a real M, applied to each part, or
+        the real block form acting on each row's parts side by side."""
+        x = (residual % self.p).astype(np.int64)
+        if len(inverse) > x.shape[-1]:
+            return (x.reshape(len(x), -1) @ inverse % self.p).reshape(x.shape)
+        return x @ inverse % self.p
 
-    def _transferred(self, side, words, nums, dens, targets):
-        """Each of ``targets`` (2, t, parts, dim) on the other side times
-        its den, minus the same combination ``nums`` (t, parts, words) of
-        the basis words ``words``, built; None unless the combination gives
-        each target times its den exactly on ``side``."""
-        dim, parts = self.dim, targets.shape[2]
-        prods = self._exacts[0][:, words].reshape(2, len(words), parts, dim)
-        missed = np.array(dens, dtype=object)[:, None, None] * targets - _combined(nums, prods)
-        return None if missed[side].any() else missed[1 - side]
+    def _missed(self, nums, dens, targets):
+        """``targets`` (2, t, parts, dim), each times its den in ``dens``,
+        minus the combination ``nums`` (t, parts, words) of the basis words'
+        products on the same side."""
+        prods = self._exacts[0].reshape(2, self.d, -1, self.dim)
+        return dens[:, None, None] * targets - _combined(nums, prods)
 
     def mismatch(self, j: int, side: int):
         """None if row j's mirror half is zero; else the exact certificate:
         its coefficients over the basis words and its residual, the
         Frobenius norm of the defect on the other side, both times the
-        words' nu.  Over real letters the coefficients are first
-        reconstructed from their residues mod p alone, each word's residue
-        coordinate times its G over the row's G, and only the words with a
-        nonzero one, and their prefixes, are built; if they miss the row,
-        every basis word is built and the coordinates are lifted."""
-        p, d, dim = self.p, self.d, self.dim
-        x = self._x[side, j]
-        if not x[dim : 2 * dim].any():
+        words' nu."""
+        d, dim, parts = self.d, self.dim, self.ints.shape[2]
+        if not self._x[side, j, dim : 2 * dim].any():
             return None
-        source, parts = self._origin[j], self.ints.shape[2]
-        coords = -x[2 * dim : 2 * dim + d] % p
-        words = np.flatnonzero(coords).tolist() if parts == 1 else list(range(d))
-        self._exact(words + [source[0]])
-        target, nu, g = self._child(source)
-        targets, missed = target.reshape(2, 1, parts, dim), None
-        if parts == 1:  # one digit over the words used
-            contents = np.array([self._exacts[2][k] for k in words], dtype=np.int64)
-            first = coords[words] * contents % p * pow(g, -1, p) % p
-            found = _reconstructed(first.reshape(1, 1, -1), p)
-            if found is not None:
-                nums, dens = found
-                missed = self._transferred(side, words, nums, dens, targets)
-        if missed is None:
-            words = list(range(d))
-            nums, dens, missed = self._coordinates(side, targets)
+        self._exact()
+        target, (nu,), _ = self._products([self._origin[j]])
+        nums, dens, missed = next(self._coordinates(side, target.reshape(2, 1, parts, dim)))
         if not missed.any():
             raise _Unconfirmed("a dependency that transfers looked as if it failed")
         # the residual from its exact square nu^2 |e|^2 / den^2, rounded
         # once: |e| / den alone can pass the float range when nu is small
         squares = nu.numerator**2 * sum(e * e for e in missed.flat)
         resid = math.sqrt(squares / (nu.denominator * dens[0]) ** 2)
-        coeffs, nus = [_ZERO] * d, self._exacts[1]
-        ims = nums[0, 1] if parts == 2 else [0] * len(words)
-        for k, re, im in zip(words, nums[0, 0].tolist(), list(ims)):
-            a, b = nu.numerator * nus[k].denominator, dens[0] * nu.denominator * nus[k].numerator
-            coeffs[k] = GaussianRational._raw(re * a, im * a, b)
+        coeffs = []
+        ims = nums[0, 1].tolist() if parts == 2 else [0] * d
+        for w, re, im in zip(self._exacts[1], nums[0, 0].tolist(), ims):
+            a, b = nu.numerator * w.denominator, dens[0] * nu.denominator * w.numerator
+            coeffs.append(GaussianRational._raw(re * a, im * a, b))
         return tuple(coeffs), resid
 
     def trace_mismatch(self):
@@ -1190,7 +1207,7 @@ class _ModularSpan:
         equal and every child of the basis has the same coordinates on both
         sides."""
         d, parts, n = self.d, self.ints.shape[2], self.ints.shape[-1]
-        self._exact(range(d))
+        self._exact()
         prods, nus, _ = self._exacts
         diagonal = range(0, self.dim, n + 1)
         tl, tr = prods.reshape(2, d, parts, self.dim)[..., diagonal].sum(axis=-1).tolist()
@@ -1201,9 +1218,8 @@ class _ModularSpan:
         basis = set(self.sources)
         children = [(k, x) for k in range(d) for x in range(self.ints.shape[1])]
         children = [c for c in children if c not in basis]
-        targets = np.stack([self._child(c)[0] for c in children], axis=1)
-        targets = targets.reshape(2, len(children), parts, self.dim)
-        if self._coordinates(0, targets)[2].any():
+        targets = self._products(children)[0].reshape(2, len(children), parts, self.dim)
+        if any(missed.any() for *_, missed in self._coordinates(0, targets)):
             raise _Unconfirmed("a child of the basis failed to transfer")
         return None
 
@@ -1514,9 +1530,9 @@ def unitarily_congruent(
     route's YES is quick, since the exact intertwiner search settles it
     with no span, lifted mod two primes (about 8 ms for a 2-by-2
     Gaussian-rational pair (X, X^T)), but a NO still fills a 64-dimensional
-    span on the 8-by-8 gadgets: about 0.25 s, nine tenths of it the p-adic
-    lift of its certificate, against at most 0.02 s on the default route
-    (single calls on a 2-core machine).
+    span on the 8-by-8 gadgets: about 0.1 s, three quarters of it the
+    p-adic lift of its certificate, against at most 0.02 s on the default
+    route (single calls on a 2-core machine).
     """
     t0 = time.perf_counter()
     _check_pair(A, B)

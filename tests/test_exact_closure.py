@@ -652,42 +652,73 @@ def _digits(q, p=PRIME):
 
 def spy_lifts(monkeypatch):
     """Spy on the exact span's coordinate lifts: the modulus p^k of every
-    reconstruction (``engines._reconstructed``), and the number of exact
-    products built (``_ModularSpan._child``), recorded by name."""
-    seen = {"moduli": [], "built": 0}
-    reconstructed, child = engines._reconstructed, engines._ModularSpan._child
+    reconstruction (``engines._reconstructed``), and the number of rows
+    each digit is taken for (``_ModularSpan._digit``), recorded by name."""
+    seen = {"moduli": [], "rows": []}
+    reconstructed, digit = engines._reconstructed, engines._ModularSpan._digit
 
     def spy_reconstructed(residues, q):
         seen["moduli"].append(q)
         return reconstructed(residues, q)
 
-    def spy_child(self, source):
-        seen["built"] += 1
-        return child(self, source)
+    def spy_digit(self, residual, inverse):
+        seen["rows"].append(len(residual))
+        return digit(self, residual, inverse)
 
     monkeypatch.setattr(engines, "_reconstructed", spy_reconstructed)
-    monkeypatch.setattr(engines._ModularSpan, "_child", spy_child)
+    monkeypatch.setattr(engines._ModularSpan, "_digit", spy_digit)
     return seen
 
 
 class TestLift:
-    """The exact span's certificate coefficients are its coordinates mod p
-    (minus the T part of the dependent word's row), reconstructed from one
-    digit over the words they use, else lifted p-adically over the whole
-    basis (``_ModularSpan._coordinates``); the golden file pins the
-    results."""
+    """The exact span's coordinates are lifted p-adically over the whole
+    basis from its inverse mod p (``_ModularSpan._coordinates``), each row
+    until it gives its target exactly; the golden file pins the results."""
 
-    def test_one_digit_builds_only_the_words_used(self, monkeypatch):
-        """S2n2no0: one digit, and fewer exact products than basis words;
-        S2n2no1, whose coefficients have 20-bit numerators, two digits over
-        the whole basis."""
+    def test_golden_coefficients_take_one_or_two_digits(self, monkeypatch):
+        """S2n2no0's coefficients reconstruct from one digit; S2n2no1's,
+        with 20-bit numerators over the content-divided products, from
+        two."""
         cases = dict(golden_cases())
         seen = spy_lifts(monkeypatch)
-        v = solve_general(cases["S2n2no0"])
-        assert seen["moduli"] == [PRIME] and seen["built"] < v.dimension
+        solve_general(cases["S2n2no0"])
+        assert seen["moduli"] == [PRIME]
         seen["moduli"].clear()
         solve_general(cases["S2n2no1"])
-        assert seen["moduli"] == [PRIME, PRIME, PRIME**2]
+        assert seen["moduli"] == [PRIME, PRIME**2]
+
+    @pytest.mark.parametrize(
+        "name, rows",
+        [("S2n3givens-yes", [145] + [115] * 3 + [88] * 12), ("S1n3pairs-yes0", [28] * 16)],
+    )
+    def test_rows_stop_lifting_once_they_give_their_child(self, monkeypatch, name, rows):
+        """An Equivalent that reaches the span lifts every child of the
+        basis that is not a basis word, and a row that reconstructs to its
+        child's exact coordinates is lifted no further.  The rows are
+        reconstructed in order up to the first with no lift: of the Givens
+        n = 3 YES's 145 children, 30 leave after one digit and 27 more after
+        four, so its last twelve digits are taken for 88 rows, not 145.
+        S1n3pairs-yes0's first child needs sixteen digits, as all but one
+        of its 28 do, so every row stays to the end."""
+        seen = spy_lifts(monkeypatch)
+        v = _spanned(monkeypatch, lambda: solve_general(dict(golden_cases())[name]))
+        assert v.equivalent and seen["rows"] == rows
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_limb_products_are_exact(self, parts):
+        """Each digit's product with the pivot minor is taken over int64
+        limbs of the minor's entries (``_limbs``); it equals the product
+        over Python integers for negative entries of up to 240 bits."""
+        rng = np.random.default_rng(parts)
+        bits = rng.integers(0, 200, 3 * parts * 5).tolist()
+        heads = rng.integers(-(2**40), 2**40, 3 * parts * 5).tolist()
+        minor = np.array([h << b for h, b in zip(heads, bits)], dtype=object).reshape(3, parts, 5)
+        digits = rng.integers(0, PRIME, (4, parts, 3))
+        shift = 62 - PRIME.bit_length() - (2 * 3).bit_length()
+        limbs = engines._limbs(minor, shift)
+        got = engines._limb_combined(digits, limbs, shift)
+        assert len(limbs) > 5
+        assert (got == engines._combined(digits.astype(object), minor)).all()
 
     @pytest.mark.parametrize(
         "name, bits, digits", [("S2n3givens-no", 251, 32), ("S2n4givens-no", 1862, 256)]
@@ -703,17 +734,16 @@ class TestLift:
         """Products patched mod the first prime, so that no lift there
         gives the word: the lift goes on past the Hadamard bound, raises
         ``_Unconfirmed``, and the next prime gives the golden verdict."""
-        child, drawn = engines._ModularSpan._child, []
+        products, drawn = engines._ModularSpan._products, []
 
-        def patched(self, source):
+        def patched(self, sources):
             drawn.append(self.p)
-            prod, nu, g = child(self, source)
-            if self.p == PRIME and source is not None:
-                prod = prod.copy()
-                prod[0, 0, 0, 0] += 1
-            return prod, nu, g
+            prods, nus, contents = products(self, sources)
+            if self.p == PRIME:
+                prods[0, :, 0, 0, 0] += 1
+            return prods, nus, contents
 
-        monkeypatch.setattr(engines._ModularSpan, "_child", patched)
+        monkeypatch.setattr(engines._ModularSpan, "_products", patched)
         seen = spy_lifts(monkeypatch)
         golden = json.loads(GOLDEN.read_text())
         for name in ("S2n2no1", "S4n2no0", "S1n3pairs-no0"):
@@ -771,18 +801,16 @@ class TestBadPrimes:
         assert any(len(d) > 1 for d in drawn)  # some check sent the span on
 
     def test_small_primes_lift_many_digits_and_zero_residues(self, monkeypatch):
-        """Mod 5 and 13 the lifts take many digits, and some certificate
-        coefficient is 0 mod p but not 0, so the one-digit candidate over
-        the words it uses misses and the whole basis is lifted."""
-        transferred, lifts = engines._ModularSpan._transferred, []
+        """Mod 5 and 13 the lifts take many digits, and some coefficient
+        they find is 0 mod p but not 0."""
+        coordinates, lifts = engines._ModularSpan._coordinates, []
 
-        def spy(self, side, words, nums, dens, targets):
-            missed = transferred(self, side, words, nums, dens, targets)
-            if missed is not None:
-                lifts.append((self.p, len(words) == self.d, nums.ravel().tolist()))
-            return missed
+        def spy(self, side, targets):
+            for found in coordinates(self, side, targets):
+                lifts.append((self.p, found[0].ravel().tolist()))
+                yield found
 
-        monkeypatch.setattr(engines._ModularSpan, "_transferred", spy)
+        monkeypatch.setattr(engines._ModularSpan, "_coordinates", spy)
         seen = spy_lifts(monkeypatch)
         for p, root in ((5, 2), (13, 5)):
             monkeypatch.setattr(
@@ -793,9 +821,7 @@ class TestBadPrimes:
             for name, inst in golden_cases():
                 solve_general(inst)
             assert max(_digits(q, p) for q in seen["moduli"] if q % p == 0) > 1
-            assert any(
-                full and any(x and x % q == 0 for x in nums) for q, full, nums in lifts if q == p
-            ), p
+            assert any(any(x and x % q == 0 for x in nums) for q, nums in lifts if q == p), p
 
 
 if __name__ == "__main__":
