@@ -35,9 +35,9 @@ Two interchangeable engines decide unitary similarity of a pair:
   (``_integer_intertwiner``): arithmetic mod a prime only rules one out,
   by the spectra of the letters, which an invertible intertwiner keeps,
   and then by the rank of the stacked linear system over the integers.
-  Else the rows that rank step reduced mod the prime give, for up to
-  three fixed values of the free unknowns, the others mod the prime, and
-  rational reconstruction lifts them to R; when that lift fails or its R
+  Else the rows that rank step reduced mod the prime give, for one fixed
+  value of the free unknowns, the others mod the prime, and rational
+  reconstruction lifts them to R; when that lift fails or its R
   misses a letter, the same rows reduced on the same pivots mod more
   primes join it by the Chinese remainder theorem, until an R maps every
   letter or two lifts in a row agree.  An R that maps every letter
@@ -56,13 +56,14 @@ and its span read as it is; ``decision_letters`` gives rechecks views of it.
 Exact letters are Gaussian integers over one denominator D from the input
 on (``_Cleared``): the input's denominators are cleared once, and the
 scaling and the letter build work on its integers, so no Gaussian
-rational is made on the way; the brute walk, the fast path and
-``decision_letters`` divide by D once (``_values``).  The gadget routes
-build Gaussian-rational letters, which the closure clears if it gets them.
+rational is made on the way; the brute walk and ``decision_letters``
+divide by D once (``_values``).  The gadget routes build Gaussian-rational
+letters, which the closure clears if it gets them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -284,9 +285,8 @@ class Verdict:
         return doc
 
 
-def _finish(verdict: Verdict, t0: float, route: str) -> Verdict:
-    """Time a route from t0 and put its name before the inner route's."""
-    verdict.elapsed_s = time.perf_counter() - t0
+def _finish(verdict: Verdict, route: str) -> Verdict:
+    """Put a route's name before the inner route's."""
     verdict.route = route if not verdict.route else f"{route}>{verdict.route}"
     return verdict
 
@@ -330,23 +330,6 @@ def _values(letters):
 # brute engine
 # --------------------------------------------------------------------------
 
-def _trace_verdict(stream, engine: str, exact: bool, tol: float) -> Verdict:
-    """Compare the two traces of each ``(word, (tl, tr))`` of ``stream`` in
-    order: NotEquivalent at the first word whose traces differ, with that
-    word as its certificate, Equivalent if none does."""
-    failure = None
-    for word, (tl, tr) in stream:
-        if not _close(tl, tr, tol):
-            failure = TraceCertificate(word, tl, tr)
-            break
-    return Verdict(
-        failure is None,
-        engine,
-        certificate=failure,
-        tolerance=None if exact else tol,
-    )
-
-
 def _check_pair(X: Matrix, Y: Matrix):
     X._check_mode(Y)
     if not (X.is_square and Y.is_square) or X.shape != Y.shape:
@@ -374,8 +357,10 @@ def _check_budget(max_length, max_exponent, budget, dedup):
 
 
 def floor_length_bound(m: int) -> int:
-    """Integer word-length cutoff for m-by-m matrices."""
-    return math.floor(pappacena_bound(m))
+    """Integer word-length cutoff for m-by-m matrices: 1 for scalars, which
+    are unitarily similar iff they are equal, as the word ``s`` compares
+    them."""
+    return 1 if m == 1 else math.floor(pappacena_bound(m))
 
 
 def specht_brute(
@@ -405,20 +390,22 @@ def specht_brute(
 
 def _brute(letters, max_length, max_exponent, tol, budget) -> Verdict:
     """Walk the canonical words level by level, compare each level's traces
-    at once and certify the first word whose traces differ."""
-    t0 = time.perf_counter()
+    at once and certify the first word whose traces differ: NotEquivalent
+    with that word as its certificate, Equivalent if none does."""
     if max_length < 1:
         raise ValueError(f"max_length must be at least 1, got {max_length}")
     _check_budget(max_length, max_exponent, budget, DEDUP_CYCLIC_STAR)
     letters = _values(letters)
     levels = _trace_levels(letters, max_length, max_exponent, DEDUP_CYCLIC_STAR)
     mismatches = (
-        (Word.from_letters(seqs[i], letters.shape[1]), traces[i].tolist())
+        TraceCertificate(Word.from_letters(seqs[i], letters.shape[1]), *traces[i].tolist())
         for seqs, traces in levels
         for i in np.flatnonzero(_far(traces[:, 0], traces[:, 1], tol))
     )
-    verdict = _trace_verdict(mismatches, ENGINE_BRUTE, letters.dtype == object, tol)
-    return _finish(verdict, t0, "brute")
+    failure = next(mismatches, None)
+    tolerance = None if letters.dtype == object else tol
+    verdict = Verdict(failure is None, ENGINE_BRUTE, certificate=failure, tolerance=tolerance)
+    return _finish(verdict, "brute")
 
 
 # --------------------------------------------------------------------------
@@ -539,12 +526,6 @@ def _aligned_intertwiner(letters, tol: float):
     return _accepted((v[1] * np.array(d)) @ vh[0], letters, tol)
 
 
-# draw t sets the j-th free unknown of R to t^((j + 1)^2) mod 1009: small,
-# and with no pattern such as t^j, which over the standard basis of a full
-# matrix space gives a rank-one R
-_DRAWS = (2, 3, 5)
-
-
 def _real_system(ints):
     """The equations L'_k R - R L_k = 0 of two stacked Gaussian-integer
     letter lists (2, a, parts, N, N), in the layout of
@@ -657,21 +638,20 @@ def _integer_intertwiner(ints, image):
        A minor that is nonzero mod p is nonzero over the integers, so p
        only ever rules an R out.
     3. Else the rows independent mod p, which are independent over Q, are
-       kept in reduced form mod p with their pivot columns.  For each t in
-       ``_DRAWS`` (one draw if one column is free), the free unknowns,
-       taken in column order, are fixed to small integers, and the pivot
-       unknowns are read mod p off the reduced rows and lifted by rational
-       reconstruction (``_lifted``).  When the lift fails or its R does not
+       kept in reduced form mod p with their pivot columns.  The free
+       unknowns, taken in column order, are fixed to small integers, and
+       the pivot unknowns are read mod p off the reduced rows and lifted
+       by rational reconstruction (``_lifted``).  When the lift fails or its R does not
        map every letter, which happens when R's entries pass sqrt(p / 2),
        the same rows are reduced on the same pivots mod the next primes of
        ``span_primes`` (``_reductions``), one more each time, and the lift
        runs modulo their product.  Once the modulus passes twice the square
        of the solution's numerators and denominators, two lifts in a row
        agree (``_same``); if they miss a letter, the rows kept do not span
-       the equations over Q, and the answer is None.  A later draw starts
-       from as many primes as the last one ended with.  The first R that
-       maps every letter exactly and whose determinant, of [[X, -Y], [Y,
-       X]] over complex letters, is nonzero (``integer_det``) is returned.
+       the equations over Q, and the answer is None.  The first R that
+       maps every letter exactly is returned if its determinant, of [[X,
+       -Y], [Y, X]] over complex letters, is nonzero (``integer_det``);
+       else the answer is None, and the span decides.
     """
     if power_traces_differ_mod_p(image):
         return None
@@ -682,30 +662,23 @@ def _integer_intertwiner(ints, image):
         return None
     taken, reduced, pivots = kept
     free = sorted(set(range(reduced.shape[1])) - set(pivots))
-    reductions, more = [(PRIME, reduced)], _reductions(ints, taken, pivots, free)
-    count = 1  # primes joined; a later draw starts where the last one ended
-    for t in _DRAWS if len(free) > 1 else _DRAWS[:1]:
-        values = [pow(t, (j + 1) ** 2, 1009) for j in range(len(free))]
-        last = None
-        while True:
-            vec = _lifted(reductions[:count], pivots, free, values)
-            if _same(vec, last):
-                return None
-            r = None if vec is None else _mapping(vec, ints)
-            if r is not None:
-                break
-            last = vec
-            if count == len(reductions):
-                step = next(more, None)
-                if step is None:
-                    return None
-                reductions.append(step)
-            count += 1
-        square = r[0]
-        if len(r) == 2:  # R = X + iY as the real [[X, -Y], [Y, X]]
-            square = np.vstack([np.hstack([r[0], -r[1]]), np.hstack([r[1], r[0]])])
-        if integer_det(square):
-            return r
+    # the j-th free unknown is 2^((j + 1)^2) mod 1009: small, and with no
+    # pattern such as t^j, which over the standard basis of a full matrix
+    # space gives a rank-one R
+    values = [pow(2, (j + 1) ** 2, 1009) for j in range(len(free))]
+    reductions, last = [], None
+    for step in itertools.chain([(PRIME, reduced)], _reductions(ints, taken, pivots, free)):
+        reductions.append(step)
+        vec = _lifted(reductions, pivots, free, values)
+        if _same(vec, last):
+            return None
+        r = None if vec is None else _mapping(vec, ints)
+        if r is not None:
+            square = r[0]
+            if len(r) == 2:  # R = X + iY as the real [[X, -Y], [Y, X]]
+                square = np.vstack([np.hstack([r[0], -r[1]]), np.hstack([r[1], r[0]])])
+            return r if integer_det(square) else None
+        last = vec
     return None
 
 
@@ -1352,39 +1325,12 @@ def algebra_closure(X: Matrix, Y: Matrix, tol: float = DEFAULT_TOL) -> Verdict:
 
 
 def _closure(letters, tol) -> Verdict:
-    t0 = time.perf_counter()
-    return _finish(_closure_verdict(letters, tol), t0, "closure")
+    return _finish(_closure_verdict(letters, tol), "closure")
 
 
 # --------------------------------------------------------------------------
 # unitary similarity
 # --------------------------------------------------------------------------
-
-_N2_WORDS = (
-    Word(((0, 1),), 2),
-    Word(((0, 2),), 2),
-    Word(((0, 1), (1, 1)), 2),
-)
-
-# the classical seven-invariant list for 3-by-3 unitary similarity
-_N3_WORDS = (
-    Word(((0, 1),), 2),
-    Word(((0, 2),), 2),
-    Word(((0, 1), (1, 1)), 2),
-    Word(((0, 3),), 2),
-    Word(((0, 2), (1, 1)), 2),
-    Word(((0, 2), (1, 2)), 2),
-    Word(((0, 2), (1, 2), (0, 1), (1, 1)), 2),
-)
-
-
-def _fastpath(letters, words, tag: str, tol: float) -> Verdict:
-    lx, ly = (as_matrices(side) for side in _values(letters))
-    stream = (
-        (w, (eval_word(w, lx).trace(), eval_word(w, ly).trace())) for w in words
-    )
-    return _trace_verdict(stream, tag, isinstance(letters, _Cleared), tol)
-
 
 def unitarily_similar(
     A: Matrix,
@@ -1397,13 +1343,13 @@ def unitarily_similar(
     """Decide whether A = U B U* for some unitary U, after one common
     scaling of A and B.
 
-    ``auto`` takes the short fixed word lists for sizes 2 and 3 and the
-    closure engine otherwise; ``brute`` runs the certified enumeration up to
-    the full length bound (subject to the word budget, counted in canonical
-    words).  Under the default budget that reaches n = 6: length 23 has
-    766,671 necklaces, of which the walk yields 384,359 star classes, and
-    a YES walks them all in about 2 s on a 2-core machine.  n = 7 (length
-    30, 74,253,543 necklaces) is refused.
+    ``auto``, the default, and ``closure`` run the closure engine;
+    ``brute`` runs the certified enumeration up to the full length bound
+    (subject to the word budget, counted in canonical words).  Under the
+    default budget that reaches n = 6: length 23 has 766,671 necklaces, of
+    which the walk yields 384,359 star classes, and a YES walks them all
+    in about 2 s on a 2-core machine.  n = 7 (length 30, 74,253,543
+    necklaces) is refused.
     """
     t0 = time.perf_counter()
     _check_pair(A, B)
@@ -1415,17 +1361,13 @@ def unitarily_similar(
 
 def _similar(letters, engine, tol, budget, max_length, max_exponent=None) -> Verdict:
     """The similarity routes on the letters [A, A*] of one pair."""
-    t0 = time.perf_counter()
-    m = letters.shape[-1]
     if engine == ENGINE_BRUTE:
+        m = letters.shape[-1]
         length = max_length if max_length is not None else floor_length_bound(m)
         inner = _brute(letters, length, max_exponent, tol, budget)
-    elif engine == ENGINE_AUTO and m in (2, 3):
-        words = _N2_WORDS if m == 2 else _N3_WORDS
-        inner = _fastpath(letters, words, f"fastpath_n{m}", tol)
     else:
         inner = _closure(letters, tol)
-    return _finish(inner, t0, "similar")
+    return _finish(inner, "similar")
 
 
 # --------------------------------------------------------------------------
@@ -1458,7 +1400,8 @@ def simultaneously_unitarily_similar(
     """Decide whether one unitary U realizes A_i = U B_i U* for every pair,
     after one common scaling of all the matrices.
 
-    The closure engine spans the multi-letter algebra directly; the brute
+    One pair takes the routes of ``unitarily_similar``.  For more, the
+    closure engine spans the multi-letter algebra directly; the brute
     engine encodes the pairs into one gadget pair and runs the certified
     single-pair enumeration on it (word exponents above the gadget's
     nilpotency index are pruned).
@@ -1480,10 +1423,8 @@ def simultaneously_unitarily_similar(
 
 def _pairs(letters, engine, tol, budget, max_length) -> Verdict:
     """The simultaneous similarity routes on the letters of m pairs."""
-    t0 = time.perf_counter()
-    if letters.shape[1] == 2 and engine != ENGINE_BRUTE:
-        inner = _similar(letters, engine, tol, budget, max_length)
-        return _finish(inner, t0, "pairs")
+    if letters.shape[1] == 2:
+        return _finish(_similar(letters, engine, tol, budget, max_length), "pairs")
     if engine == ENGINE_BRUTE:
         pairs = zip(*(as_matrices(side[0::2]) for side in _values(letters)))
         ga, gb = build_similarity_gadget(pairs, letters.shape[-1])
@@ -1491,8 +1432,8 @@ def _pairs(letters, engine, tol, budget, max_length) -> Verdict:
         # exponent cap k - 1: the gadgets are nilpotent of index k
         gadget_letters = _pairs_letters(stack_pairs([(ga.M, gb.M)]))
         inner = _brute(gadget_letters, length, ga.layout.k - 1, tol, budget)
-        return _finish(inner, t0, "pairs:gadget")
-    return _finish(_closure_verdict(letters, tol), t0, "pairs:closure")
+        return _finish(inner, "pairs:gadget")
+    return _finish(_closure_verdict(letters, tol), "pairs:closure")
 
 
 # --------------------------------------------------------------------------
@@ -1540,7 +1481,7 @@ def unitarily_congruent(
     _check_tol(tol)
     if engine != ENGINE_BRUTE and not use_k_gadget:
         scale, letters = _decision(ProblemInstance(A.rows, S2=[(A, B)]))
-        inner = _finish(_closure_verdict(letters, tol), t0, "congruence:real2n")
+        inner = _finish(_closure_verdict(letters, tol), "congruence:real2n")
         return _scaled(inner, t0, scale)
     scale, (A, B) = common_scale([A, B])
     inner = _congruent(A, B, engine, tol, budget, max_length, use_k_gadget)
@@ -1548,18 +1489,17 @@ def unitarily_congruent(
 
 
 def _congruent(A, B, engine, tol, budget, max_length, use_k_gadget) -> Verdict:
-    t0 = time.perf_counter()
     if use_k_gadget:
         ka, kb = build_congruence_K(A), build_congruence_K(B)
         letters = _pairs_letters(stack_pairs([(ka, kb)]))
         inner = _similar(letters, engine, tol, budget, max_length, max_exponent=3)
-        return _finish(inner, t0, "congruence:K")
+        return _finish(inner, "congruence:K")
     triple = congruence_triple(A, B)
     if _nonsingular(A) or _nonsingular(B):
         triple = triple[:2]  # A or B nonsingular: the first two pairs suffice
     letters = _pairs_letters(stack_pairs(triple))
     inner = _pairs(letters, engine, tol, budget, max_length)
-    return _finish(inner, t0, "congruence:triple")
+    return _finish(inner, "congruence:triple")
 
 
 # --------------------------------------------------------------------------
@@ -1620,7 +1560,7 @@ def solve_general(
             inner, route = _pairs(letters, engine, tol, budget, max_length), "general:s1"
         else:
             inner, route = _closure_verdict(letters, tol), "general:real2n"
-    return _scaled(_finish(inner, t0, route), t0, scale)
+    return _scaled(_finish(inner, route), t0, scale)
 
 
 def _decision(inst: ProblemInstance):

@@ -573,16 +573,21 @@ class TestUnitarilySimilar:
     def test_unipotent_mismatch(self):
         a = Matrix.from_complex([[1, 1], [0, 1]])
         b = Matrix.from_complex([[1, 2], [0, 1]])
+        _, left, right = decision_letters(ProblemInstance(2, [(a, b)]))
         v = unitarily_similar(a, b)
+        assert not v.equivalent
+        assert str(v.certificate.word) == "t s"
+        assert v.certificate.recheck(left, right, 1e-8)
+        v = unitarily_similar(a, b, engine="brute")
         assert not v.equivalent
         assert str(v.certificate.word) == "s t"
         assert v.certificate.trace_left == pytest.approx(3.0 * v.scale**2)
         assert v.certificate.trace_right == pytest.approx(6.0 * v.scale**2)
+        assert v.certificate.recheck(left, right, 1e-8)
 
     def test_engine_tags(self, rng):
-        assert unitarily_similar(rand_matrix(rng, 2), rand_matrix(rng, 2)).engine == "fastpath_n2"
-        assert unitarily_similar(rand_matrix(rng, 3), rand_matrix(rng, 3)).engine == "fastpath_n3"
-        assert unitarily_similar(rand_matrix(rng, 4), rand_matrix(rng, 4)).engine == "closure"
+        for n in (1, 2, 3, 4):
+            assert unitarily_similar(rand_matrix(rng, n), rand_matrix(rng, n)).engine == "closure"
         assert (
             unitarily_similar(rand_matrix(rng, 2), rand_matrix(rng, 2), engine="brute").engine
             == "brute"
@@ -610,16 +615,20 @@ class TestUnitarilySimilar:
         with pytest.raises(BudgetExceededError, match="needs 74253543 words"):
             unitarily_similar(a, b, engine="brute")
 
-    def test_fastpath_agrees_with_closure(self, rng):
-        for n in (2, 3):
-            for i in range(40):
-                if i % 2:
-                    x, y = similar_pair(n, seed=i * 13 + n)
-                else:
-                    x, y = rand_matrix(rng, n), rand_matrix(rng, n)
-                fast = unitarily_similar(x, y)
-                slow = unitarily_similar(x, y, engine="closure")
-                assert fast.equivalent == slow.equivalent
+    def test_brute_scalars_compare_the_word_s(self):
+        """Scalars are unitarily similar iff they are equal, so the walk of
+        1-by-1 letters stops at length 1."""
+        a = Matrix.from_complex([[2 + 1j]])
+        b = Matrix.from_complex([[2 - 1j]])
+        assert floor_length_bound(1) == 1
+        for x, y in ((a, a), (a, b)):
+            for v in (
+                unitarily_similar(x, y, engine="brute"),
+                solve_general(ProblemInstance(1, [(x, y)]), engine="brute"),
+            ):
+                assert v.engine == "brute" and v.equivalent == (y is a)
+                if y is b:
+                    assert str(v.certificate.word) == "s"
 
     def test_invariance_under_unitary_rotation(self, rng):
         for i in range(10):
@@ -666,6 +675,21 @@ class TestSimultaneous:
             vc = simultaneously_unitarily_similar(pairs)
             vb = simultaneously_unitarily_similar(pairs, engine="brute")
             assert vc.equivalent == vb.equivalent
+
+    def test_one_pair_takes_its_own_brute_walk(self):
+        """One S1 pair walks its own letters, not the 3n-by-3n similarity
+        gadget, whose walk at n = 3 is over the default budget."""
+        yes = make_yes_instance(3, 1, 0, 0, 0, seed=3)
+        v = solve_general(yes.inst, engine="brute")
+        assert v.equivalent and v.route == "general:s1>pairs>similar>brute"
+        a, b = yes.inst.S1[0]
+        v = simultaneously_unitarily_similar([(a, b)], engine="brute")
+        assert v.equivalent and v.route == "pairs>similar>brute"
+        no = perturb_to_no(yes, 0.1, 4).inst
+        v = solve_general(no, engine="brute")
+        assert not v.equivalent and v.route == "general:s1>pairs>similar>brute"
+        _, left, right = decision_letters(no)
+        assert v.certificate.recheck(left, right, 1e-8)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -1000,8 +1024,8 @@ class TestIntegerIntertwiner:
         answers.  (diag(1, 0), I) already differ in spectrum, so neither
         solve runs.  The idempotents X = [[1, 1], [0, 0]] (+) 0 and Y =
         diag(1, 0, 0) are similar, and so are X* and Y*, but X is not
-        normal: R = E_33 maps both letters, and no invertible R does.  Each
-        draw's lift maps the letters exactly, so the nullspace is not
+        normal: R = E_33 maps both letters, and no invertible R does.  The
+        one draw's lift maps the letters exactly, so the nullspace is not
         solved, and its determinant is 0."""
         seen = spy_solves(monkeypatch)
         x = Matrix.from_rational([[GR(1), GR(0)], [GR(0), GR(0)]])
@@ -1014,7 +1038,7 @@ class TestIntegerIntertwiner:
         )
         v = algebra_closure(x, y)
         assert not v.equivalent and v.dimension is not None
-        assert seen == [("_lifted", 1), ("integer_det", 0)] * len(engines._DRAWS)
+        assert seen == [("_lifted", 1), ("integer_det", 0)]
 
     def test_singular_draws_fall_back_to_the_closure(self, monkeypatch):
         inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, False)
@@ -1032,7 +1056,7 @@ class TestIntegerIntertwiner:
     def test_draws_are_checked_exactly(self, monkeypatch):
         """Rows that miss some equation, as a rank drop mod p would leave,
         give a nullspace of non-intertwiners: the exact check refuses the
-        first draw's lifts until two in a row agree, here over two and three
+        draw's lifts until two in a row agree, here over two and three
         primes (the one row's solution has numerators past sqrt(PRIME /
         2)); then no number of primes helps, and the span answers."""
         inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, True)

@@ -218,7 +218,8 @@ class TestGoldenVerdicts:
         certs = [doc["certificate"] for doc in golden.values() if doc["certificate"]]
         kinds = {cert["kind"] for cert in certs}
         assert results == {"Equivalent", "NotEquivalent"}
-        assert kinds == {"dependency", "trace"}
+        # every golden NO fails a dependency; trace_no() covers the other kind
+        assert kinds == {"dependency"}
         for name, doc in golden.items():
             assert doc["result"] == ("Equivalent" if "yes" in name else "NotEquivalent")
 
@@ -369,6 +370,15 @@ def hard_no(set_id, n):
     return _family(n, set_id, [(_bumped(_relation(set_id, _shift(n))(b)), b)])
 
 
+def trace_no(exact=True):
+    """The S1 pair (diag(1, 0, 0), diag(1, 1, 0)): its span stops at the
+    basis {1, s}, of dimension 2, with no failed dependency, and the
+    traces of s differ, so it is a NO with a trace certificate."""
+    a = _exact([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    b = _exact([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    return _family(3, 1, [(a, b) if exact else (a.to_float(), b.to_float())])
+
+
 class TestHardNotEquivalent:
     """Exact NOs decided late in a large span, with the certificate word and
     dimension that exact elimination over the Gaussian integers gives."""
@@ -463,29 +473,41 @@ def _mutations(cert, letters):
 def _float_nos():
     """Float NOs: a dependency certificate over a basis of many words
     (four families at n = 3), one over a short basis (S2 at n = 2), and a
-    trace certificate (S1 at n = 2)."""
-    cases = ((3, (1, 1, 1, 1), 3), (2, (0, 1, 0, 0), 0), (2, (1, 0, 0, 0), 0))
-    return {
+    trace certificate (``trace_no``)."""
+    cases = ((3, (1, 1, 1, 1), 3), (2, (0, 1, 0, 0), 0))
+    nos = {
         f"float-{shape}": perturb_to_no(make_yes_instance(n, *shape, seed=seed), 0.1, seed + 1).inst
         for n, shape, seed in cases
     }
+    nos["float-trace"] = trace_no(exact=False)
+    return nos
 
 
 class TestRecheckMutations:
     """Every NO of the golden file in exact mode, the hard exact NOs (the
-    other ``hard_no`` ones and the K-gadget NO), and float NOs of both
-    certificate kinds: the certificate passes its ``recheck``, and every
-    tampered copy of it (``_mutations``) fails it."""
+    other ``hard_no`` ones and the K-gadget NO), the exact trace NO
+    (``trace_no``), and float NOs of both certificate kinds: the
+    certificate passes its ``recheck``, and every tampered copy of it
+    (``_mutations``) fails it."""
 
     @staticmethod
     def _decided(inst):
         _, left, right = decision_letters(inst)
         return solve_general(inst), (left, right)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_span_gives_a_trace_certificate(self, exact):
+        v, (left, right) = self._decided(trace_no(exact))
+        assert not v.equivalent and v.dimension == 2
+        assert isinstance(v.certificate, TraceCertificate)
+        assert str(v.certificate.word) == "s"
+        assert v.certificate.recheck(left, right, 1e-8)
+
     def test_tampered_certificates_fail(self):
         golden = json.loads(GOLDEN.read_text())
         cases = [(name, inst) for name, inst in golden_cases() if golden[name]["certificate"]]
         cases += [(f"S{s}n{n}hard", hard_no(s, n)) for s, n in ((2, 4), (3, 4), (2, 5))]
+        cases.append(("S1n3trace", trace_no()))
         cases += list(_float_nos().items())
         decided = [(name, *self._decided(inst)) for name, inst in cases]
         decided.append(("k-gadget", *k_gadget_no()))
@@ -496,7 +518,8 @@ class TestRecheckMutations:
             for what, tampered in _mutations(cert, (left, right)).items():
                 assert not tampered.recheck(left, right, 1e-8), (name, what)
             kinds.add((left[0].mode, type(cert).__name__))
-        assert len(decided) == 21 + 4 + 3  # the golden NOs, the hard and the float ones
+        # the golden NOs, the hard ones, the trace NO and the float ones
+        assert len(decided) == 21 + 4 + 1 + 3
         assert kinds == {
             (mode, kind)
             for mode in ("exact", "float")
@@ -625,7 +648,11 @@ class TestBlockInvariance:
 
     @staticmethod
     def _docs(monkeypatch):
-        cases = golden_cases() + [("S2n3hard", hard_no(2, 3)), ("S3n4hard", hard_no(3, 4))]
+        cases = golden_cases() + [
+            ("S2n3hard", hard_no(2, 3)),
+            ("S3n4hard", hard_no(3, 4)),
+            ("S1n3trace", trace_no()),
+        ]
         docs = {}
         for name, inst in cases:
             doc = _spanned(monkeypatch, lambda: solve_general(inst)).to_json()
