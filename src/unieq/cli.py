@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 import textwrap
 import traceback
@@ -139,8 +138,9 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    value = words.pappacena_bound(args.m)
-    _emit({"m": args.m, "bound": round(value, 2), "floor": math.floor(value)})
+    floor = engines.floor_length_bound(args.m)
+    value = words.pappacena_bound(args.m) if args.m > 1 else floor
+    _emit({"m": args.m, "bound": round(value, 2), "floor": floor})
     return 0
 
 

@@ -10,38 +10,17 @@ Two interchangeable engines decide unitary similarity of a pair:
   sides in lockstep; linear dependencies found on one side must hold on the
   other, and at the end all basis-word traces must agree.  It terminates
   after at most size-squared basis extensions, so it stays polynomial where
-  brute enumeration explodes.  One lockstep loop (``_closure_verdict``)
-  picks the arithmetic once from the letters' mode and makes one
-  dependency decision per word: a word dependent on either side is
+  brute enumeration explodes.  One lockstep loop (``_span_verdict``) makes
+  one dependency decision per word: a word dependent on either side is
   dependent on both, so the two spans always have the same dimension.
-  Each arithmetic is one class that owns its letters, products, scaling,
-  span, trace check and certificate solve, and both take the breadth-first
-  frontier in blocks of up to ``_BLOCK`` words: float Gram-Schmidt
-  (``_MappedSpan``), real when the letters are, and, in exact mode, row
-  reduction over the integers mod a prime of the Gaussian-integer letters
-  (``_ModularSpan``), with exact Gaussian-integer arithmetic only for the
-  verdict: its coordinates are lifted p-adically from the span's own
-  inverse mod p and checked exactly, and the span runs again mod the next
-  prime if the check contradicts them.  Verdicts, certificate words and
-  dimensions are those of taking words one at a time, and in exact mode
-  those of exact elimination.  Before a float span is built, one eigenbasis
-  alignment of the letters looks for a unitary intertwiner
-  (``_aligned_intertwiner``): the eigenvectors of one complex Hermitian
-  combination of each side's letters, real letters included, matched up
-  to one unit phase each, with no phase carried along an edge within the
-  tolerance.  When it finds one, the answer is Equivalent with no span.
-  Before an exact span is built, the Gaussian-integer letters are
-  searched for an invertible integer intertwiner
-  (``_integer_intertwiner``): arithmetic mod a prime only rules one out,
-  by the spectra of the letters, which an invertible intertwiner keeps,
-  and then by the rank of the stacked linear system over the integers.
-  Else the rows that rank step reduced mod the prime give, for one fixed
-  value of the free unknowns, the others mod the prime, and rational
-  reconstruction lifts them to R; when that lift fails or its R
-  misses a letter, the same rows reduced on the same pivots mod more
-  primes join it by the Chinese remainder theorem, until an R maps every
-  letter or two lifts in a row agree.  An R that maps every letter
-  exactly and has a nonzero determinant answers Equivalent with no span.
+  ``_closure_verdict`` picks the arithmetic once from the letters' mode:
+  float Gram-Schmidt (``float_closure``) or row reduction mod a prime with
+  exact checks (``exact_closure``).  Each is one class that owns its
+  letters, products, scaling, span, trace check and certificate solve, and
+  both take the breadth-first frontier in blocks of up to ``_BLOCK`` words,
+  with the verdicts of taking words one at a time.  Each arithmetic first
+  searches for an intertwiner of the letters, which answers Equivalent
+  with no span.
 
 Everything else reduces to these: simultaneous similarity via block gadgets
 or the multi-letter closure, and congruence and the general four-family
@@ -63,7 +42,6 @@ letters, which the closure clears if it gets them.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -72,26 +50,22 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .exact_closure import _integer_intertwiner, _ModularSpan, _Unconfirmed
+from .float_closure import _aligned_intertwiner, _MappedSpan
 from .numerics import (
-    DEP_TOL,
     EXACT,
     PRIME,
     SQRT_MINUS_ONE,
     GaussianRational,
     Matrix,
+    _BLOCK,
+    _far,
     as_matrices,
     clear_denominators,
     common_scale,
-    gaussian_matmul,
     gaussian_rationals,
     gaussian_residues,
     identity,
-    independent_rows_mod_p,
-    integer_det,
-    intertwiner_operator,
-    inverse_mod_p,
-    power_traces_differ_mod_p,
-    rational_reconstruction,
     scale_exponent,
     span_primes,
 )
@@ -125,9 +99,7 @@ ENGINE_BRUTE = "brute"
 ENGINE_CLOSURE = "closure"
 _ENGINES = (ENGINE_AUTO, ENGINE_BRUTE, ENGINE_CLOSURE)
 
-_ZERO_PAIR_EPS = 1e-14
 _SINGULAR_TOL = 1e-10  # |det| above which a pre-scaled float matrix is nonsingular
-_BLOCK = 16  # most child words the float closure extends and projects at once
 
 
 class BudgetExceededError(RuntimeError):
@@ -149,15 +121,6 @@ def _close(a, b, tol):
     if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
         return a == b
     return abs(a - b) <= tol * (1.0 + abs(a))
-
-
-def _far(a, b, tol):
-    """``not _close(a, b, tol)``, entry by entry, over two arrays of
-    traces: inequality for Gaussian-rational (object) entries, and a NaN
-    is far from everything."""
-    if a.dtype == object:
-        return a != b
-    return ~(np.abs(a - b) <= tol * (1.0 + np.abs(a)))
 
 
 @dataclass(frozen=True)
@@ -360,6 +323,8 @@ def floor_length_bound(m: int) -> int:
     """Integer word-length cutoff for m-by-m matrices: 1 for scalars, which
     are unitarily similar iff they are equal, as the word ``s`` compares
     them."""
+    if m < 1:
+        raise ValueError(f"bound requires matrix size at least 1, got {m}")
     return 1 if m == 1 else math.floor(pappacena_bound(m))
 
 
@@ -412,794 +377,19 @@ def _brute(letters, max_length, max_exponent, tol, budget) -> Verdict:
 # closure engine
 # --------------------------------------------------------------------------
 
-def _norm(v) -> float:
-    return math.sqrt(float(np.vdot(v, v).real))
-
-
-def _norms(v):
-    """Euclidean norms along the last axis of a real or complex array whose
-    last axis is contiguous."""
-    f = v.view(np.float64)
-    return np.sqrt(np.einsum("...i,...i->...", f, f))
-
-
-def _grown(a, rows: int, limit: int):
-    """``a``, or a copy with room for ``rows`` entries along axis 1: first
-    for four blocks, then for ``limit`` entries at once.  Storage is copied
-    at most once, and a small span never allocates the large array."""
-    have = a.shape[1]
-    if rows <= have or have >= limit:
-        return a
-    cap = min(limit, max(rows, 4 * _BLOCK)) if have == 0 else limit
-    new = np.empty((a.shape[0], cap) + a.shape[2:], dtype=a.dtype)
-    new[:, :have] = a
-    return new
-
-
-def _accepted(s, letters, tol: float):
-    """S, of largest singular value 1, if it is unitary by
-    ``verify_witness``'s rule, |S S* - I| <= tol (1 + sqrt N), and maps
-    every letter, |S L_k - L'_k S| <= tol (1 + |L_k|); else None.  Every
-    word is a product of letters, so an accepted S maps every word by
-    X -> S X S^-1: every dependency transfers and every trace agrees."""
-    size = len(s)
-    unitary_defect = np.linalg.norm(s @ np.conj(s).T - np.eye(size))
-    if unitary_defect > tol * (1.0 + math.sqrt(size)):
-        return None
-    left, right = letters
-    a = len(left)
-    defect = _norms((s @ left - right @ s).reshape(a, -1))
-    return s if (defect <= tol * (1.0 + _norms(left.reshape(a, -1)))).all() else None
-
-
-def _aligned_intertwiner(letters, tol: float):
-    """An intertwiner of two stacked float letter lists that ``_accepted``
-    accepts, found from one eigenbasis per side without any span; None if
-    this finds none, which proves nothing.
-
-    If some letter's Frobenius norm differs from its partner's by more than
-    the acceptance bounds allow, no S passes, and none is sought.  Else H =
-    C + C* with C = sum_k c_k L_k is complex Hermitian, on real letters
-    too, for the fixed c_k = sqrt(k + 2) + i (-1)^k.  The closure's letter
-    lists are closed under adjoint, in pairs (L, L*) and, on the real
-    letters, one antisymmetric E; the positive real parts keep a pair from
-    cancelling in H.  Each side's ``eigh`` gives H = V diag V*, and M_k =
-    V* L_k V.  A unitary S with S L_k S* = L'_k maps H to H', so if H has
-    distinct eigenvalues, S = V' D V* for a diagonal unitary D with N_k =
-    D M_k D*.  Entry (i, j) then fixes d_j = d_i phase(M_k[ij]
-    conj(N_k[ij])): the phases are propagated from phase 1 at each root
-    along a maximum-weight spanning forest of max_k |M_k[ij]| (Prim's),
-    through the letter k of that maximum, and a zero M_k[ij] conj(N_k[ij])
-    refuses.  An edge of weight at most tol (1 + top) is noise and carries
-    no phase: an eigenvector reached only through such edges, such as a
-    null vector of low-rank letters, roots a new tree with phase 1.  S is
-    complex even on real letters; ``_accepted`` holds it to the same rule.
-
-    Where H repeats an eigenvalue, ``eigh``'s basis of that eigenspace is
-    arbitrary, so S would pass only if the letters were scalar there: two
-    neighbouring eigenvalues within tol whose eigenvectors some letter
-    couples beyond tol refuse before any phase is fixed.  Real letters
-    whose algebra is of complex type (it commutes with a J of square -I)
-    would repeat every eigenvalue of a real symmetric H this way; the
-    imaginary parts of c_k keep them apart.
-    """
-    a, size = letters.shape[1], letters.shape[-1]
-    f = letters.reshape(2, a, -1).view(np.float64)
-    sq = np.einsum("ski,ski->ks", f, f).tolist()  # squared norms, letter-wise
-    top = math.sqrt(max(map(max, sq)))
-    # an accepted S has |S| = 1 and smallest singular value at least
-    # 1 - slack, so |S L - L' S| >= ||L| - |L'|| - slack max(|L|, |L'|),
-    # and no S passes past this bound, one for all letters; |L|^2 - |L'|^2
-    # is at most 2 top times ||L| - |L'||
-    slack = tol * (1.0 + math.sqrt(size))
-    if max(abs(x - y) for x, y in sq) > 2 * top * (tol + slack) * (1.0 + top):
-        return None
-    c = np.sqrt(np.arange(2.0, a + 2)) + 1j * (-1.0) ** np.arange(a)
-    mix = (c @ letters.reshape(2, a, -1)).reshape(2, size, size)
-    h, v = np.linalg.eigh(mix + np.conj(mix.transpose(0, 2, 1)))
-    vh = np.conj(v.transpose(0, 2, 1))
-    m = vh[:, None] @ letters @ v[:, None]  # M_k and N_k
-    mag = np.abs(m[0])
-    weight, which = mag.max(axis=0).tolist(), mag.argmax(axis=0).tolist()
-    h = h[0].tolist()
-    near = tol * (1.0 + max(-h[0], h[-1]))
-    for i in range(size - 1):
-        if h[i + 1] - h[i] <= near and weight[i][i + 1] > tol * (1.0 + top):
-            return None  # a repeated eigenvalue on which the letters are not scalar
-    d, best, parent = [1.0] * size, [0.0] * size, [0] * size
-    todo = list(range(size))
-    while todo:  # Prim's, on lists: a numpy call per step costs more
-        j = max(todo, key=best.__getitem__)
-        todo.remove(j)
-        if best[j] > tol * (1.0 + top):  # else j roots a new tree, phase 1
-            i = parent[j]
-            k = which[i][j]
-            z = m.item(0, k, i, j) * m.item(1, k, i, j).conjugate()
-            if z == 0:
-                return None
-            d[j] = d[i] * z / abs(z)
-        row = weight[j]
-        for i in todo:
-            if row[i] > best[i]:
-                best[i], parent[i] = row[i], j
-    # V' D V* has singular values 1 up to rounding, as _accepted requires
-    return _accepted((v[1] * np.array(d)) @ vh[0], letters, tol)
-
-
-def _real_system(ints):
-    """The equations L'_k R - R L_k = 0 of two stacked Gaussian-integer
-    letter lists (2, a, parts, N, N), in the layout of
-    ``clear_denominators``, as the rows of one matrix, parts N^2 of them
-    per letter: on vec R for real letters, and on [vec X; vec Y], each
-    equation's real part then its imaginary part, for R = X + iY over
-    complex ones."""
-    a, parts, size = ints.shape[1:4]
-    flat = ints.reshape(2, a * parts, size, size)
-    ops = intertwiner_operator(flat[1], flat[0]).reshape((a, parts) + (size * size,) * 2)
-    if parts == 2:
-        re, im = ops[:, 0], ops[:, 1]
-        ops = np.stack([np.concatenate(h, axis=-1) for h in ((re, -im), (im, re))], axis=2)
-    return ops.reshape(-1, parts * size * size)
-
-
-def _lifted(reductions, pivots, free, values):
-    """The integer vector, as Python ints, on which the rows of each ``(p,
-    reduced)`` of ``reductions``, one set of rows reduced mod the prime p
-    (1 at their ``pivots``), vanish mod p, and whose entries at the columns
-    ``free`` are proportional to ``values``: each pivot entry is read mod
-    each p off its row, the residues are joined by the Chinese remainder
-    theorem, the result is lifted to a fraction by
-    ``rational_reconstruction`` modulo the product of the primes, and the
-    vector is cleared of their denominators.  None if an entry has no
-    lift."""
-    draw = np.asarray(values, dtype=np.int64)
-    u, m = [0] * len(pivots), 1
-    for p, reduced in reductions:
-        residues = (-(reduced[:, free] @ draw) % p).tolist()
-        step = pow(m, -1, p)
-        u = [x + m * ((y - x) * step % p) for x, y in zip(u, residues)]
-        m *= p
-    fractions = [rational_reconstruction(x, m) for x in u]
-    if None in fractions:
-        return None
-    lead = math.lcm(*(b for _, b in fractions))
-    vec = np.zeros(reductions[0][1].shape[1], dtype=object)
-    vec[free] = [lead * c for c in values]
-    vec[pivots] = [num * (lead // b) for num, b in fractions]
-    return vec
-
-
-def _mapping(vec, ints):
-    """The matrix R of an integer vector on vec R, or on [vec X; vec Y] for
-    R = X + iY, as parts (parts, N, N), if R L_k = L'_k R holds exactly on
-    every letter of ``ints`` (one stacked product per side); else None."""
-    parts, size = ints.shape[2:4]
-    r = vec.reshape(parts, size, size).swapaxes(1, 2)  # vec is column-major
-    # entry (k, p, q): the product of part p of one factor by part q of the other
-    d = r[None, :, None] @ ints[0][:, None] - ints[1][:, :, None] @ r[None, None]
-    if parts == 2:  # (X + iY)(A + iB) = XA - YB + i(XB + YA)
-        d = np.stack([d[:, 0, 0] - d[:, 1, 1], d[:, 0, 1] + d[:, 1, 0]])
-    return None if d.any() else r
-
-
-def _same(vec, last) -> bool:
-    """Whether two lifts, over one set of primes and over it and one more,
-    are one vector.  Then it is, but for a rare coincidence, the rational
-    solution of the rows lifted, and if it misses a letter, those rows,
-    independent mod ``PRIME``, do not span the equations over Q: ``PRIME``
-    divides a minor, and no more primes give a lift that maps every
-    letter.  A coincidence only leaves the decision to the span."""
-    return vec is not None and last is not None and (vec == last).all()
-
-
-def _reductions(ints, taken, pivots, free):
-    """``(p, reduced)`` for the primes p but ``PRIME`` of ``span_primes``:
-    the equations ``taken`` of ``_real_system(ints)`` mod p in reduced row
-    echelon form on the columns ``pivots``, row j 1 at pivots[j], as
-    ``_lifted`` reads them.  With those columns put first, column-order
-    elimination (``independent_rows_mod_p``) pivots on them unless their
-    minor vanishes mod p, and such a p is skipped.  The minor is nonzero
-    mod ``PRIME``, so over the integers, and only its prime factors are
-    skipped, whatever pivots the rows would take mod p."""
-    k, order = len(pivots), pivots + free
-    for p, _ in span_primes():
-        if p == PRIME:
-            continue
-        rows = _real_system(np.asarray(ints % p, dtype=np.int64))[taken][:, order]
-        _, echelon, at = independent_rows_mod_p(rows, p)
-        if sorted(at) == list(range(k)):  # each pivot among the first k
-            reduced = np.empty_like(echelon)
-            reduced[np.ix_(at, order)] = echelon
-            yield p, reduced
-
-
-def _integer_intertwiner(ints, image):
-    """An invertible R with R L_k = L'_k R on every letter of two stacked
-    Gaussian-integer letter lists (2, a, parts, N, N), in the layout of
-    ``clear_denominators``, as R's parts; None if this finds none, which
-    proves nothing.  ``image`` holds the letters' residues mod ``PRIME``
-    (``gaussian_residues``).
-
-    The closure's letter lists are closed under adjoint, so R*R commutes
-    with the letters and the unitary polar factor of R intertwines them:
-    over the rationals, with no tolerance, such an R proves Equivalent.  On
-    real letters a real R is sought; ``solve_general`` shows that one
-    exists when a unitary intertwiner does.
-
-    1. Mod ``PRIME``, with i -> ``SQRT_MINUS_ONE``: an invertible R makes
-       each letter similar to its partner, so if some letter's spectrum
-       differs from its partner's (``power_traces_differ_mod_p``), the
-       answer is None.  This covers the letters whose spectra are
-       disjoint, where only R = 0 maps one to the other (Sylvester).
-    2. Else the equations over the integers (``_real_system``): on vec R
-       for real letters, and on [vec X; vec Y], the real and imaginary
-       parts of each equation, for R = X + iY over complex ones.  If they
-       have full column rank mod p (``independent_rows_mod_p``), None too.
-       A minor that is nonzero mod p is nonzero over the integers, so p
-       only ever rules an R out.
-    3. Else the rows independent mod p, which are independent over Q, are
-       kept in reduced form mod p with their pivot columns.  The free
-       unknowns, taken in column order, are fixed to small integers, and
-       the pivot unknowns are read mod p off the reduced rows and lifted
-       by rational reconstruction (``_lifted``).  When the lift fails or its R does not
-       map every letter, which happens when R's entries pass sqrt(p / 2),
-       the same rows are reduced on the same pivots mod the next primes of
-       ``span_primes`` (``_reductions``), one more each time, and the lift
-       runs modulo their product.  Once the modulus passes twice the square
-       of the solution's numerators and denominators, two lifts in a row
-       agree (``_same``); if they miss a letter, the rows kept do not span
-       the equations over Q, and the answer is None.  The first R that
-       maps every letter exactly is returned if its determinant, of [[X,
-       -Y], [Y, X]] over complex letters, is nonzero (``integer_det``);
-       else the answer is None, and the span decides.
-    """
-    if power_traces_differ_mod_p(image):
-        return None
-    # over real letters the residues are the image's
-    residues = image[:, :, None] if ints.shape[2] == 1 else ints % PRIME
-    kept = independent_rows_mod_p(_real_system(np.asarray(residues, dtype=np.int64)))
-    if kept is None:
-        return None
-    taken, reduced, pivots = kept
-    free = sorted(set(range(reduced.shape[1])) - set(pivots))
-    # the j-th free unknown is 2^((j + 1)^2) mod 1009: small, and with no
-    # pattern such as t^j, which over the standard basis of a full matrix
-    # space gives a rank-one R
-    values = [pow(2, (j + 1) ** 2, 1009) for j in range(len(free))]
-    reductions, last = [], None
-    for step in itertools.chain([(PRIME, reduced)], _reductions(ints, taken, pivots, free)):
-        reductions.append(step)
-        vec = _lifted(reductions, pivots, free, values)
-        if _same(vec, last):
-            return None
-        r = None if vec is None else _mapping(vec, ints)
-        if r is not None:
-            square = r[0]
-            if len(r) == 2:  # R = X + iY as the real [[X, -Y], [Y, X]]
-                square = np.vstack([np.hstack([r[0], -r[1]]), np.hstack([r[1], r[0]])])
-            return r if integer_det(square) else None
-        last = vec
-    return None
-
-
-class _MappedSpan:
-    """Float arithmetic of the closure: both sides' spans, stacked on axis 0
-    (0 left, 1 right).  The letters, the empty word's product I and every
-    stored vector share one dtype.  Each child pair is divided by its joint
-    norm, carried in nu (a pair of norm 0 is dropped), and traces are
-    compared within ``tol``, all basis words in one call.  The closure
-    builds a span only when ``_aligned_intertwiner`` finds no intertwiner
-    of the letters first.
-
-    Each side keeps orthonormal vectors, and beside each one its mirror: the
-    other side's combination under the same elimination recipe.  A dependent
-    vector has coordinates y in its side's orthonormal vectors; the other
-    side's vector is compared with the combination of mirrors with the very
-    same coefficients, so the transfer check never solves a triangular
-    system and stays at Gram-Schmidt accuracy.  An orthonormal vector is
-    stored joined to its mirror, and a block row joined to its transfer
-    defect, so one product updates both.
-
-    Words arrive in blocks of up to ``_BLOCK``, whose products are one
-    stacked matmul.  ``project`` runs classical Gram-Schmidt for the whole
-    block against the basis as it stood when the block started, one GEMM
-    per pass, with a second pass on the rows whose first pass cancelled
-    (CGS2).  ``reduce`` then takes the rows in word order and projects from
-    each only the vectors added earlier in the same block, once more
-    against the whole basis if that cancels it, so every word meets exactly
-    the basis it would meet if words arrived one at a time.
-
-    Certificate coefficients solve the triangular factor Q* P of the side's
-    orthonormal vectors Q and basis products P against Q* v, built only
-    then.
-    """
-
-    def __init__(self, letters, tol: float):
-        n = letters.shape[-1]
-        self.dim, self.tol, self.d = n * n, tol, 0
-        self.letters = letters
-        self.eye = np.broadcast_to(np.eye(n, dtype=letters.dtype), (2, 1, n, n))
-        self.prods = letters[:, :0]  # each basis word's product
-        self.qm = np.empty((2, 0, 2 * self.dim), dtype=letters.dtype)
-        # each basis word's (parent, letter), and the factor its product dropped
-        self.sources, self.nus = [], []
-
-    def project(self, origin):
-        """Start a block: the products of the entries ``origin``, each
-        ``(parent, letter)``, or [None] for the empty word, each pair divided
-        by its joint norm.  Returns the entries kept."""
-        if origin == [None]:
-            block, nus = self.eye, [1]
-        else:
-            parents, ks = (list(x) for x in zip(*origin))
-            block = np.matmul(self.prods[:, parents], self.letters[:, ks])
-            nus = [self.nus[k] for k in parents]
-        b = block.shape[1]
-        f = block.reshape(2, b, -1).view(np.float64)
-        nraw = np.sqrt(np.einsum("sbi,sbi->b", f, f))
-        keep = np.flatnonzero(nraw > _ZERO_PAIR_EPS)  # else the word vanishes
-        if len(keep) < b:  # on both sides at once
-            origin = [origin[k] for k in keep]
-            nus = [nus[k] for k in keep]
-            block, nraw = block[:, keep], nraw[keep]
-        self._scales = [nu * s for nu, s in zip(nus, nraw.tolist())]
-        block = block / nraw[:, None, None]
-        d, b, n = self.d, block.shape[1], self.dim
-        self.qm = _grown(self.qm, d + b, n)
-        self.prods = _grown(self.prods, d + b, n)
-        v = block.reshape(2, b, n)
-        qm = self.qm[:, :d]
-        q, qt = qm[:, :, :n], qm[:, :, :n].transpose(0, 2, 1)
-        rd = np.empty((2, b, 2 * n), dtype=self.qm.dtype)  # residual, defect
-        r = rd[:, :, :n]
-        vn = _norms(v)
-        y = np.matmul(np.conj(v), qt)
-        np.conj(y, out=y)  # coordinates in the orthonormal vectors
-        np.subtract(v, y @ q, out=r)
-        rn = _norms(r)
-        dep_tol = DEP_TOL * (1.0 + vn)
-        again = rn < 0.5 * vn  # cancellation: reorthogonalize once
-        if again.any():
-            y2 = np.conj(np.conj(r) @ qt) * again[:, :, None]
-            y += y2
-            # a second pass only shrinks a residual, so a row dependent after
-            # the first keeps its residual; its coordinates still get it
-            rows = np.flatnonzero((again & (rn > dep_tol)).any(axis=0))
-            if len(rows):
-                r[:, rows] -= y2[:, rows] @ q
-                rn[:, rows] = _norms(r[:, rows])
-        np.subtract(v[::-1], y @ qm[:, :, n:], out=rd[:, :, n:])
-        self._origin, self._children = origin, block
-        self._block = (d, vn, dep_tol.T.tolist(), rd, rn.T.tolist())
-        return origin
-
-    def reduce(self, j: int):
-        """Both sides' dependency flags for row j, within DEP_TOL."""
-        d0, _, dep_tol, rd, rn = self._block
-        d, n = self.d, self.dim
-        rn = rn[j]
-        if d > d0:  # project out the vectors added earlier in this block
-            rj, qm = rd[:, j], self.qm[:, d0:d]
-            yb = np.conj(qm[:, :, :n] @ np.conj(rj[:, :n])[:, :, None])
-            rj -= (yb.transpose(0, 2, 1) @ qm)[:, 0]
-            rn_block, rn = rn, [_norm(rj[0, :n]), _norm(rj[1, :n])]
-            for s in (0, 1):
-                if rn[s] < 0.5 * rn_block[s]:  # cancelled: once more
-                    qm = self.qm[s, :d]  # against the whole basis
-                    rj[s] -= np.conj(qm[:, :n] @ np.conj(rj[s, :n])) @ qm
-                    rn[s] = _norm(rj[s, :n])
-        self._rn = rn
-        tx, ty = dep_tol[j]
-        return rn[0] <= tx, rn[1] <= ty
-
-    def mismatch(self, j: int, side: int):
-        """None if row j's transfer defect on the other side is within tol;
-        else the certificate's coefficients over the basis words and its
-        residual, the defect's norm, both times the words' nu."""
-        resid = _norm(self._block[3][side, j, self.dim :])
-        if resid <= self.tol * (1.0 + self._block[1][1 - side, j]):
-            return None
-        q = np.conj(self.qm[side, : self.d, : self.dim])
-        p = self.prods[side, : self.d].reshape(self.d, self.dim)
-        coeffs = np.linalg.solve(q @ p.T, q @ self._children[side, j].ravel())
-        nu = self._scales[j]
-        return tuple(nu * c / b for c, b in zip(coeffs, self.nus)), float(nu * resid)
-
-    def add(self, j: int):
-        """Add row j on both sides."""
-        d = self.d
-        np.divide(self._block[3][:, j], np.array(self._rn)[:, None], out=self.qm[:, d])
-        self.prods[:, d] = self._children[:, j]
-        self.sources.append(self._origin[j])
-        self.nus.append(self._scales[j])
-        self.d = d + 1
-
-    def trace_mismatch(self):
-        """The first basis index whose traces, times its nu, differ beyond
-        tol, with both traces; None if every basis word's agree."""
-        tl, tr = np.trace(self.prods[:, : self.d], axis1=-2, axis2=-1) * np.array(self.nus)
-        bad = np.flatnonzero(_far(tl, tr, self.tol))
-        if not len(bad):
-            return None
-        i = int(bad[0])
-        return i, (tl[i], tr[i])
-
-
-_SIDES = np.arange(2)[:, None]  # indexes axis 0 beside per-side indices
-
-
-class _Unconfirmed(Exception):
-    """An exact check contradicted the span mod p, or p divides a minor the
-    check needs: the prime is bad for this instance."""
-
-
-def _combined(coords, basis):
-    """sum_k coords_k basis_k over the Gaussian integers, one combination
-    per row of ``coords`` (t, parts, vectors) of the ``basis`` (..., vectors,
-    parts, entries): (..., t, parts, entries)."""
-    xr, yr = coords[:, 0], basis[..., 0, :]
-    if basis.shape[-2] == 1:
-        return (xr @ yr)[..., None, :]
-    xi, yi = coords[:, 1], basis[..., 1, :]
-    return np.stack([xr @ yr - xi @ yi, xr @ yi + xi @ yr], axis=-2)
-
-
-def _limbs(m, shift: int):
-    """The integers of the object array m as int64 arrays, m = sum_j
-    limbs[j] 2^(shift j): limb j is shift bits of |m| from bit shift j on,
-    with m's sign."""
-    mag, sign = np.abs(m), np.where(m < 0, -1, 1)
-    top, mask = int(mag.max()).bit_length(), (1 << shift) - 1
-    return [sign * (mag >> s & mask).astype(np.int64) for s in range(0, max(top, 1), shift)]
-
-
-def _limb_combined(coords, limbs, shift: int):
-    """``_combined`` of the int64 ``coords`` with the integers whose
-    ``_limbs`` are ``limbs``, one int64 product per limb, as Python
-    integers; exact when no limb's product passes 2^63."""
-    out = 0
-    for limb in reversed(limbs):
-        out = (out << shift) + _combined(coords, limb).astype(object)
-    return out
-
-
-def _reconstructed(residues, q: int):
-    """The rationals whose residues mod q are ``residues`` (t, parts,
-    vectors), by ``rational_reconstruction``, each row over one common
-    denominator, for the rows before the first in which an entry has no
-    lift: ``(nums, dens)``, ``nums`` an object array (rows, parts, vectors)
-    and ``dens`` one of Python integers.  Each residue is multiplied by its
-    row's denominator so far before it is lifted, so later entries mostly
-    lift with denominator 1, as the integer within the bound they are
-    congruent to, and every lift is right once q passes twice the product
-    of a bound on the row's numerators over their common denominator and a
-    bound on that denominator."""
-    nums, dens, bound = [], [], math.isqrt((q - 1) // 2)
-    for row in residues.reshape(len(residues), -1).tolist():
-        den, out = 1, []
-        for u in row:
-            v = u * den % q
-            if min(v, q - v) <= bound:  # rational_reconstruction's (v, 1)
-                out.append(v if v <= bound else v - q)
-                continue
-            lift = rational_reconstruction(v, q)
-            if lift is None:
-                break
-            a, b = lift
-            if b > 1:
-                out = [x * b for x in out]
-                den *= b
-            out.append(a)
-        if len(out) < len(row):
-            break
-        nums.append(out)
-        dens.append(den)
-    shape = (len(nums),) + residues.shape[1:]
-    return np.array(nums, dtype=object).reshape(shape), np.array(dens, dtype=object)
-
-
-def _norm_bits(rows):
-    """The bit lengths of the squared Euclidean norms of integer rows."""
-    return [sum(e * e for e in row).bit_length() for row in rows.tolist()]
-
-
-class _ModularSpan:
-    """Exact arithmetic of the closure: both sides' spans over the integers
-    mod a prime p, in lockstep, with exact Gaussian-integer arithmetic only
-    where a verdict is issued.
-
-    The letters come cleared of denominators, as Gaussian integers in the
-    layout of ``clear_denominators`` with one D for both sides (a word of
-    length L is scaled by D^L on both sides, which changes no dependency and
-    no trace equality), and reduced mod p with i -> a square root of -1 mod
-    p.  That is a ring map, so a word's residues are the products of its
-    letters', one stacked int64 matmul per block of up to ``_BLOCK`` words.
-    Each side keeps its [self | other | T] rows in reduced echelon form mod
-    p: a word's vector joined to its mirror, the other side's, and to T,
-    its combination of the basis words' residues, 1 at its own pivot column
-    and 0 at every other row's.  So T is the inverse mod p of the basis'
-    minor on the pivot columns.  A block is then reduced by one product, x -
-    x[pivots] B, against the rows as the block started, and ``reduce``
-    clears from each word, in order, the rows added earlier in its block.  A
-    word depends on a side's rows when its self half is zero, and its
-    dependency transfers when its mirror half is zero too.  Complex letters
-    need no i x rows: the residues span the image of the words' complex
-    span, so the dimension is the number of basis words.
-
-    A residue or a minor that is nonzero mod p is nonzero over the
-    Gaussian integers, so rows independent mod p are independent over
-    Q(i).  The converse fails for finitely many p: mod such a bad prime a
-    word independent over Q(i) can look dependent, and a nonzero defect can
-    vanish.  So each verdict is checked exactly, on the exact products of
-    the words involved, built along their prefix tree from the cleared
-    letters and each divided by its joint content g, with nu = nu_parent g
-    / D, so nu times a product is the word's value (no basis word has
-    content 0, for its residues are not all 0).  Exact coordinates are
-    lifted from the ones mod p (``_coordinates``) and accepted only if they
-    give the word exactly on their side:
-
-    * ``mismatch``: the coefficients of the first word dependent on a side
-      whose mirror half is not zero must give the word exactly on the
-      dependent side and miss it on the other.
-    * ``trace_mismatch``: the basis words' traces are compared exactly;
-      when all agree, every child of the basis that is not a basis word
-      must have the same coordinates on both sides, which proves both spans
-      closed under the letters and every dependency transferred.
-
-    An exact check that contradicts the span raises ``_Unconfirmed``, and
-    the closure runs the span again mod the next prime.  With a good prime
-    the span takes the words that exact elimination would take, so every
-    certificate is the one of deciding each word exactly.  The closure
-    builds a span only when ``_integer_intertwiner`` finds no intertwiner of
-    the cleared letters first.
-    """
-
-    tol = None  # exact: verdicts carry no tolerance
-
-    def __init__(self, ints, denom, residues, p: int, root: int):
-        n = ints.shape[-1]
-        self.ints, self.denom, self.p, self.root = ints, denom, p, root
-        self.dim, self.d = n * n, 0
-        self.letters = residues
-        self.eye = np.broadcast_to(np.eye(n, dtype=np.int64), (2, 1, n, n))
-        self.prods = residues[:, :0]  # each basis word's residues
-        self.rows = np.empty((2, 0, 3 * self.dim), dtype=np.int64)
-        self.pivots = np.empty((2, 0), dtype=np.int64)
-        self.sources = []  # each basis word's (parent, letter)
-        self._exacts = None  # the basis words' exact products, once built
-
-    def project(self, origin):
-        """Start a block: the residues of the entries ``origin``, each
-        ``(parent, letter)``, or [None] for the empty word, reduced against
-        the rows.  Returns the entries, all kept."""
-        p, d, dim = self.p, self.d, self.dim
-        if origin == [None]:
-            block = self.eye
-        else:
-            parents, ks = (list(x) for x in zip(*origin))
-            block = np.matmul(self.prods[:, parents], self.letters[:, ks]) % p
-        b = block.shape[1]
-        self.prods = _grown(self.prods, d + b, dim)
-        self.rows = _grown(self.rows, d + b, dim)
-        self.pivots = _grown(self.pivots, d + b, dim)
-        x = np.zeros((2, b, 3 * dim), dtype=np.int64)  # [self | other | T]
-        x[:, :, :dim] = block.reshape(2, b, dim)
-        x[:, :, dim : 2 * dim] = x[::-1, :, :dim]
-        if d:  # x[pivots] B, the gather (2, d, words) transposed
-            at = x[_SIDES, :, self.pivots[:, :d]].transpose(0, 2, 1)
-            x = (x - at @ self.rows[:, :d]) % p
-        self._origin, self._children, self._x, self._d0 = origin, block, x, d
-        self._zero = (~x[:, :, :dim].any(axis=2)).T.tolist()
-        return origin
-
-    def reduce(self, j: int):
-        """Both sides' dependency flags for row j: a zero self half."""
-        d0, d = self._d0, self.d
-        if d == d0:
-            return self._zero[j]
-        x = self._x[:, j]  # clear the rows added earlier in this block
-        at = x[_SIDES, self.pivots[:, d0:d]]
-        x -= (at[:, None] @ self.rows[:, d0:d])[:, 0]
-        x %= self.p
-        return [not x[0, : self.dim].any(), not x[1, : self.dim].any()]
-
-    def add(self, j: int):
-        """Add row j on both sides as basis word d, 1 in its T part: scaled
-        to 1 at its first nonzero entry, its pivot, which is cleared from
-        the other rows."""
-        p, d = self.p, self.d
-        x = self._x[:, j]
-        x[:, 2 * self.dim + d] = 1
-        c = (x[:, : self.dim] != 0).argmax(axis=1)
-        inv = [pow(int(x[s, c[s]]), -1, p) for s in (0, 1)]
-        row = x * np.array(inv)[:, None] % p
-        if d:
-            rows = self.rows[:, :d]
-            rows -= rows[_SIDES, :, c[:, None]].transpose(0, 2, 1) * row[:, None]
-            rows %= p
-        self.rows[:, d], self.pivots[:, d] = row, c
-        self.prods[:, d] = self._children[:, j]
-        self.sources.append(self._origin[j])
-        self.d = d + 1
-
-    def _products(self, sources):
-        """The exact products of the words ``sources``, each ``(parent,
-        letter)`` with its parent's built, stacked (2, words, parts, n, n),
-        one stacked product, and each divided by its joint content g; their
-        nu = nu_parent g / D; and their G mod p, the product of the contents
-        g along the word, so that G times the product is the word's
-        residues."""
-        prods, nus, contents = self._exacts
-        parents, ks = (list(x) for x in zip(*sources))
-        out = np.empty((2, len(sources)) + self.ints.shape[2:], dtype=object)
-        gaussian_matmul(prods[:, parents], self.ints[:, ks], out)
-        out_nus, out_contents = [], []
-        for w, parent in enumerate(parents):
-            g = math.gcd(*out[:, w].flat)
-            if g > 1:  # g = 0 only for a child of the basis that vanishes
-                out[:, w] //= g
-            nu = nus[parent]
-            out_nus.append(Fraction(nu.numerator * g, nu.denominator * self.denom))
-            out_contents.append(contents[parent] * g % self.p)
-        return out, out_nus, out_contents
-
-    def _exact(self):
-        """Build the exact products (``_products``) of the basis words,
-        once, those whose parents are built at a time, after the empty
-        word's: the basis is final by then."""
-        if self._exacts is not None:
-            return
-        d, n = self.d, self.ints.shape[-1]
-        prods = np.zeros((2, d) + self.ints.shape[2:], dtype=object)
-        prods[:, 0, 0] = np.eye(n, dtype=object)
-        self._exacts = prods, [Fraction(1)] + [None] * (d - 1), [1] + [0] * (d - 1)
-        _, nus, contents = self._exacts
-        start, sources = 1, self.sources
-        for k in range(2, d + 1):
-            if k == d or sources[k][0] >= start:
-                level = self._products(sources[start:k])
-                prods[:, start:k], nus[start:k], contents[start:k] = level
-                start = k
-
-    def _coordinates(self, side, targets):
-        """Yield the exact coordinates of the Gaussian-integer vectors
-        ``targets`` (2, t, parts, dim) over all basis words on ``side``,
-        built here, as they are found: ``(nums, dens, missed)`` for some of
-        the rows, each over one denominator, and what they miss on the other
-        side times that denominator (``_missed``).  They solve c M = target,
-        M the minor of the words' products on that side's pivot columns,
-        lifted p-adically (Dixon, *Numer. Math.* 40, 1982): each digit is
-        the residual times M^-1 mod p (``_digit``), and the residual goes on
-        as (residual - digit M) / p, one int64 product per limb of M's
-        entries.  At 1, 2, 4, ... digits the rows still lifted are
-        reconstructed in order up to the first with no lift
-        (``_reconstructed``), and a row that gives its target exactly on
-        ``side`` is yielded and lifted no further.  M^-1 mod p, with i ->
-        the root, is that side's T times each word's G.  A real M acts on
-        each part alone; a complex M's inverse with i -> -root takes one
-        elimination mod p, ``_Unconfirmed`` if -i makes M singular mod p,
-        and the two, half summed and half differenced over the root, give
-        the real and imaginary parts of c M^-1 from those of c.  Past a
-        row's Hadamard bound its reconstruction is M's solution, so if a row
-        tried there still misses its target, that target is independent of
-        the basis: ``_Unconfirmed``."""
-        p, d, parts = self.p, self.d, targets.shape[2]
-        self._exact()
-        pivots = self.pivots[side, :d]
-        minor = self._exacts[0][side].reshape(d, parts, self.dim)[:, :, pivots]
-        t = self.rows[side, :d, 2 * self.dim : 2 * self.dim + d]
-        inverse = t * np.array(self._exacts[2], dtype=np.int64) % p
-        if parts == 2 and minor[:, 1].any():  # the real block form on (re | im)
-            conj = (minor[:, 0] - self.root * minor[:, 1]) % p
-            minus = inverse_mod_p(conj.astype(np.int64), p)
-            if minus is None:
-                raise _Unconfirmed("the pivot minor is singular mod p at -i")
-            half = (p + 1) // 2
-            mean, gap = (inverse + minus) * half % p, (inverse - minus) % p
-            over, under = pow(2 * self.root, -1, p), self.root * half % p
-            top = np.concatenate((mean, gap * over % p), axis=1)
-            inverse = np.concatenate((top, np.concatenate((gap * under % p, mean), axis=1)))
-        # a digit is below p, so a limb of this many bits keeps a sum of 2d
-        # products below 2^62
-        shift, limbs = 62 - p.bit_length() - (2 * d).bit_length(), None
-        goal = targets[side][:, :, pivots]
-        residual, lifted, q, k, bounds = goal, 0, 1, 0, None
-        while True:
-            digit = self._digit(residual, inverse)
-            lifted, q, k = lifted + q * digit.astype(object), q * p, k + 1
-            if k & (k - 1) == 0:
-                found, dens = _reconstructed(lifted, q)
-                missed = self._missed(found, dens, targets[:, : len(dens)])
-                done = ~missed[side].any(axis=(1, 2))
-                if done.all() and len(dens) == len(goal):
-                    yield found, dens, missed[1 - side]
-                    return
-                if done.any():
-                    yield found[done], dens[done], missed[1 - side, done]
-                left = np.ones(len(goal), dtype=bool)
-                left[: len(dens)] = ~done
-                if bounds is None:
-                    # Cramer: numerators over the common denominator
-                    # |det M|^parts are at most H^parts |target|, H the
-                    # product of M's row norms
-                    norms = np.array(_norm_bits(goal.reshape(len(goal), -1)))
-                    bounds = parts * sum(_norm_bits(minor.reshape(d, -1))) + norms // 2 + 3
-                tried = len(dens) + 1  # the rows lifted, and the first not
-                if (q.bit_length() > bounds[:tried][left[:tried]]).any():
-                    raise _Unconfirmed("a word independent of the basis looked dependent")
-                targets, goal, bounds = targets[:, left], goal[left], bounds[left]
-                residual, lifted, digit = residual[left], lifted[left], digit[left]
-            if limbs is None:
-                limbs = _limbs(minor, shift)
-            residual = (residual - _limb_combined(digit, limbs, shift)) // p
-
-    def _digit(self, residual, inverse):
-        """The next p-adic digit, int64, of the solution c of c M =
-        ``residual`` (t, parts, d), M the pivot minor: the residual times
-        M^-1 mod p, ``inverse`` that of a real M, applied to each part, or
-        the real block form acting on each row's parts side by side."""
-        x = (residual % self.p).astype(np.int64)
-        if len(inverse) > x.shape[-1]:
-            return (x.reshape(len(x), -1) @ inverse % self.p).reshape(x.shape)
-        return x @ inverse % self.p
-
-    def _missed(self, nums, dens, targets):
-        """``targets`` (2, t, parts, dim), each times its den in ``dens``,
-        minus the combination ``nums`` (t, parts, words) of the basis words'
-        products on the same side."""
-        prods = self._exacts[0].reshape(2, self.d, -1, self.dim)
-        return dens[:, None, None] * targets - _combined(nums, prods)
-
-    def mismatch(self, j: int, side: int):
-        """None if row j's mirror half is zero; else the exact certificate:
-        its coefficients over the basis words and its residual, the
-        Frobenius norm of the defect on the other side, both times the
-        words' nu."""
-        d, dim, parts = self.d, self.dim, self.ints.shape[2]
-        if not self._x[side, j, dim : 2 * dim].any():
-            return None
-        self._exact()
-        target, (nu,), _ = self._products([self._origin[j]])
-        nums, dens, missed = next(self._coordinates(side, target.reshape(2, 1, parts, dim)))
-        if not missed.any():
-            raise _Unconfirmed("a dependency that transfers looked as if it failed")
-        # the residual from its exact square nu^2 |e|^2 / den^2, rounded
-        # once: |e| / den alone can pass the float range when nu is small
-        squares = nu.numerator**2 * sum(e * e for e in missed.flat)
-        resid = math.sqrt(squares / (nu.denominator * dens[0]) ** 2)
-        coeffs = []
-        ims = nums[0, 1].tolist() if parts == 2 else [0] * d
-        for w, re, im in zip(self._exacts[1], nums[0, 0].tolist(), ims):
-            a, b = nu.numerator * w.denominator, dens[0] * nu.denominator * w.numerator
-            coeffs.append(GaussianRational._raw(re * a, im * a, b))
-        return tuple(coeffs), resid
-
-    def trace_mismatch(self):
-        """The first basis index whose exact traces differ, with both traces
-        times its nu as Gaussian rationals.  None if every basis word's are
-        equal and every child of the basis has the same coordinates on both
-        sides."""
-        d, parts, n = self.d, self.ints.shape[2], self.ints.shape[-1]
-        self._exact()
-        prods, nus, _ = self._exacts
-        diagonal = range(0, self.dim, n + 1)
-        tl, tr = prods.reshape(2, d, parts, self.dim)[..., diagonal].sum(axis=-1).tolist()
-        i = next((i for i in range(d) if tl[i] != tr[i]), None)
-        if i is not None:
-            nu = nus[i]
-            return i, tuple(GaussianRational(*(nu * part for part in t[i])) for t in (tl, tr))
-        basis = set(self.sources)
-        children = [(k, x) for k in range(d) for x in range(self.ints.shape[1])]
-        children = [c for c in children if c not in basis]
-        targets = self._products(children)[0].reshape(2, len(children), parts, self.dim)
-        if any(missed.any() for *_, missed in self._coordinates(0, targets)):
-            raise _Unconfirmed("a child of the basis failed to transfer")
-        return None
-
-
 def _span_verdict(spans) -> Verdict:
     """The lockstep closure verdict of one span, ``_MappedSpan`` or
-    ``_ModularSpan``, which ``_closure_verdict`` describes."""
+    ``_ModularSpan``, over letters stacked (2, a, N, N).
+
+    Child entry g is basis word g // a times letter g % a.  Entries are
+    taken in blocks of consecutive entries whose parents are already in the
+    basis, from ``a`` entries up, doubling to ``_BLOCK``, and decided one at
+    a time in entry order.  A word that depends on the basis on either side
+    is not added, and the same combination must hold on the other side
+    (else a DependencyCertificate, and the rest of its block is dropped).
+    When no word extends the basis, every basis word's traces must agree
+    (else a TraceCertificate).
+    """
     a = spans.letters.shape[1]
     sources = spans.sources
 
@@ -1254,37 +444,16 @@ def _span_verdict(spans) -> Verdict:
 
 
 def _closure_verdict(letters, tol) -> Verdict:
-    """Span the algebras generated by the two sides' letters, stacked (2,
-    a, N, N), in lockstep: exact over Gaussian integers over one D
-    (``_ModularSpan``), from ``_Cleared`` letters or from Gaussian-rational
-    ones, as the gadget routes build them, cleared here, else in floats
-    (``_MappedSpan``), real when no letter has an imaginary part, else
-    complex.
-
-    A span divides each word's product by a factor carried in ``nu`` (the
-    exact span only the products it builds for its verdict), so nu times a
-    stored product is the word's value: certificate coefficients are nu c /
-    nu_basis and traces nu tr.  Child entry g is
-    basis word g // a times letter g % a.  Entries are taken in blocks of
-    consecutive entries whose parents are already in the basis, from ``a``
-    entries up, doubling to ``_BLOCK``, and decided one at a time in entry
-    order.  A word that depends on the basis on either side is not added,
-    and the same combination must hold on the other side (else a
-    DependencyCertificate, and the rest of its block is dropped).  When no
-    word extends the basis, every basis word's traces must agree (else a
-    TraceCertificate).
-
-    Float letters are first handed to ``_aligned_intertwiner``, and exact
-    letters, cleared, to ``_integer_intertwiner``: if either finds an
-    intertwiner, the verdict is Equivalent with no span built, so its
-    ``dimension`` is None.  Both can only answer Equivalent, and otherwise
-    the span decides as above.  The exact span runs mod a prime and checks
-    its verdict exactly, on coordinates lifted p-adically from its own
-    inverse mod p; when that check contradicts it, or the prime divides a
-    minor the lift needs, it runs again mod the next prime of
-    ``span_primes``, with that prime's square root of -1.  The first is
-    the ``PRIME`` of the intertwiner search, so the letters' residues mod
-    it are built once for both.
+    """The closure verdict on letters stacked (2, a, N, N): exact
+    (``exact_closure``) on ``_Cleared`` letters or on Gaussian-rational
+    ones, as the gadget routes build them, cleared here; else float
+    (``float_closure``), real when no letter has an imaginary part.  The
+    arithmetic's intertwiner search runs first, and an intertwiner it finds
+    answers Equivalent with no span, so with no ``dimension``.  Else
+    ``_span_verdict`` decides, in exact mode mod each prime of
+    ``span_primes`` in turn until one raises no ``_Unconfirmed``.  The
+    first is the ``PRIME`` of the intertwiner search, so the letters'
+    residues mod it are built once for both.
     """
     if isinstance(letters, np.ndarray) and letters.dtype == object:
         letters = _Cleared(*clear_denominators(letters))  # a gadget's letters
@@ -1312,20 +481,14 @@ def algebra_closure(X: Matrix, Y: Matrix, tol: float = DEFAULT_TOL) -> Verdict:
 
     Verdicts coincide with the brute trace-word criterion; the agreement is
     enforced by cross-engine tests, not assumed.  An intertwiner found
-    from one eigenbasis alignment of the letters in float mode
-    (``_aligned_intertwiner``), or an invertible integer one in exact mode
-    (``_integer_intertwiner``), answers Equivalent before any span is
-    built, and the verdict then has no ``dimension``.
+    before any span is built answers Equivalent (``_closure_verdict``), and
+    the verdict then has no ``dimension``.
     """
     t0 = time.perf_counter()
     _check_pair(X, Y)
     _check_tol(tol)
     scale, letters = _decision(ProblemInstance(X.rows, [(X, Y)]))
-    return _scaled(_closure(letters, tol), t0, scale)
-
-
-def _closure(letters, tol) -> Verdict:
-    return _finish(_closure_verdict(letters, tol), "closure")
+    return _scaled(_finish(_closure_verdict(letters, tol), "closure"), t0, scale)
 
 
 # --------------------------------------------------------------------------
@@ -1366,7 +529,7 @@ def _similar(letters, engine, tol, budget, max_length, max_exponent=None) -> Ver
         length = max_length if max_length is not None else floor_length_bound(m)
         inner = _brute(letters, length, max_exponent, tol, budget)
     else:
-        inner = _closure(letters, tol)
+        inner = _finish(_closure_verdict(letters, tol), "closure")
     return _finish(inner, "similar")
 
 

@@ -705,6 +705,34 @@ def integer_det(a):
 
 
 # --------------------------------------------------------------------------
+# helpers of both closure arithmetics and the brute walk
+# --------------------------------------------------------------------------
+
+_BLOCK = 16  # most child words a closure span extends and projects at once
+
+
+def _far(a, b, tol):
+    """``not engines._close(a, b, tol)`` entry by entry over two trace
+    arrays: ``!=`` on Gaussian rationals; a NaN is far from everything."""
+    if a.dtype == object:
+        return a != b
+    return ~(np.abs(a - b) <= tol * (1.0 + np.abs(a)))
+
+
+def _grown(a, rows: int, limit: int):
+    """``a``, or a copy with room for ``rows`` entries along axis 1: first
+    for four blocks, then for ``limit`` entries at once.  Storage is copied
+    at most once, and a small span never allocates the large array."""
+    have = a.shape[1]
+    if rows <= have or have >= limit:
+        return a
+    cap = min(limit, max(rows, 4 * _BLOCK)) if have == 0 else limit
+    new = np.empty((a.shape[0], cap) + a.shape[2:], dtype=a.dtype)
+    new[:, :have] = a
+    return new
+
+
+# --------------------------------------------------------------------------
 # pre-scaling
 # --------------------------------------------------------------------------
 

@@ -194,9 +194,16 @@ class TestBound:
         assert doc["bound"] == pytest.approx(value, abs=0.01)
         assert doc["floor"] == floor
 
+    def test_scalars_take_one_letter(self, capsys):
+        # the bound the brute engine walks a 1x1 pair to
+        code, out, _ = run(capsys, ["bound", "1"])
+        assert code == 0
+        assert json.loads(out) == {"m": 1, "bound": 1, "floor": engines.floor_length_bound(1)}
+
     def test_rejects_small_m(self, capsys):
-        code, _, err = run(capsys, ["bound", "1"])
-        assert code == 2
+        for m in ("0", "-1"):
+            code, _, err = run(capsys, ["bound", m])
+            assert code == 2 and "at least 1" in err
 
 
 class TestGadgetCmd:

@@ -6,7 +6,7 @@ from itertools import islice, product
 import numpy as np
 import pytest
 
-from unieq import engines, words
+from unieq import engines, exact_closure, float_closure, words
 from unieq.numerics import independent_rows_mod_p
 from unieq import (
     DEDUP_CYCLIC_STAR,
@@ -535,7 +535,7 @@ class TestIntertwinerStop:
             s = s @ np.diag([1.0, 0.5, 0.25])
         y = complex_gaussian(rng, 3) if case == "misses" else s @ x @ np.linalg.inv(s)
         letters = np.array([[x], [y]])
-        assert (engines._accepted(s, letters, 1e-8) is not None) == (case == "maps")
+        assert (float_closure._accepted(s, letters, 1e-8) is not None) == (case == "maps")
 
     @pytest.mark.parametrize("seed", [312, 675, 1093])
     def test_conjugated_nilpotent_shift(self, seed, float_spans):
@@ -982,16 +982,17 @@ def _fraction_solve(a, b):
 def spy_solves(monkeypatch):
     """Spy on the lifts of the intertwiner search's reduced rows
     (``_lifted``), recorded by name with the number of primes they join,
-    and on ``integer_det``, recorded as ("integer_det", determinant)."""
+    and on ``integer_det``, recorded as ("integer_det", determinant), both
+    where ``exact_closure._integer_intertwiner`` looks them up."""
     seen = []
     for name in ("_lifted", "integer_det"):
 
-        def spy(*args, _name=name, _inner=getattr(engines, name)):
+        def spy(*args, _name=name, _inner=getattr(exact_closure, name)):
             out = _inner(*args)
             seen.append((_name, out if _name == "integer_det" else len(args[0])))
             return out
 
-        monkeypatch.setattr(engines, name, spy)
+        monkeypatch.setattr(exact_closure, name, spy)
     return seen
 
 
@@ -1042,7 +1043,7 @@ class TestIntegerIntertwiner:
 
     def test_singular_draws_fall_back_to_the_closure(self, monkeypatch):
         inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, False)
-        monkeypatch.setattr(engines, "integer_det", lambda square: 0)
+        monkeypatch.setattr(exact_closure, "integer_det", lambda square: 0)
         v = solve_general(inst)
         assert v.equivalent and v.dimension == 16
 
@@ -1060,15 +1061,15 @@ class TestIntegerIntertwiner:
         primes (the one row's solution has numerators past sqrt(PRIME /
         2)); then no number of primes helps, and the span answers."""
         inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, True)
-        inner = engines.independent_rows_mod_p
+        inner = exact_closure.independent_rows_mod_p
 
-        def first_row(rows, p=engines.PRIME):
+        def first_row(rows, p=exact_closure.PRIME):
             kept = inner(rows[:1], p)
             assert kept[0] == [0]
             return kept
 
-        monkeypatch.setattr(engines, "power_traces_differ_mod_p", lambda image: False)
-        monkeypatch.setattr(engines, "independent_rows_mod_p", first_row)
+        monkeypatch.setattr(exact_closure, "power_traces_differ_mod_p", lambda image: False)
+        monkeypatch.setattr(exact_closure, "independent_rows_mod_p", first_row)
         seen = spy_solves(monkeypatch)
         v = solve_general(inst)
         assert not v.equivalent and v.dimension is not None
@@ -1080,8 +1081,8 @@ class TestIntegerIntertwiner:
         span answers as it does with the search switched off."""
         inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, False)
         right = _step_off(monkeypatch, lambda: solve_general(inst))
-        inner = engines._lifted
-        monkeypatch.setattr(engines, "_lifted", lambda *args: inner(*args) + 1)
+        inner = exact_closure._lifted
+        monkeypatch.setattr(exact_closure, "_lifted", lambda *args: inner(*args) + 1)
         seen = spy_solves(monkeypatch)
         v = solve_general(inst)
         assert v.equivalent and v.dimension == right.dimension == 16
@@ -1097,11 +1098,11 @@ class TestIntegerIntertwiner:
         miss a letter until two in a row agree, and the span answers."""
         a = Matrix.from_rational([[GR(1), GR(engines.PRIME)], [GR(0), GR(2)]])
         _, letters = engines._decision(ProblemInstance(2, [(a, a)]))
-        rows = engines._real_system(letters.ints)
+        rows = exact_closure._real_system(letters.ints)
         taken, _, pivots = independent_rows_mod_p(rows)
         assert pivots == [1, 2]
         free = [0, 3]
-        for p, reduced in islice(engines._reductions(letters.ints, taken, pivots, free), 3):
+        for p, reduced in islice(exact_closure._reductions(letters.ints, taken, pivots, free), 3):
             assert independent_rows_mod_p(rows[taken], p)[2] == [1, 0]
             assert (reduced[:, pivots] == np.identity(2, dtype=np.int64)).all()
             assert (rows[taken] % p == rows[taken][:, pivots] @ reduced % p).all()
@@ -1136,14 +1137,14 @@ class TestIntegerIntertwiner:
             yield
 
         monkeypatch.setattr(engines, "_integer_intertwiner", spy)
-        monkeypatch.setattr(engines, "_reductions", no_second_prime)
+        monkeypatch.setattr(exact_closure, "_reductions", no_second_prime)
         rng = np.random.default_rng(808)
         for shape in ROADMAP_SHAPES:
             for n in (1, 2):
                 assert solve_general(_exact_instance(rng, n, shape, n, False)).equivalent
         assert len(lifts) == 2 * len(ROADMAP_SHAPES)
         for ints, r in lifts:
-            rows = engines._real_system(ints)
+            rows = exact_closure._real_system(ints)
             taken, _, pivots = independent_rows_mod_p(rows)
             free = [c for c in range(rows.shape[1]) if c not in pivots]
             values = [pow(2, (j + 1) ** 2, 1009) for j in range(len(free))]
@@ -1161,7 +1162,7 @@ class TestIntegerIntertwiner:
         spectra are disjoint (Sylvester's case: only R = 0 maps them)."""
         inst = _exact_instance(np.random.default_rng(5), 2, (0, 1, 0, 0), 1, True)
         for name in ("independent_rows_mod_p", "_lifted"):
-            monkeypatch.setattr(engines, name, _refuse)
+            monkeypatch.setattr(exact_closure, name, _refuse)
         assert not solve_general(inst).equivalent
         x, y = (Matrix.from_rational([[GR(d), GR(0)], [GR(0), GR(d + 1)]]) for d in (1, 3))
         assert not algebra_closure(x, y).equivalent
@@ -1170,7 +1171,7 @@ class TestIntegerIntertwiner:
         """J and 2 J have one spectrum, and so have J* and 2 J*, but only R
         = 0 maps [J, J*] to [2 J, 2 J*]."""
         k = Matrix.from_rational([[GR(0), GR(1)], [GR(0), GR(0)]])
-        monkeypatch.setattr(engines, "_lifted", _refuse)
+        monkeypatch.setattr(exact_closure, "_lifted", _refuse)
         assert not algebra_closure(k, k.scale(2)).equivalent
 
 

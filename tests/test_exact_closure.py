@@ -35,6 +35,7 @@ from unieq import (
     decision_letters,
     engines,
     eval_word,
+    exact_closure,
     make_yes_instance,
     perturb_to_no,
     simultaneously_unitarily_similar,
@@ -633,7 +634,7 @@ class TestLiftFallback:
         primes = [k for name, k in seen if name == "_lifted"]
         assert primes[0] == 1 and max(primes) > 1, seen
         assert seen[-1][0] == "integer_det" and seen[-1][1] != 0
-        assert not hasattr(engines, "integer_nullspace")
+        assert not any(hasattr(m, "integer_nullspace") for m in (engines, exact_closure))
 
 
 def _no_span(spans):
@@ -679,10 +680,11 @@ def _digits(q, p=PRIME):
 
 def spy_lifts(monkeypatch):
     """Spy on the exact span's coordinate lifts: the modulus p^k of every
-    reconstruction (``engines._reconstructed``), and the number of rows
-    each digit is taken for (``_ModularSpan._digit``), recorded by name."""
+    reconstruction (``exact_closure._reconstructed``), and the number of
+    rows each digit is taken for (``_ModularSpan._digit``), recorded by
+    name."""
     seen = {"moduli": [], "rows": []}
-    reconstructed, digit = engines._reconstructed, engines._ModularSpan._digit
+    reconstructed, digit = exact_closure._reconstructed, exact_closure._ModularSpan._digit
 
     def spy_reconstructed(residues, q):
         seen["moduli"].append(q)
@@ -692,8 +694,8 @@ def spy_lifts(monkeypatch):
         seen["rows"].append(len(residual))
         return digit(self, residual, inverse)
 
-    monkeypatch.setattr(engines, "_reconstructed", spy_reconstructed)
-    monkeypatch.setattr(engines._ModularSpan, "_digit", spy_digit)
+    monkeypatch.setattr(exact_closure, "_reconstructed", spy_reconstructed)
+    monkeypatch.setattr(exact_closure._ModularSpan, "_digit", spy_digit)
     return seen
 
 
@@ -742,10 +744,10 @@ class TestLift:
         minor = np.array([h << b for h, b in zip(heads, bits)], dtype=object).reshape(3, parts, 5)
         digits = rng.integers(0, PRIME, (4, parts, 3))
         shift = 62 - PRIME.bit_length() - (2 * 3).bit_length()
-        limbs = engines._limbs(minor, shift)
-        got = engines._limb_combined(digits, limbs, shift)
+        limbs = exact_closure._limbs(minor, shift)
+        got = exact_closure._limb_combined(digits, limbs, shift)
         assert len(limbs) > 5
-        assert (got == engines._combined(digits.astype(object), minor)).all()
+        assert (got == exact_closure._combined(digits.astype(object), minor)).all()
 
     @pytest.mark.parametrize(
         "name, bits, digits", [("S2n3givens-no", 251, 32), ("S2n4givens-no", 1862, 256)]
@@ -761,7 +763,7 @@ class TestLift:
         """Products patched mod the first prime, so that no lift there
         gives the word: the lift goes on past the Hadamard bound, raises
         ``_Unconfirmed``, and the next prime gives the golden verdict."""
-        products, drawn = engines._ModularSpan._products, []
+        products, drawn = exact_closure._ModularSpan._products, []
 
         def patched(self, sources):
             drawn.append(self.p)
@@ -770,7 +772,7 @@ class TestLift:
                 prods[0, :, 0, 0, 0] += 1
             return prods, nus, contents
 
-        monkeypatch.setattr(engines._ModularSpan, "_products", patched)
+        monkeypatch.setattr(exact_closure._ModularSpan, "_products", patched)
         seen = spy_lifts(monkeypatch)
         golden = json.loads(GOLDEN.read_text())
         for name in ("S2n2no1", "S4n2no0", "S1n3pairs-no0"):
@@ -785,16 +787,32 @@ class TestLift:
         inverse with i -> -root.  A prime that makes it singular (faked
         mod the first prime) raises ``_Unconfirmed``, and the next prime
         gives the golden verdict."""
-        inverse, primes = engines.inverse_mod_p, []
+        inverse, primes = exact_closure.inverse_mod_p, []
 
         def singular(m, p):
             primes.append(p)
             return None if p == PRIME else inverse(m, p)
 
-        monkeypatch.setattr(engines, "inverse_mod_p", singular)
+        monkeypatch.setattr(exact_closure, "inverse_mod_p", singular)
         golden = json.loads(GOLDEN.read_text())
         assert _verdict_doc(dict(golden_cases())["S1n3pairs-no0"]) == golden["S1n3pairs-no0"]
         assert primes[0] == PRIME and primes[-1] != PRIME
+
+
+def _patch_primes(monkeypatch, primes):
+    """Make ``primes`` the primes of the exact span's runs, read by
+    ``engines._closure_verdict``, and those of the intertwiner search's
+    lifts, read by ``exact_closure._reductions``.  Returns the number of
+    calls from each of the two modules, by module."""
+    calls = {}
+    for module in (engines, exact_closure):
+
+        def counted(_module=module):
+            calls[_module] = calls.get(_module, 0) + 1
+            return primes()
+
+        monkeypatch.setattr(module, "span_primes", counted)
+    return calls
 
 
 class TestBadPrimes:
@@ -806,7 +824,7 @@ class TestBadPrimes:
     @pytest.mark.parametrize("search", [True, False], ids=["search", "spanned"])
     @pytest.mark.parametrize("start", [(5, 2), (13, 5)], ids=["p5", "p13"])
     def test_golden_results_from_a_small_first_prime(self, monkeypatch, start, search):
-        drawn = []  # the primes each exact span ran mod
+        drawn = []  # the primes each span run or intertwiner lift drew
 
         def primes():
             drawn.append([])
@@ -814,7 +832,7 @@ class TestBadPrimes:
                 drawn[-1].append(p)
                 yield p, root
 
-        monkeypatch.setattr(engines, "span_primes", primes)
+        calls = _patch_primes(monkeypatch, primes)
         if not search:  # every YES reaches the span and its exact check
             monkeypatch.setattr(engines, "_integer_intertwiner", lambda ints, image: None)
         golden = json.loads(GOLDEN.read_text())
@@ -826,27 +844,30 @@ class TestBadPrimes:
                 assert v.certificate.recheck(left, right, 1e-8), name
         assert drawn and all(d[0] == start[0] for d in drawn)
         assert any(len(d) > 1 for d in drawn)  # some check sent the span on
+        # the Givens YES lifts its intertwiner mod several primes
+        assert calls[engines] and bool(calls.get(exact_closure)) == search
 
     def test_small_primes_lift_many_digits_and_zero_residues(self, monkeypatch):
         """Mod 5 and 13 the lifts take many digits, and some coefficient
         they find is 0 mod p but not 0."""
-        coordinates, lifts = engines._ModularSpan._coordinates, []
+        coordinates, lifts = exact_closure._ModularSpan._coordinates, []
 
         def spy(self, side, targets):
             for found in coordinates(self, side, targets):
                 lifts.append((self.p, found[0].ravel().tolist()))
                 yield found
 
-        monkeypatch.setattr(engines._ModularSpan, "_coordinates", spy)
+        monkeypatch.setattr(exact_closure._ModularSpan, "_coordinates", spy)
         seen = spy_lifts(monkeypatch)
         for p, root in ((5, 2), (13, 5)):
-            monkeypatch.setattr(
-                engines, "span_primes", lambda s=(p, root): itertools.chain([s], span_primes())
+            calls = _patch_primes(
+                monkeypatch, lambda s=(p, root): itertools.chain([s], span_primes())
             )
             seen["moduli"].clear()
             lifts.clear()
             for name, inst in golden_cases():
                 solve_general(inst)
+            assert calls[engines] and calls[exact_closure]
             assert max(_digits(q, p) for q in seen["moduli"] if q % p == 0) > 1
             assert any(any(x and x % q == 0 for x in nums) for q, nums in lifts if q == p), p
 
