@@ -21,7 +21,7 @@ from .gadgets import (
     build_general_gadget,
     build_similarity_gadget,
 )
-from .numerics import ModeMismatchError
+from .numerics import ModeMismatchError, _far
 
 EXIT_EQUIVALENT = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -194,7 +194,7 @@ def _cmd_words(args) -> int:
             "word": str(word),
             "trace_a": engines._scalar_json(ta),
             "trace_b": engines._scalar_json(tb),
-            "match": bool(engines._close(ta, tb, args.tol)),
+            "match": not _far(ta, tb, args.tol),
         }
         out.write(sep + textwrap.indent(json.dumps(row, sort_keys=True, indent=2), "    "))
         sep = ",\n"

@@ -68,6 +68,7 @@ from .numerics import (
     identity,
     scale_exponent,
     span_primes,
+    within,
 )
 # iter_word_traces is not called here; bench/tracing.py wraps it by this name
 from .words import (
@@ -100,6 +101,9 @@ ENGINE_CLOSURE = "closure"
 _ENGINES = (ENGINE_AUTO, ENGINE_BRUTE, ENGINE_CLOSURE)
 
 _SINGULAR_TOL = 1e-10  # |det| above which a pre-scaled float matrix is nonsingular
+# a stored trace or residual against its recomputation, which differs by
+# rounding alone; also the least allowance for a recheck's dependent side
+STORED_TOL = 1e-6
 
 
 class BudgetExceededError(RuntimeError):
@@ -117,12 +121,6 @@ def _scalar_json(x):
     return [z.real, z.imag]
 
 
-def _close(a, b, tol):
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        return a == b
-    return abs(a - b) <= tol * (1.0 + abs(a))
-
-
 @dataclass(frozen=True)
 class TraceCertificate:
     """A word whose traces differ between the two sides."""
@@ -135,10 +133,10 @@ class TraceCertificate:
         """Re-evaluate the word from scratch and confirm the mismatch."""
         tl = eval_word(self.word, letters_left).trace()
         tr = eval_word(self.word, letters_right).trace()
-        return (
-            _close(tl, self.trace_left, 1e-6)
-            and _close(tr, self.trace_right, 1e-6)
-            and not _close(tl, tr, tol)
+        return bool(
+            not _far(tl, self.trace_left, STORED_TOL)
+            and not _far(tr, self.trace_right, STORED_TOL)
+            and _far(tl, tr, tol)
         )
 
     def to_json(self):
@@ -168,27 +166,29 @@ class DependencyCertificate:
     def recheck(self, letters_left, letters_right, tol: float) -> bool:
         """Re-evaluate every word from scratch and confirm that the
         combination gives the word on the dependent side and fails on the
-        other: within tol over float letters, exactly over Gaussian-rational
-        ones, as for traces (``_close``)."""
-        if self.side == "left":
-            dep, other = letters_left, letters_right
-        else:
-            dep, other = letters_right, letters_left
-        target_dep = eval_word(self.word, dep)
-        target_other = eval_word(self.word, other)
-        combo_dep = None
-        combo_other = None
-        for w, c in zip(self.basis_words, self.coefficients):
-            td = eval_word(w, dep).scale(c)
-            to = eval_word(w, other).scale(c)
-            combo_dep = td if combo_dep is None else combo_dep + td
-            combo_other = to if combo_other is None else combo_other + to
-        if target_dep.mode == EXACT:
-            return combo_dep == target_dep and combo_other != target_other
+        other by the stored residual: by ``within`` over float letters,
+        exactly over Gaussian-rational ones, as for traces (``_far``)."""
+        def measured(letters):
+            """The word's product and the combination's on one side."""
+            target = eval_word(self.word, letters)
+            pairs = zip(self.basis_words, self.coefficients)
+            terms = [eval_word(w, letters).scale(c) for w, c in pairs]
+            return target, sum(terms[1:], terms[0]) if terms else target.scale(0)
+
+        sides = (letters_left, letters_right)[:: 1 if self.side == "left" else -1]
+        (target_dep, combo_dep), (target_other, combo_other) = map(measured, sides)
+        if target_dep.mode == EXACT:  # the residual: the defect's norm, rounded once
+            denom, (t, c) = clear_denominators([target_other, combo_other])
+            squares = sum(x * x for x in (t - c).flat)
+            resid = math.sqrt(squares / denom**2)
+            return combo_dep == target_dep and squares > 0 and resid == self.residual
         dep_resid = (target_dep - combo_dep).norm_fro()
-        other_resid = (target_other - combo_other).norm_fro()
-        dep_ok = dep_resid <= max(10 * tol, 1e-6) * (1.0 + target_dep.norm_fro())
-        return dep_ok and other_resid > tol * (1.0 + target_other.norm_fro())
+        resid = (target_other - combo_other).norm_fro()
+        return (
+            within(dep_resid, target_dep.norm_fro(), max(10 * tol, STORED_TOL))
+            and not within(resid, target_other.norm_fro(), tol)
+            and not _far(resid, self.residual, STORED_TOL)
+        )
 
     def to_json(self):
         return {
@@ -780,11 +780,9 @@ def verify_witness(inst: ProblemInstance, U: Matrix, tol: float = DEFAULT_TOL) -
     _, inst = inst.scaled_common()
     n = inst.n
     eye = identity(n, U.mode)
-    # "not <=" so that a NaN defect fails
-    if not (U @ U.adjoint() - eye).norm_fro() <= tol * (1.0 + math.sqrt(n)):
+    if not within((U @ U.adjoint() - eye).norm_fro(), math.sqrt(n), tol):
         return False
-    for set_id, _, a, b in inst.pairs():
-        expect = _RELATIONS[set_id](U, b)
-        if not (a - expect).norm_fro() <= tol * (1.0 + a.norm_fro()):
-            return False
-    return True
+    return all(
+        within((a - _RELATIONS[set_id](U, b)).norm_fro(), a.norm_fro(), tol)
+        for set_id, _, a, b in inst.pairs()
+    )

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .numerics import DEP_TOL, _far, _grown
+from .numerics import DEP_TOL, _far, _grown, within
 
 _ZERO_PAIR_EPS = 1e-14
 
@@ -35,12 +35,12 @@ def _accepted(s, letters, tol: float):
     X -> S X S^-1: every dependency transfers and every trace agrees."""
     size = len(s)
     unitary_defect = np.linalg.norm(s @ np.conj(s).T - np.eye(size))
-    if unitary_defect > tol * (1.0 + math.sqrt(size)):
+    if not within(unitary_defect, math.sqrt(size), tol):
         return None
     left, right = letters
     a = len(left)
     defect = _norms((s @ left - right @ s).reshape(a, -1))
-    return s if (defect <= tol * (1.0 + _norms(left.reshape(a, -1)))).all() else None
+    return s if within(defect, _norms(left.reshape(a, -1)), tol).all() else None
 
 
 def _aligned_intertwiner(letters, tol: float):
@@ -78,12 +78,12 @@ def _aligned_intertwiner(letters, tol: float):
     f = letters.reshape(2, a, -1).view(np.float64)
     sq = np.einsum("ski,ski->ks", f, f).tolist()  # squared norms, letter-wise
     top = math.sqrt(max(map(max, sq)))
-    # an accepted S has |S| = 1 and smallest singular value at least
-    # 1 - slack, so |S L - L' S| >= ||L| - |L'|| - slack max(|L|, |L'|),
-    # and no S passes past this bound, one for all letters; |L|^2 - |L'|^2
-    # is at most 2 top times ||L| - |L'||
-    slack = tol * (1.0 + math.sqrt(size))
-    if max(abs(x - y) for x, y in sq) > 2 * top * (tol + slack) * (1.0 + top):
+    # an accepted S has |S| = 1 and smallest singular value at least 1 -
+    # tol (1 + sqrt N), so no S passes once ||L| - |L'|| exceeds tol (2 +
+    # sqrt N) (1 + top), one bound for all letters; |L|^2 - |L'|^2 is at
+    # most 2 top times ||L| - |L'||
+    gap = max(abs(x - y) for x, y in sq)
+    if not within(gap, top, 2 * top * tol * (2.0 + math.sqrt(size))):
         return None
     c = np.sqrt(np.arange(2.0, a + 2)) + 1j * (-1.0) ** np.arange(a)
     mix = (c @ letters.reshape(2, a, -1)).reshape(2, size, size)
@@ -93,16 +93,16 @@ def _aligned_intertwiner(letters, tol: float):
     mag = np.abs(m[0])
     weight, which = mag.max(axis=0).tolist(), mag.argmax(axis=0).tolist()
     h = h[0].tolist()
-    near = tol * (1.0 + max(-h[0], h[-1]))
+    spread = max(-h[0], h[-1])
     for i in range(size - 1):
-        if h[i + 1] - h[i] <= near and weight[i][i + 1] > tol * (1.0 + top):
+        if within(h[i + 1] - h[i], spread, tol) and not within(weight[i][i + 1], top, tol):
             return None  # a repeated eigenvalue on which the letters are not scalar
     d, best, parent = [1.0] * size, [0.0] * size, [0] * size
     todo = list(range(size))
     while todo:  # Prim's, on lists: a numpy call per step costs more
         j = max(todo, key=best.__getitem__)
         todo.remove(j)
-        if best[j] > tol * (1.0 + top):  # else j roots a new tree, phase 1
+        if not within(best[j], top, tol):  # else j roots a new tree, phase 1
             i = parent[j]
             k = which[i][j]
             z = m.item(0, k, i, j) * m.item(1, k, i, j).conjugate()
@@ -190,25 +190,24 @@ class _MappedSpan:
         np.conj(y, out=y)  # coordinates in the orthonormal vectors
         np.subtract(v, y @ q, out=r)
         rn = _norms(r)
-        dep_tol = DEP_TOL * (1.0 + vn)
         again = rn < 0.5 * vn  # cancellation: reorthogonalize once
         if again.any():
             y2 = np.conj(np.conj(r) @ qt) * again[:, :, None]
             y += y2
             # a second pass only shrinks a residual, so a row dependent after
             # the first keeps its residual; its coordinates still get it
-            rows = np.flatnonzero((again & (rn > dep_tol)).any(axis=0))
+            rows = np.flatnonzero((again & ~within(rn, vn, DEP_TOL)).any(axis=0))
             if len(rows):
                 r[:, rows] -= y2[:, rows] @ q
                 rn[:, rows] = _norms(r[:, rows])
         np.subtract(v[::-1], y @ qm[:, :, n:], out=rd[:, :, n:])
         self._origin, self._children = origin, block
-        self._block = (d, vn, dep_tol.T.tolist(), rd, rn.T.tolist())
+        self._block = (d, vn.T.tolist(), rd, rn.T.tolist())
         return origin
 
     def reduce(self, j: int):
         """Both sides' dependency flags for row j, within DEP_TOL."""
-        d0, _, dep_tol, rd, rn = self._block
+        d0, vn, rd, rn = self._block
         d, n = self.d, self.dim
         rn = rn[j]
         if d > d0:  # project out the vectors added earlier in this block
@@ -222,26 +221,25 @@ class _MappedSpan:
                     rj[s] -= np.conj(qm[:, :n] @ np.conj(rj[s, :n])) @ qm
                     rn[s] = _norm(rj[s, :n])
         self._rn = rn
-        tx, ty = dep_tol[j]
-        return rn[0] <= tx, rn[1] <= ty
+        return within(rn[0], vn[j][0], DEP_TOL), within(rn[1], vn[j][1], DEP_TOL)
 
     def mismatch(self, j: int, side: int):
-        """None if row j's transfer defect on the other side is within tol;
-        else the certificate's coefficients over the basis words and its
-        residual, the defect's norm, both times the words' nu."""
-        resid = _norm(self._block[3][side, j, self.dim :])
-        if resid <= self.tol * (1.0 + self._block[1][1 - side, j]):
+        """None if row j's transfer defect on the other side, times the
+        words' nu as a recheck measures it, is within tol of the word there;
+        else the certificate's coefficients and residual, both times nu."""
+        nu = self._scales[j]
+        resid = nu * _norm(self._block[2][side, j, self.dim :])
+        if within(resid, nu * self._block[1][j][1 - side], self.tol):
             return None
         q = np.conj(self.qm[side, : self.d, : self.dim])
         p = self.prods[side, : self.d].reshape(self.d, self.dim)
         coeffs = np.linalg.solve(q @ p.T, q @ self._children[side, j].ravel())
-        nu = self._scales[j]
-        return tuple(nu * c / b for c, b in zip(coeffs, self.nus)), float(nu * resid)
+        return tuple(nu * c / b for c, b in zip(coeffs, self.nus)), resid
 
     def add(self, j: int):
         """Add row j on both sides."""
         d = self.d
-        np.divide(self._block[3][:, j], np.array(self._rn)[:, None], out=self.qm[:, d])
+        np.divide(self._block[2][:, j], np.array(self._rn)[:, None], out=self.qm[:, d])
         self.prods[:, d] = self._children[:, j]
         self.sources.append(self._origin[j])
         self.nus.append(self._scales[j])

@@ -17,8 +17,15 @@ import numpy as np
 FLOAT = "float"
 EXACT = "exact"
 
-# residual <= DEP_TOL * (1 + ||target||_F) counts as "in span" in float mode
+# within(residual, ||target||_F, DEP_TOL) counts as "in span" in float mode
 DEP_TOL = 1e-10
+
+
+def within(defect, size, tol):
+    """The one float acceptance rule, defect <= tol (1 + size), size the norm
+    the defect is measured against, entry by entry over arrays; a NaN defect
+    fails.  Every float check of a decision, a recheck or a witness calls it."""
+    return defect <= tol * (1.0 + size)
 
 
 class ModeMismatchError(TypeError):
@@ -394,7 +401,7 @@ class Matrix:
             return False
         if self.mode == EXACT:
             return self == other
-        return (self - other).norm_fro() <= tol * (1.0 + other.norm_fro())
+        return within((self - other).norm_fro(), other.norm_fro(), tol)
 
     def entry(self, i: int, j: int):
         return self.data[i, j]
@@ -712,11 +719,12 @@ _BLOCK = 16  # most child words a closure span extends and projects at once
 
 
 def _far(a, b, tol):
-    """``not engines._close(a, b, tol)`` entry by entry over two trace
-    arrays: ``!=`` on Gaussian rationals; a NaN is far from everything."""
-    if a.dtype == object:
+    """Whether traces a and b differ, as scalars or entry by entry over
+    arrays: ``!=`` on Gaussian rationals, else not ``within(|a - b|, |a|,
+    tol)``, so a NaN is far from everything."""
+    if isinstance(a, GaussianRational) or getattr(a, "dtype", None) == object:
         return a != b
-    return ~(np.abs(a - b) <= tol * (1.0 + np.abs(a)))
+    return np.logical_not(within(abs(a - b), abs(a), tol))
 
 
 def _grown(a, rows: int, limit: int):

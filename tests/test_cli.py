@@ -10,6 +10,7 @@ import pytest
 from unieq import ProblemInstance, engines, iter_word_traces, make_yes_instance
 from unieq.engines import BudgetExceededError
 from unieq.cli import main
+from unieq.numerics import _far
 from unieq.fileio import (
     InstanceFormatError,
     instance_doc,
@@ -311,7 +312,7 @@ class TestWordsCmd:
                 "word": str(word),
                 "trace_a": engines._scalar_json(ta),
                 "trace_b": engines._scalar_json(tb),
-                "match": bool(engines._close(ta, tb, engines.DEFAULT_TOL)),
+                "match": not _far(ta, tb, engines.DEFAULT_TOL),
             }
             for word, (ta, tb) in stream
         ]

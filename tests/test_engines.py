@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from unieq import engines, exact_closure, float_closure, words
-from unieq.numerics import independent_rows_mod_p
+from unieq.numerics import _far, independent_rows_mod_p, within
 from unieq import (
     DEDUP_CYCLIC_STAR,
     BudgetExceededError,
@@ -140,10 +140,10 @@ class TestSpechtBrute:
 
 
 def _stream_failure(letters, max_length, tol):
-    """The first word of the per-word stream whose traces are not close,
-    with its traces, or None."""
+    """The first word of the per-word stream whose traces are far, with its
+    traces, or None."""
     for word, (tl, tr) in iter_word_traces(letters, max_length, None, DEDUP_CYCLIC_STAR):
-        if not engines._close(tl, tr, tol):
+        if _far(tl, tr, tol):
             return str(word), tl, tr
     return None
 
@@ -156,7 +156,7 @@ def _failing_chunk(letters, max_length, tol):
     for seqs, traces in levels:
         length = len(seqs[0])
         chunks[length] = chunks.get(length, -1) + 1
-        if engines._far(traces[:, 0], traces[:, 1], tol).any():
+        if _far(traces[:, 0], traces[:, 1], tol).any():
             return length, chunks[length]
     return None
 
@@ -197,16 +197,24 @@ class TestBruteLevels:
         assert isinstance(verdict.certificate.trace_left, GaussianRational)
 
     def test_far_is_not_close(self):
+        """``_far`` is the trace form of ``within``, over arrays and scalars
+        alike; a NaN defect is never within, and exact traces compare by
+        ``!=``."""
         nan, inf = float("nan"), float("inf")
         values = [0.0, 1.0, 1.0 + 1e-9, 1.0 + 1e-7, 1j, nan, complex(0, nan), inf, -inf]
         a, b = (np.array(v, dtype=complex) for v in zip(*product(values, repeat=2)))
-        want = [not engines._close(x, y, 1e-8) for x, y in zip(a.tolist(), b.tolist())]
+        pairs = list(zip(a.tolist(), b.tolist()))
+        want = [not within(abs(x - y), abs(x), 1e-8) for x, y in pairs]
+        assert not within(nan, 0.0, 1.0) and within(2e-8, 1.0, 1e-8)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python
-            assert engines._far(a, b, 1e-8).tolist() == want
+            assert _far(a, b, 1e-8).tolist() == want
+            assert [bool(_far(x, y, 1e-8)) for x, y in pairs] == want
         exact = [GR(0), GR(1), GR(Fraction(1, 3), 2)]
         a, b = (np.array(v, dtype=object) for v in zip(*product(exact, repeat=2)))
-        want = [not engines._close(x, y, 1e-8) for x, y in zip(a.tolist(), b.tolist())]
-        assert engines._far(a, b, 1e-8).tolist() == want
+        pairs = list(zip(a.tolist(), b.tolist()))
+        want = [x != y for x, y in pairs]
+        assert _far(a, b, 1e-8).tolist() == want
+        assert [_far(x, y, 1e-8) for x, y in pairs] == want
 
 
 class TestAlgebraClosure:
@@ -1533,19 +1541,15 @@ class TestTolerance:
                 call()
 
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: the float span's transfer test is relative to "
-        "the word, DependencyCertificate.recheck's is absolute",
-    )
     @pytest.mark.parametrize("eps", [1e-9, 1e-12])
     def test_deciding_and_rechecking_share_one_threshold(self, eps):
         """S1 = [(diag(eps, 0), 0)] with S2 = [(I, I)] takes the real 2n
-        route, which answers NotEquivalent with the dependency certificate
-        x0; at tol 1e-8 that certificate fails its own recheck.  The same S1
-        pair beside an S1 pair (I, I), which every U maps, answers
-        Equivalent.  One rule for deciding and rechecking would give a
-        NotEquivalent whose certificate holds, and one answer to both."""
+        route.  The same S1 pair beside an S1 pair (I, I), which every U
+        maps, answers Equivalent.  The span once judged the transfer of x0
+        relative to the word divided by its norm, and so answered
+        NotEquivalent with a certificate that failed its own recheck; by
+        ``within`` on the word's own scale, as the recheck measures it, it
+        gives one answer to both, and any certificate it gives holds."""
         eye, zero = identity(2), zeros(2, 2)
         tiny = Matrix.from_complex([[eps, 0], [0, 0]])
         inst = ProblemInstance(2, S1=[(tiny, zero)], S2=[(eye, eye)])
@@ -1556,6 +1560,37 @@ class TestTolerance:
             assert v.certificate.recheck(left, right, engines.DEFAULT_TOL)
         beside = solve_general(ProblemInstance(2, S1=[(tiny, zero), (eye, eye)]))
         assert beside.result == v.result
+
+    def test_mixed_scale_grid(self):
+        """Instances whose first non-empty family is scaled by s, far below
+        the others: every NotEquivalent's certificate passes its recheck at
+        the default tolerance, and none comes with a retained witness that
+        ``verify_witness`` accepts.  The grid: n = 1-3, six shapes, seeds
+        0-2, each YES and its NO twins at eps = 1e-3 and 1e-6, and s = 1e-3,
+        1e-6, 1e-9 and 1e-12; 648 decisions.  With the span's transfer test
+        relative to the word divided by its norm, 89 of its certificates
+        failed their recheck."""
+        shapes = [(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)]
+        shapes += [(1, 1, 1, 1), (2, 1, 0, 0), (0, 2, 0, 1)]
+        results = []
+        for n, shape, seed in product((1, 2, 3), shapes, range(3)):
+            g = make_yes_instance(n, *shape, seed=seed)
+            twins = [(eps, perturb_to_no(g, eps, seed + 100)) for eps in (1e-3, 1e-6)]
+            for eps, h in [(0.0, g)] + twins:
+                families = [list(h.inst.family(k)) for k in (1, 2, 3, 4)]
+                first = next(k for k, f in enumerate(families) if f)
+                pairs = families[first]
+                for s in (1e-3, 1e-6, 1e-9, 1e-12):
+                    families[first] = [(a.scale(s), b.scale(s)) for a, b in pairs]
+                    inst = ProblemInstance(n, *families)
+                    v = solve_general(inst)
+                    results.append(v.equivalent)
+                    if not v.equivalent:
+                        name = (n, shape, seed, eps, s)
+                        _, left, right = decision_letters(inst)
+                        assert v.certificate.recheck(left, right, engines.DEFAULT_TOL), name
+                        assert not verify_witness(inst, h.witness), name
+        assert len(results) == 648 and 0 < sum(results) < 648
 
 
 class TestVerdictContract:

@@ -527,6 +527,19 @@ class TestRecheckMutations:
             for kind in ("DependencyCertificate", "TraceCertificate")
         }
 
+    def test_doubled_residual_fails(self):
+        """A dependency certificate over a short basis, exact and float,
+        fails its recheck with its stored residual doubled: an exact one is
+        the defect's norm rounded once, a float one agrees with it to
+        ``STORED_TOL``."""
+        cases = [dict(golden_cases())["S2n1no0"], _float_nos()["float-(0, 1, 0, 0)"]]
+        for inst in cases:
+            v, (left, right) = self._decided(inst)
+            cert = v.certificate
+            assert isinstance(cert, DependencyCertificate)
+            assert cert.recheck(left, right, 1e-8)
+            assert not replace(cert, residual=2 * cert.residual).recheck(left, right, 1e-8)
+
 
 def _reference_letters(inst):
     """The letters of an exact instance's default decision by plain Matrix
