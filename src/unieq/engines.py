@@ -101,8 +101,8 @@ ENGINE_CLOSURE = "closure"
 _ENGINES = (ENGINE_AUTO, ENGINE_BRUTE, ENGINE_CLOSURE)
 
 _SINGULAR_TOL = 1e-10  # |det| above which a pre-scaled float matrix is nonsingular
-# a stored trace or residual against its recomputation, which differs by
-# rounding alone; also the least allowance for a recheck's dependent side
+# a stored trace or residual against its recomputation, which rounding alone
+# moves; a recheck's dependent side, with solved coefficients, gets max(10 tol, it)
 STORED_TOL = 1e-6
 
 
@@ -131,8 +131,7 @@ class TraceCertificate:
 
     def recheck(self, letters_left, letters_right, tol: float) -> bool:
         """Re-evaluate the word from scratch and confirm the mismatch."""
-        tl = eval_word(self.word, letters_left).trace()
-        tr = eval_word(self.word, letters_right).trace()
+        tl, tr = (eval_word(self.word, x).trace() for x in (letters_left, letters_right))
         return bool(
             not _far(tl, self.trace_left, STORED_TOL)
             and not _far(tr, self.trace_right, STORED_TOL)
@@ -177,7 +176,7 @@ class DependencyCertificate:
 
         sides = (letters_left, letters_right)[:: 1 if self.side == "left" else -1]
         (target_dep, combo_dep), (target_other, combo_other) = map(measured, sides)
-        if target_dep.mode == EXACT:  # the residual: the defect's norm, rounded once
+        if target_dep.mode == EXACT:  # the residual from the defect's exact square
             denom, (t, c) = clear_denominators([target_other, combo_other])
             squares = sum(x * x for x in (t - c).flat)
             resid = math.sqrt(squares / denom**2)
@@ -779,8 +778,7 @@ def verify_witness(inst: ProblemInstance, U: Matrix, tol: float = DEFAULT_TOL) -
     _check_tol(tol)
     _, inst = inst.scaled_common()
     n = inst.n
-    eye = identity(n, U.mode)
-    if not within((U @ U.adjoint() - eye).norm_fro(), math.sqrt(n), tol):
+    if not within((U @ U.adjoint() - identity(n, U.mode)).norm_fro(), math.sqrt(n), tol):
         return False
     return all(
         within((a - _RELATIONS[set_id](U, b)).norm_fro(), a.norm_fro(), tol)

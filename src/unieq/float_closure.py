@@ -34,8 +34,7 @@ def _accepted(s, letters, tol: float):
     word is a product of letters, so an accepted S maps every word by
     X -> S X S^-1: every dependency transfers and every trace agrees."""
     size = len(s)
-    unitary_defect = np.linalg.norm(s @ np.conj(s).T - np.eye(size))
-    if not within(unitary_defect, math.sqrt(size), tol):
+    if not within(np.linalg.norm(s @ np.conj(s).T - np.eye(size)), math.sqrt(size), tol):
         return None
     left, right = letters
     a = len(left)

@@ -22,9 +22,8 @@ DEP_TOL = 1e-10
 
 
 def within(defect, size, tol):
-    """The one float acceptance rule, defect <= tol (1 + size), size the norm
-    the defect is measured against, entry by entry over arrays; a NaN defect
-    fails.  Every float check of a decision, a recheck or a witness calls it."""
+    """The one float acceptance rule, entry by entry: defect <= tol (1 +
+    size), size the norm the defect is measured against; a NaN defect fails."""
     return defect <= tol * (1.0 + size)
 
 
@@ -719,9 +718,8 @@ _BLOCK = 16  # most child words a closure span extends and projects at once
 
 
 def _far(a, b, tol):
-    """Whether traces a and b differ, as scalars or entry by entry over
-    arrays: ``!=`` on Gaussian rationals, else not ``within(|a - b|, |a|,
-    tol)``, so a NaN is far from everything."""
+    """Whether traces a and b differ, as scalars or entry by entry: ``!=`` on
+    Gaussian rationals, else not ``within(|a - b|, |a|, tol)``."""
     if isinstance(a, GaussianRational) or getattr(a, "dtype", None) == object:
         return a != b
     return np.logical_not(within(abs(a - b), abs(a), tol))

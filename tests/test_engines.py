@@ -1544,12 +1544,11 @@ class TestTolerance:
     @pytest.mark.parametrize("eps", [1e-9, 1e-12])
     def test_deciding_and_rechecking_share_one_threshold(self, eps):
         """S1 = [(diag(eps, 0), 0)] with S2 = [(I, I)] takes the real 2n
-        route.  The same S1 pair beside an S1 pair (I, I), which every U
-        maps, answers Equivalent.  The span once judged the transfer of x0
-        relative to the word divided by its norm, and so answered
-        NotEquivalent with a certificate that failed its own recheck; by
-        ``within`` on the word's own scale, as the recheck measures it, it
-        gives one answer to both, and any certificate it gives holds."""
+        route, and answers as the same S1 pair beside an S1 pair (I, I),
+        which every U maps; a certificate it gives passes its own recheck.
+        A span that judged the transfer of x0 relative to the word divided by
+        its norm, not on the word's own scale as the recheck measures it,
+        answered NotEquivalent here with a certificate that failed."""
         eye, zero = identity(2), zeros(2, 2)
         tiny = Matrix.from_complex([[eps, 0], [0, 0]])
         inst = ProblemInstance(2, S1=[(tiny, zero)], S2=[(eye, eye)])
@@ -1567,9 +1566,8 @@ class TestTolerance:
         the default tolerance, and none comes with a retained witness that
         ``verify_witness`` accepts.  The grid: n = 1-3, six shapes, seeds
         0-2, each YES and its NO twins at eps = 1e-3 and 1e-6, and s = 1e-3,
-        1e-6, 1e-9 and 1e-12; 648 decisions.  With the span's transfer test
-        relative to the word divided by its norm, 89 of its certificates
-        failed their recheck."""
+        1e-6, 1e-9 and 1e-12; 648 decisions.  A span transfer test relative
+        to the word divided by its norm gave 89 certificates that failed."""
         shapes = [(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)]
         shapes += [(1, 1, 1, 1), (2, 1, 0, 0), (0, 2, 0, 1)]
         results = []
