@@ -59,6 +59,7 @@ from .numerics import (
     GaussianRational,
     Matrix,
     _BLOCK,
+    _as_exact,
     _far,
     as_matrices,
     clear_denominators,
@@ -70,10 +71,12 @@ from .numerics import (
     span_primes,
     within,
 )
-# iter_word_traces is not called here; bench/tracing.py wraps it by this name
+# eval_word and iter_word_traces are not called here; bench/tracing.py wraps
+# them by these names
 from .words import (
     DEDUP_CYCLIC_STAR,
     Word,
+    _check_letters,
     _trace_levels,
     empty_word,
     eval_word,
@@ -121,6 +124,30 @@ def _scalar_json(x):
     return [z.real, z.imag]
 
 
+def _products(words, letters):
+    """The product of each word at the letters, ``eval_word``'s value, as
+    an array of the letters' entries (floats, or Gaussian rationals).
+
+    Each distinct prefix is made once, as its longest prefix already made
+    times one letter, and a letter is its own product.  The words may come
+    in any order, repeat and include the empty word; each alphabet size
+    among them is checked first, as ``eval_word`` checks it."""
+    for size in dict.fromkeys(w.alphabet_size for w in words):
+        _check_letters(letters, size)
+    made = {(): identity(letters[0].rows, letters[0].mode).data}
+    out = []
+    for w in words:
+        seq = w.letters()
+        k = len(seq)
+        while seq[:k] not in made:
+            k -= 1
+        for j in range(k, len(seq)):
+            letter = letters[seq[j]].data
+            made[seq[: j + 1]] = made[seq[:j]] @ letter if j else letter
+        out.append(made[seq])
+    return out
+
+
 @dataclass(frozen=True)
 class TraceCertificate:
     """A word whose traces differ between the two sides."""
@@ -130,8 +157,8 @@ class TraceCertificate:
     trace_right: object
 
     def recheck(self, letters_left, letters_right, tol: float) -> bool:
-        """Re-evaluate the word from scratch and confirm the mismatch."""
-        tl, tr = (eval_word(self.word, x).trace() for x in (letters_left, letters_right))
+        """Re-evaluate the word (``_products``) and confirm the mismatch."""
+        tl, tr = (_products([self.word], x)[0].trace() for x in (letters_left, letters_right))
         return bool(
             not _far(tl, self.trace_left, STORED_TOL)
             and not _far(tr, self.trace_right, STORED_TOL)
@@ -163,29 +190,33 @@ class DependencyCertificate:
     side: str  # "left" or "right": the side on which the dependency holds
 
     def recheck(self, letters_left, letters_right, tol: float) -> bool:
-        """Re-evaluate every word from scratch and confirm that the
+        """Re-evaluate every word (``_products``) and confirm that the
         combination gives the word on the dependent side and fails on the
         other by the stored residual: by ``within`` over float letters,
         exactly over Gaussian-rational ones, as for traces (``_far``)."""
+        # as zip pairs them: words past the coefficients take no part
+        basis = self.basis_words[: len(self.coefficients)]
+
         def measured(letters):
             """The word's product and the combination's on one side."""
-            target = eval_word(self.word, letters)
-            pairs = zip(self.basis_words, self.coefficients)
-            terms = [eval_word(w, letters).scale(c) for w, c in pairs]
-            return target, sum(terms[1:], terms[0]) if terms else target.scale(0)
+            target, *products = _products((self.word, *basis), letters)
+            coerce = _as_exact if target.dtype == object else complex
+            terms = [p * coerce(c) for p, c in zip(products, self.coefficients)]
+            return target, sum(terms[1:], terms[0]) if terms else target * coerce(0)
 
         sides = (letters_left, letters_right)[:: 1 if self.side == "left" else -1]
         (target_dep, combo_dep), (target_other, combo_other) = map(measured, sides)
-        if target_dep.mode == EXACT:  # the residual from the defect's exact square
-            denom, (t, c) = clear_denominators([target_other, combo_other])
+        if target_dep.dtype == object:  # the residual from the defect's exact square
+            denom, (t, c) = clear_denominators(np.stack([target_other, combo_other]))
             squares = sum(x * x for x in (t - c).flat)
             resid = math.sqrt(squares / denom**2)
-            return combo_dep == target_dep and squares > 0 and resid == self.residual
-        dep_resid = (target_dep - combo_dep).norm_fro()
-        resid = (target_other - combo_other).norm_fro()
-        return (
-            within(dep_resid, target_dep.norm_fro(), max(10 * tol, STORED_TOL))
-            and not within(resid, target_other.norm_fro(), tol)
+            held = bool((combo_dep == target_dep).all())
+            return held and squares > 0 and resid == self.residual
+        norm = np.linalg.norm
+        dep_resid, resid = norm(target_dep - combo_dep), norm(target_other - combo_other)
+        return bool(
+            within(dep_resid, norm(target_dep), max(10 * tol, STORED_TOL))
+            and not within(resid, norm(target_other), tol)
             and not _far(resid, self.residual, STORED_TOL)
         )
 

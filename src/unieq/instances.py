@@ -22,6 +22,7 @@ from .numerics import (
     exact_nullspace,
     intertwiner_operator,
     nullspace,
+    within,
 )
 from .gadgets import _RELATIONS, ProblemInstance
 
@@ -187,38 +188,45 @@ def _blocks(W: Matrix, n: int):
     return k
 
 
-def is_block_upper_triangular(W: Matrix, n: int, tol: float = 1e-8) -> bool:
-    """Every block strictly below the block diagonal is negligible."""
+def _unit_blocks(W: Matrix, n: int):
+    """The k-by-k grid of n-by-n blocks of W as floats divided by W's
+    Frobenius norm, or None for a zero or non-finite W, which has no
+    structure to judge."""
     k = _blocks(W, n)
     wf = W.to_float().data
-    for i in range(1, k):
-        for j in range(i):
-            if np.linalg.norm(wf[i * n : (i + 1) * n, j * n : (j + 1) * n]) > tol:
-                return False
-    return True
+    norm = np.linalg.norm(wf)
+    if not 0 < norm < math.inf:
+        return None
+    return (wf / norm).reshape(k, n, k, n).swapaxes(1, 2)
+
+
+def _negligible(defect, tol: float) -> bool:
+    """A block defect of W divided by its norm passes ``within`` against
+    that norm, 1."""
+    return within(np.linalg.norm(defect), 1.0, tol)
+
+
+def is_block_upper_triangular(W: Matrix, n: int, tol: float = 1e-8) -> bool:
+    """Every block strictly below the block diagonal is negligible."""
+    b = _unit_blocks(W, n)
+    return b is not None and all(
+        _negligible(b[i, j], tol) for i in range(1, len(b)) for j in range(i)
+    )
 
 
 def has_equal_diagonal_blocks(W: Matrix, n: int, tol: float = 1e-8) -> bool:
     """All diagonal blocks agree with the first one."""
-    k = _blocks(W, n)
-    wf = W.to_float().data
-    first = wf[:n, :n]
-    for i in range(1, k):
-        blockii = wf[i * n : (i + 1) * n, i * n : (i + 1) * n]
-        if np.linalg.norm(blockii - first) > tol:
-            return False
-    return True
+    b = _unit_blocks(W, n)
+    return b is not None and all(
+        _negligible(b[i, i] - b[0, 0], tol) for i in range(1, len(b))
+    )
 
 
 def has_alternating_diagonal_blocks(W: Matrix, n: int, tol: float = 1e-8) -> bool:
     """Odd diagonal blocks equal the first, even ones its conjugate
     (1-based block indices)."""
-    k = _blocks(W, n)
-    wf = W.to_float().data
-    first = wf[:n, :n]
-    for i in range(1, k):
-        blockii = wf[i * n : (i + 1) * n, i * n : (i + 1) * n]
-        want = first if (i + 1) % 2 == 1 else np.conj(first)
-        if np.linalg.norm(blockii - want) > tol:
-            return False
-    return True
+    b = _unit_blocks(W, n)
+    return b is not None and all(
+        _negligible(b[i, i] - (b[0, 0] if i % 2 == 0 else np.conj(b[0, 0])), tol)
+        for i in range(1, len(b))
+    )

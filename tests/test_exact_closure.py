@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unieq import (
     DependencyCertificate,
@@ -29,6 +31,7 @@ from unieq import (
     Matrix,
     ProblemInstance,
     TraceCertificate,
+    Word,
     algebra_closure,
     build_congruence_K,
     common_scale,
@@ -45,7 +48,7 @@ from unieq import (
 from unieq.numerics import PRIME, gaussian_rationals, span_primes
 
 import test_engines
-from conftest import rat_matrix
+from conftest import complex_gaussian, rat_matrix
 from test_engines import ROADMAP_SHAPES, _exact_instance, _spanned, spy_solves
 
 GR = GaussianRational
@@ -539,6 +542,111 @@ class TestRecheckMutations:
             assert isinstance(cert, DependencyCertificate)
             assert cert.recheck(left, right, 1e-8)
             assert not replace(cert, residual=2 * cert.residual).recheck(left, right, 1e-8)
+
+
+@st.composite
+def _word_sets(draw):
+    """Letters of an alphabet of 2-5 at n = 1-3, float (real or complex) or
+    exact, and 1-12 words of length 0-6 in any order, some repeated, not
+    closed under prefixes."""
+    a, n, exact = draw(st.integers(2, 5)), draw(st.integers(1, 3)), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if exact:
+        letters = [rat_matrix(rng, n) for _ in range(a)]
+    elif draw(st.booleans()):
+        letters = [Matrix(rng.standard_normal((n, n)), "float") for _ in range(a)]
+    else:
+        letters = [Matrix(complex_gaussian(rng, n), "float") for _ in range(a)]
+    seqs = draw(st.lists(st.lists(st.integers(0, a - 1), max_size=6), min_size=1, max_size=9))
+    seqs = draw(st.permutations(seqs + draw(st.lists(st.sampled_from(seqs), max_size=3))))
+    return [Word.from_letters(seq, a) for seq in seqs], letters
+
+
+class TestRecheckProducts:
+    """``engines._products``, the products that both rechecks evaluate:
+    each equals ``eval_word``'s, each distinct prefix is made once, and a
+    malformed certificate fails as the rechecks failed when every word was
+    evaluated by ``eval_word``."""
+
+    @given(_word_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_products_are_eval_word_values(self, case):
+        """Exact products are equal; float ones agree within 1e-12 of the
+        product of their letters' norms, the scale of their rounding."""
+        words, letters = case
+        for w, product in zip(words, engines._products(words, letters), strict=True):
+            want = eval_word(w, letters)
+            if want.mode == "exact":
+                assert product.dtype == object and (product == want.data).all()
+                assert product.trace() == want.trace()
+            else:
+                scale = math.prod(letters[k].norm_fro() for k in w.letters())
+                assert np.linalg.norm(product - want.data) <= 1e-12 * scale
+
+    def test_dependency_recheck_makes_each_prefix_once(self, monkeypatch):
+        """A dependency recheck, float and exact, evaluates no word by
+        ``eval_word`` and multiplies no ``Matrix``: it makes one product
+        per distinct prefix of two or more letters on each side."""
+        def refused(*args, **kwargs):
+            raise AssertionError("a recheck evaluated a word from scratch")
+
+        made = [0]
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                made[0] += ufunc is np.matmul
+                inputs = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+                out = getattr(ufunc, method)(*inputs, **kwargs)
+                return out.view(Counted) if isinstance(out, np.ndarray) else out
+
+        cases = [_float_nos()["float-(1, 1, 1, 1)"], hard_no(2, 4)]
+        decided = [(solve_general(inst).certificate, decision_letters(inst)[1:]) for inst in cases]
+        monkeypatch.setattr(engines, "eval_word", refused)
+        monkeypatch.setattr("unieq.words.eval_word", refused)
+        for name in ("__matmul__", "power", "scale"):
+            monkeypatch.setattr(Matrix, name, refused)
+        modes = set()
+        for cert, sides in decided:
+            assert isinstance(cert, DependencyCertificate)
+            counted = [[Matrix(x.data.view(Counted), x.mode) for x in side] for side in sides]
+            words = (cert.word,) + cert.basis_words
+            prefixes = {w.letters()[:k] for w in words for k in range(2, w.length + 1)}
+            made[0] = 0
+            assert cert.recheck(*counted, 1e-8)
+            assert made[0] == 2 * len(prefixes)
+            modes.add(sides[0][0].mode)
+        assert modes == {"float", "exact"}
+
+    @pytest.mark.parametrize("name", ["S2n1no0", "float-(0, 1, 0, 0)", "float-trace", "S1n3trace"])
+    def test_malformed_certificates_fail_as_with_eval_word(self, name):
+        """Letters too few for the certificate's words, or a word of another
+        alphabet, raise ``eval_word``'s ValueError; a letter outside the
+        alphabet raises IndexError; a basis word with no coefficient is
+        never evaluated, as ``zip`` drops it."""
+        inst = {**dict(golden_cases()), **_float_nos(), "S1n3trace": trace_no()}[name]
+        cert = solve_general(inst).certificate
+        _, left, right = decision_letters(inst)
+        a = len(left)
+        with pytest.raises(ValueError, match=f"expected {a} letter matrices, got {a - 1}"):
+            cert.recheck(left[:-1], right[:-1], 1e-8)
+        foreign = Word(((a, 1),), a + 1)
+        outside = object.__new__(Word)
+        object.__setattr__(outside, "runs", ((a, 1),))
+        object.__setattr__(outside, "alphabet_size", a)
+        if isinstance(cert, TraceCertificate):
+            malformed = replace(cert, word=foreign)
+            with pytest.raises(IndexError):
+                replace(cert, word=outside).recheck(left, right, 1e-8)
+        else:
+            malformed = replace(cert, basis_words=(foreign,) + cert.basis_words[1:])
+            unused = replace(cert, basis_words=cert.basis_words + (foreign, outside))
+            assert unused.recheck(left, right, 1e-8)
+            with pytest.raises(IndexError):
+                replace(cert, basis_words=(outside,) + cert.basis_words[1:]).recheck(
+                    left, right, 1e-8
+                )
+        with pytest.raises(ValueError, match=f"expected {a + 1} letter matrices, got {a}"):
+            malformed.recheck(left, right, 1e-8)
 
 
 def _reference_letters(inst):

@@ -208,6 +208,18 @@ class TestIntertwinerSpace:
             assert is_block_upper_triangular(wn, 1)
             assert has_equal_diagonal_blocks(wn, 1)
 
+    def test_structure_is_judged_on_w_over_its_norm(self):
+        """A NaN block fails, as does a zero W; a small W is judged on its
+        own scale, so its large relative block defects fail."""
+        checks = (
+            is_block_upper_triangular, has_equal_diagonal_blocks, has_alternating_diagonal_blocks
+        )
+        assert not is_block_upper_triangular(Matrix.from_complex([[1, 0], [np.nan, 1]]), 1)
+        small = Matrix.from_complex([[1e-9, 0], [1e-9, 3e-9]])
+        assert not any(check(small, 1) for check in checks)
+        assert not any(check(Matrix.from_complex([[0, 0], [0, 0]]), 1) for check in checks)
+        assert all(check(identity(2).scale(1e-9), 1) for check in checks)
+
     def test_size_mismatch(self, rng):
         with pytest.raises(ValueError):
             intertwiner_space(rand_matrix(rng, 2), rand_matrix(rng, 3))
